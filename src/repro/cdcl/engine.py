@@ -22,13 +22,24 @@ from typing import Optional
 from repro.cdcl.fast import FastCdclSolver, FastEngineError, fast_engine_supports
 from repro.cdcl.solver import CdclSolver, SolverConfig
 
-__all__ = ["ENGINES", "available_engines", "create_solver", "resolve_engine"]
+__all__ = [
+    "DEFAULT_ENGINE",
+    "ENGINES",
+    "available_engines",
+    "create_solver",
+    "resolve_engine",
+]
 
 #: Engine name -> solver class.
 ENGINES = {
     "reference": CdclSolver,
     "fast": FastCdclSolver,
 }
+
+#: The engine every entry point uses unless told otherwise.  It falls
+#: back to ``"reference"`` (with a warning) where the kernel cannot be
+#: built or loaded.
+DEFAULT_ENGINE = "fast"
 
 
 def available_engines() -> tuple:
@@ -67,7 +78,7 @@ def resolve_engine(engine: str, config: Optional[SolverConfig] = None) -> str:
 
 def create_solver(
     formula,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     config: Optional[SolverConfig] = None,
     proof=None,
     observability=None,

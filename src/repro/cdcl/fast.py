@@ -113,7 +113,11 @@ def fast_engine_supports(config: Optional[SolverConfig]) -> Tuple[bool, str]:
             "implemented by the native kernel",
         )
     if not native.native_available():
-        return (False, "native kernel unavailable (no C compiler?)")
+        return (
+            False,
+            "native kernel unavailable (no C compiler, or an unusable "
+            "kernel cache)",
+        )
     return (True, "")
 
 
@@ -398,20 +402,22 @@ class FastCdclSolver:
     def unsatisfied_original_clauses(self) -> List[int]:
         """Indices of original clauses not yet satisfied by the partial
         assignment (the frontend's candidate pool)."""
-        out: List[int] = []
-        values = self._arr["values"]
-        pool = self._arr["pool"]
-        c_start = self._arr["c_start"]
-        c_size = self._arr["c_size"]
-        c_orig = self._arr["c_orig"]
-        for ci in self._orig_cis:
-            start = c_start[ci]
-            lits = pool[start : start + c_size[ci]]
-            vals = values[lits >> 1]
-            if bool(np.any((vals != _UNASSIGNED) & ((vals ^ (lits & 1)) == 1))):
-                continue
-            out.append(int(c_orig[ci]))
-        return out
+        cis = np.array(self._orig_cis, dtype=np.intp)
+        if not len(cis):
+            return []
+        # Original clauses are never empty: each is one reduceat segment.
+        sizes = self._arr["c_size"][cis]
+        heads = np.zeros(len(cis), np.intp)
+        np.cumsum(sizes[:-1], out=heads[1:])
+        slots = np.arange(heads[-1] + sizes[-1]) + np.repeat(
+            self._arr["c_start"][cis] - heads, sizes
+        )
+        lits = self._arr["pool"][slots]
+        # A literal is true when its variable's value (0/1; -1 when
+        # unassigned) differs from its sign bit in exactly bit 0.
+        true = (self._arr["values"][lits >> 1] ^ (lits & 1)) == 1
+        satisfied = np.logical_or.reduceat(true, heads)
+        return self._arr["c_orig"][cis[~satisfied]].tolist()
 
     def set_phase(self, var: int, value: bool) -> None:
         """Force the saved phase of external variable ``var``

@@ -20,6 +20,7 @@ feature probe the engine registry uses.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -194,7 +195,6 @@ def _build_library() -> Optional[Path]:
     compiler = _compiler()
     if compiler is None:
         return None
-    cache.mkdir(parents=True, exist_ok=True)
     tmp_path = cache / f"kernel-{key}.{os.getpid()}.tmp.so"
     cmd = [
         compiler,
@@ -208,13 +208,17 @@ def _build_library() -> Optional[Path]:
         str(tmp_path),
     ]
     try:
+        # An unusable cache dir (read-only install, a path through a
+        # regular file) is a failed build, not a crash.
+        cache.mkdir(parents=True, exist_ok=True)
         subprocess.run(
             cmd, check=True, capture_output=True, text=True, timeout=120
         )
+        os.replace(tmp_path, lib_path)  # atomic under concurrent builds
     except (subprocess.SubprocessError, OSError):
-        tmp_path.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):
+            tmp_path.unlink()
         return None
-    os.replace(tmp_path, lib_path)  # atomic under concurrent builds
     return lib_path
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cdcl.engine import create_solver
+from repro.cdcl.engine import DEFAULT_ENGINE, create_solver
 from repro.cdcl.heuristics import ChbHeuristic, VsidsHeuristic
 from repro.cdcl.solver import SolverConfig
 from repro.sat.cnf import CNF
@@ -23,7 +23,7 @@ def minisat_solver(
     seed: int = 0,
     max_conflicts: Optional[int] = None,
     max_iterations: Optional[int] = None,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
 ):
     """A MiniSAT-2.2-flavoured solver: VSIDS, Luby restarts (base 100),
     phase saving with default-false polarity."""
@@ -45,7 +45,7 @@ def kissat_solver(
     seed: int = 0,
     max_conflicts: Optional[int] = None,
     max_iterations: Optional[int] = None,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
 ):
     """A Kissat-MAB-flavoured solver: CHB branching with more aggressive
     (shorter base) Luby restarts."""

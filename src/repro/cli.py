@@ -70,6 +70,7 @@ def _jobspec_from_args(
     describe — the single construction path shared by ``solve``,
     ``submit``, and ``batch``, which is what makes service results
     bit-identical to solo solves."""
+    from repro.cdcl.engine import DEFAULT_ENGINE
     from repro.service import JobSpec
 
     if getattr(args, "qa_faults", None):
@@ -92,7 +93,7 @@ def _jobspec_from_args(
             qa_budget_us=getattr(args, "qa_budget_us", None),
             qa_breaker_threshold=getattr(args, "qa_breaker_threshold", 5),
             no_resilience=getattr(args, "no_resilience", False),
-            engine=getattr(args, "engine", "reference"),
+            engine=getattr(args, "engine", DEFAULT_ENGINE),
             fleet=getattr(args, "qa_fleet", 0),
             fleet_hedge_us=getattr(args, "qa_hedge_us", None),
             topology=getattr(args, "topology", None),
@@ -135,6 +136,7 @@ def _emit_observability(observability, args: argparse.Namespace) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from repro.cdcl.engine import ENGINES
     from repro.sat import read_dimacs, to_3sat
     from repro.service import build_solver
 
@@ -196,6 +198,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"v {lits} 0")
     print(f"c iterations={result.stats.iterations} conflicts={result.stats.conflicts}")
     if hybrid is not None:
+        # The engine that ran: "fast" falls back when no kernel loads.
+        engine = next(
+            name for name, cls in ENGINES.items()
+            if type(solver.last_engine) is cls
+        )
         print(
             f"c qa_calls={hybrid.qa_calls} qpu_time_us={hybrid.qpu_time_us:.1f} "
             f"avg_embedded={hybrid.avg_embedded_clauses:.1f}"
@@ -203,7 +210,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(
             f"c cdcl_propagations_per_s={hybrid.cdcl_propagations_per_s:.0f} "
             f"cdcl_conflicts_per_s={hybrid.cdcl_conflicts_per_s:.0f} "
-            f"engine={spec.engine}"
+            f"engine={engine}"
         )
         print(
             f"c frontend_cache_hits={hybrid.frontend_cache_hits} "
@@ -829,6 +836,20 @@ def _cmd_connect(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
+    """``--engine``, shared by ``solve``/``submit``/``batch``."""
+    from repro.cdcl.engine import DEFAULT_ENGINE, ENGINES
+
+    parser.add_argument(
+        "--engine",
+        choices=list(ENGINES),
+        default=DEFAULT_ENGINE,
+        help="CDCL engine: the native kernel (default; falls back to "
+        "reference where no kernel can be built) or the bit-identical "
+        "pure-Python reference",
+    )
+
+
 def _add_job_option_flags(parser: argparse.ArgumentParser) -> None:
     """The solve-option flags shared by ``solve``/``submit``/``batch``
     (one flag set -> one :class:`~repro.service.JobSpec` field each)."""
@@ -836,13 +857,7 @@ def _add_job_option_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise", action="store_true", help="noisy 2000Q device model")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lenient", action="store_true", help="tolerate malformed DIMACS")
-    parser.add_argument(
-        "--engine",
-        choices=["reference", "fast"],
-        default="reference",
-        help="CDCL engine: pure-Python reference or the bit-identical "
-        "native kernel (falls back to reference without a C compiler)",
-    )
+    _add_engine_flag(parser)
     parser.add_argument(
         "--qa-faults",
         default=None,
@@ -1339,13 +1354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--classic", action="store_true", help="plain CDCL baseline")
     p_batch.add_argument("--noise", action="store_true", help="noisy 2000Q device model")
     p_batch.add_argument("--lenient", action="store_true", help="tolerate malformed DIMACS")
-    p_batch.add_argument(
-        "--engine",
-        choices=["reference", "fast"],
-        default="reference",
-        help="CDCL engine: pure-Python reference or the bit-identical "
-        "native kernel (falls back to reference without a C compiler)",
-    )
+    _add_engine_flag(p_batch)
     _add_durability_flags(p_batch)
     _add_service_flags(p_batch)
     p_batch.set_defaults(func=_cmd_batch)

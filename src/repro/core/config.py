@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cdcl.engine import DEFAULT_ENGINE
 from repro.ml.intervals import ConfidenceBands
 
 
@@ -165,10 +166,11 @@ class HyQSatConfig:
     #: RNG seed for queue-head selection.
     seed: int = 0
 
-    #: CDCL engine backing the hybrid search: ``"reference"`` (pure
-    #: Python) or ``"fast"`` (native kernel).  Both are bit-identical;
-    #: ``fast`` degrades to ``reference`` when no C compiler exists.
-    engine: str = "reference"
+    #: CDCL engine backing the hybrid search: ``"fast"`` (native
+    #: kernel, the default) or ``"reference"`` (pure Python).  Both are
+    #: bit-identical; ``fast`` degrades to ``reference`` when the
+    #: kernel cannot be built.
+    engine: str = DEFAULT_ENGINE
 
     #: Keep one warm CDCL instance across repeated ``solve()`` calls of
     #: the same :class:`~repro.core.hyqsat.HyQSatSolver` (incremental

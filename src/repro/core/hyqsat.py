@@ -85,7 +85,9 @@ class HybridStats:
     qa_unavailable: int = 0
     qa_dropped_reads: int = 0
     qa_budget_spent_us: float = 0.0
-    #: Wall-clock seconds spent inside the CDCL search of this solve.
+    #: Wall-clock seconds spent inside the CDCL search of this solve
+    #: (QA rounds and checkpoint saves run from the iteration hook and
+    #: are not counted).
     cdcl_seconds: float = 0.0
     #: CDCL propagation / conflict throughput of this solve (wall
     #: clock; 0.0 when the solve was too fast to time).
@@ -230,7 +232,11 @@ class _HybridHook:
             return None
         if (solver.stats.iterations - 1) % config.qa_period != 0:
             return None
-        return owner._qa_step(solver)
+        start = time.perf_counter()
+        try:
+            return owner._qa_step(solver)
+        finally:
+            owner._hook_seconds += time.perf_counter() - start
 
 
 class HyQSatSolver:
@@ -297,6 +303,9 @@ class HyQSatSolver:
         # Warm CDCL instance kept across solve() calls when
         # config.warm_start is on (learned-clause retention).
         self._cdcl = None
+        # Wall time the iteration hook spent in QA rounds and checkpoint
+        # saves during the current solve (not CDCL search time).
+        self._hook_seconds = 0.0
         # Clauses to seed a *fresh* engine with through the incremental
         # API (cache warm start); never re-applied to a reused warm
         # engine or a checkpoint-resumed search.
@@ -453,9 +462,12 @@ class HyQSatSolver:
             num_clauses=self.formula.num_clauses,
             warmup_iterations=warmup,
         ) as span:
+            self._hook_seconds = 0.0
             cdcl_start = time.perf_counter()
             result = solver.solve(hook=_HybridHook(self))
-            cdcl_seconds = time.perf_counter() - cdcl_start
+            cdcl_seconds = (
+                time.perf_counter() - cdcl_start - self._hook_seconds
+            )
             span.set(
                 status=result.status.value,
                 iterations=result.stats.iterations,
@@ -575,6 +587,7 @@ class HyQSatSolver:
             return
         from repro.service.checkpoint import save_checkpoint
 
+        start = time.perf_counter()
         self._conflicts_at_checkpoint = conflicts
         hybrid = self.hybrid_stats.as_dict()
         # The frontend's live cache counters are folded into the stats
@@ -615,6 +628,7 @@ class HyQSatSolver:
         tracer = self.observability.tracer
         if tracer.enabled:
             tracer.event("checkpoint.saved", conflicts=conflicts)
+        self._hook_seconds += time.perf_counter() - start
 
     def _load_resume_state(self) -> Optional[dict]:
         """A valid checkpoint for *this* formula and solver seed, or

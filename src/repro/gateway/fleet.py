@@ -158,7 +158,10 @@ class FleetRouter:
         from repro.embedding import HyQSatEmbedder
         from repro.qubo import encode_formula
 
-        encoding = encode_formula(list(formula.clauses), formula.num_vars)
+        # Both CDCL engines drop tautologies, so the frontend never
+        # deploys one: probe only the clauses it can.
+        clauses = [clause for clause in formula.clauses if not clause.is_tautology]
+        encoding = encode_formula(clauses, formula.num_vars)
         embedded = HyQSatEmbedder(self._hardware(qpu)).embed(encoding)
         placed = (embedded.num_embedded, len(encoding.clauses))
         self._probe_cache[key] = placed

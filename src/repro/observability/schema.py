@@ -231,11 +231,13 @@ METRICS: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "hyqsat_cdcl_propagations_per_s", "gauge", (), "assignments/s",
-        "CDCL propagation throughput of the last solve (wall clock)",
+        "CDCL propagation throughput of the last solve (wall clock in "
+        "the search; QA rounds and checkpoint saves excluded)",
     ),
     MetricSpec(
         "hyqsat_cdcl_conflicts_per_s", "gauge", (), "conflicts/s",
-        "CDCL conflict throughput of the last solve (wall clock)",
+        "CDCL conflict throughput of the last solve (wall clock in "
+        "the search; QA rounds and checkpoint saves excluded)",
     ),
     # -- solver service --------------------------------------------------
     MetricSpec(

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Optional
 
+from repro.cdcl.engine import DEFAULT_ENGINE
 from repro.sat.cnf import CNF, fingerprint
 
 #: Priority classes, highest first.  The queue serves strictly by
@@ -82,10 +83,10 @@ class JobSpec:
     #: Not part of the dedup key: checkpointing never changes the
     #: outcome, only crash recovery cost.
     checkpoint_every: int = 0
-    #: CDCL engine ("reference" or "fast").  Not part of the dedup key:
+    #: CDCL engine ("fast" or "reference").  Not part of the dedup key:
     #: the engines are gated bit-identical, so either may serve the
     #: other's cached result.
-    engine: str = "reference"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
         if self.engine not in ("reference", "fast"):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cdcl import native
 from repro.cdcl.engine import (
+    DEFAULT_ENGINE,
     ENGINES,
     available_engines,
     create_solver,
@@ -106,6 +108,42 @@ class TestPresetEngines:
         assert isinstance(solver, FastCdclSolver)
         assert solver.solve().is_sat
 
-    def test_default_is_reference(self):
-        assert isinstance(minisat_solver(FORMULA), CdclSolver)
-        assert isinstance(kissat_solver(FORMULA), CdclSolver)
+    def test_default_is_fast(self):
+        assert DEFAULT_ENGINE == "fast"
+        assert isinstance(create_solver(FORMULA), FastCdclSolver)
+        assert isinstance(minisat_solver(FORMULA), FastCdclSolver)
+        assert isinstance(kissat_solver(FORMULA), FastCdclSolver)
+
+    def test_reference_on_request(self):
+        assert isinstance(minisat_solver(FORMULA, engine="reference"), CdclSolver)
+        assert isinstance(kissat_solver(FORMULA, engine="reference"), CdclSolver)
+
+
+class TestKernelFallback:
+    """A kernel that cannot be built or cached degrades the default
+    engine to the reference engine instead of failing the solve."""
+
+    @pytest.fixture
+    def fresh_loader(self, monkeypatch):
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_load_attempted", False)
+        return monkeypatch
+
+    def test_cache_dir_under_regular_file(self, tmp_path, fresh_loader):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        fresh_loader.setenv("HYQSAT_KERNEL_CACHE", str(blocker / "cache"))
+        assert native.load_kernel() is None
+        with pytest.warns(RuntimeWarning, match="falling back to the reference"):
+            solver = create_solver(FORMULA)
+        assert isinstance(solver, CdclSolver)
+        assert solver.solve().is_sat
+
+    def test_cache_dir_not_creatable(self, tmp_path, fresh_loader):
+        def refuse(*_args, **_kwargs):
+            raise PermissionError("read-only")
+
+        fresh_loader.setenv("HYQSAT_KERNEL_CACHE", str(tmp_path / "cache"))
+        fresh_loader.setattr(native.Path, "mkdir", refuse)
+        assert native.load_kernel() is None
+        assert not native_available()

@@ -1,8 +1,11 @@
 """Engine selection, warm start, and CDCL-rate stats in the hybrid loop."""
 
+import time
+
 import pytest
 
 from repro.annealer.device import AnnealerDevice
+from repro.cdcl.engine import DEFAULT_ENGINE
 from repro.cdcl.native import native_available
 from repro.core.config import HyQSatConfig
 from repro.core.hyqsat import HyQSatSolver
@@ -26,7 +29,7 @@ class TestConfig:
 
     def test_defaults(self):
         config = HyQSatConfig()
-        assert config.engine == "reference"
+        assert config.engine == DEFAULT_ENGINE == "fast"
         assert config.warm_start is False
 
 
@@ -63,6 +66,51 @@ class TestRates:
         if result.stats.propagations:
             assert hybrid.cdcl_propagations_per_s > 0.0
         assert hybrid.cdcl_conflicts_per_s >= 0.0
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_cdcl_seconds_exclude_qa_rounds_and_checkpoints(
+        self, engine, tmp_path, monkeypatch
+    ):
+        """QA rounds and checkpoint saves run inside the iteration hook
+        but are not CDCL search time: with both made slow, the CDCL
+        time, the frontend time and the slow parts still fit in the
+        solve's wall time."""
+        import repro.service.checkpoint as checkpoint
+
+        pause_s = 0.01
+        saves = []
+        real_save = checkpoint.save_checkpoint
+
+        def slow_save(*args, **kwargs):
+            saves.append(1)
+            time.sleep(pause_s)
+            return real_save(*args, **kwargs)
+
+        class SlowDevice(AnnealerDevice):
+            def run(self, request):
+                time.sleep(pause_s)
+                return super().run(request)
+
+        monkeypatch.setattr(checkpoint, "save_checkpoint", slow_save)
+        formula = make_random_3sat(50, 215, seed=4)
+        solver = HyQSatSolver(
+            formula,
+            device=SlowDevice(ChimeraGraph(8, 8, 4), seed=0),
+            config=HyQSatConfig(
+                seed=4,
+                engine=engine,
+                checkpoint_every=1,
+                checkpoint_path=str(tmp_path / "ckpt.json"),
+            ),
+        )
+        start = time.perf_counter()
+        result = solver.solve()
+        wall = time.perf_counter() - start
+        hybrid = result.hybrid
+        assert hybrid.qa_calls > 0 and saves
+        assert hybrid.cdcl_seconds > 0.0
+        slow_s = pause_s * (hybrid.qa_calls + len(saves))
+        assert hybrid.cdcl_seconds + hybrid.frontend_seconds + slow_s <= wall
 
     def test_rate_gauges_published(self):
         from repro.observability import Observability

@@ -7,6 +7,7 @@ import pytest
 
 from repro.benchgen.random_ksat import random_3sat
 from repro.gateway.fleet import FleetRouter, GatewayQpu, parse_fleet_spec
+from repro.sat.cnf import CNF, Clause
 from repro.service.scheduler import QpuScheduler
 
 
@@ -67,6 +68,15 @@ class TestRouting:
         assert 0 < decision.embedded_clauses < decision.total_clauses
         assert decision.qpu.name == "chimera8"  # most clauses placed
         assert router.stats.fallbacks >= 1
+
+    def test_tautologies_are_not_probed(self, router):
+        """Both CDCL engines drop tautological clauses, so the frontend
+        never deploys one and the probe must not try to encode it."""
+        base = random_3sat(6, 12, np.random.default_rng(1))
+        clauses = list(base.clauses) + [Clause([1, -1, 2]), Clause([-3, 3])]
+        decision = router.route(CNF(clauses, num_vars=base.num_vars))
+        assert decision == router.route(base)
+        assert decision.fits and decision.total_clauses == 12
 
     def test_probe_cache_hits_on_identical_formula(self, router):
         formula = random_3sat(6, 12, np.random.default_rng(1))

@@ -148,6 +148,28 @@ class TestSolveRoundTrip:
         assert outcome.get("model") == solo.model
         assert outcome.get("qpu_time_us") == pytest.approx(solo.qpu_time_us)
 
+    def test_tautological_clause_is_routed_and_solved(self, gateway_factory):
+        server = gateway_factory()
+        dimacs = DIMACS.replace("p cnf 8 24", "p cnf 8 25") + "1 -1 2 0\n"
+        with GatewayClient(port=server.port) as client:
+            client.submit({"id": "taut", "dimacs": dimacs, "seed": 5})
+            seen = []
+            outcome = client.drain(["taut"], on_message=seen.append)["taut"]
+        routed = next(m for m in seen if m.get("event") == "routed")
+        assert routed["attrs"]["total_clauses"] == 24
+        assert outcome["state"] == "done"
+        solo = run_job(
+            JobSpec(
+                job_id="solo",
+                dimacs=dimacs,
+                seed=5,
+                topology=routed["attrs"]["topology"],
+                grid=routed["attrs"]["grid"],
+            )
+        )
+        assert outcome["status"] == solo.status
+        assert outcome.get("model") == solo.model
+
     def test_pinned_placement_skips_routing(self, gateway_factory):
         server = gateway_factory()
         with GatewayClient(port=server.port) as client:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cdcl.engine import DEFAULT_ENGINE
 from repro.cdcl.fast import FastCdclSolver
 from repro.cdcl.native import native_available
 from repro.cdcl.solver import CdclSolver
@@ -20,7 +21,7 @@ def spec(**kwargs):
 
 class TestSpec:
     def test_default_engine(self):
-        assert spec().engine == "reference"
+        assert spec().engine == DEFAULT_ENGINE
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown CDCL engine"):
@@ -43,7 +44,7 @@ class TestSpec:
 
 class TestBuildSolver:
     def test_classic_reference(self):
-        solver = build_solver(spec(classic=True))
+        solver = build_solver(spec(classic=True, engine="reference"))
         assert isinstance(solver, CdclSolver)
 
     @needs_native

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cdcl import native
+from repro.cdcl.engine import DEFAULT_ENGINE
 from repro.cdcl.native import native_available
 from repro.cli import build_parser, main
 
@@ -22,9 +24,10 @@ def test_engine_flag_parses():
     assert args.engine == "fast"
 
 
-def test_engine_default_reference():
-    args = build_parser().parse_args(["solve", "x.cnf"])
-    assert args.engine == "reference"
+def test_engine_default():
+    for command in ("solve", "submit", "batch"):
+        args = build_parser().parse_args([command, "target"])
+        assert args.engine == DEFAULT_ENGINE == "fast"
 
 
 @pytest.mark.parametrize("command", ["solve", "submit", "batch"])
@@ -43,6 +46,22 @@ def test_solve_summary_has_rates(cnf_file, capsys):
     out = capsys.readouterr().out
     assert "c cdcl_propagations_per_s=" in out
     assert "cdcl_conflicts_per_s=" in out
+    ran = DEFAULT_ENGINE if native_available() else "reference"
+    assert f"engine={ran}" in out
+
+
+def test_summary_names_the_engine_that_ran(cnf_file, capsys, tmp_path, monkeypatch):
+    """With no usable kernel the default engine falls back, and the
+    summary says so rather than echoing the requested engine."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("HYQSAT_KERNEL_CACHE", str(blocker / "cache"))
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_load_attempted", False)
+    with pytest.warns(RuntimeWarning, match="falling back to the reference"):
+        assert main(["solve", cnf_file]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("s SAT")
     assert "engine=reference" in out
 
 
