@@ -14,10 +14,10 @@ seeded) three ways:
    results would be meaningless).
 3. **Modelled service clock** — wall-clock parallel speedup is not
    measurable on a single-core container, so throughput is reported on
-   the modelled clock: :func:`repro.service.simulate_makespan` replays
-   the measured profiles through *k* worker lanes sharing one QPU lane
-   (the repo's modelled-time convention — measured CPU components,
-   modelled device time; see docs/SERVICE.md).
+   the modelled clock: :func:`repro.gateway.des.simulate_fleet_makespan`
+   replays the measured profiles through *k* worker lanes sharing one
+   unit-speed QPU lane (the repo's modelled-time convention — measured
+   CPU components, modelled device time; see docs/SERVICE.md).
 
 Writes ``BENCH_service.json`` and exits non-zero unless modelled
 throughput at 4 workers is at least ``SPEEDUP_FLOOR``× the serial
@@ -39,8 +39,9 @@ from typing import Dict, List
 import numpy as np
 
 from repro.benchgen.random_ksat import random_3sat
+from repro.gateway.des import QpuLane, simulate_fleet_makespan
 from repro.sat import to_dimacs
-from repro.service import JobSpec, run_batch, run_job, simulate_makespan
+from repro.service import JobSpec, run_batch, run_job
 
 #: Required modelled speedup at 4 workers over the serial baseline.
 SPEEDUP_FLOOR = 2.0
@@ -52,6 +53,9 @@ SOLVER_FIELDS = (
 )
 
 WORKER_COUNTS = (1, 2, 4)
+
+#: The service's one shared QPU, as a unit-speed DES lane.
+QPU = [QpuLane("qpu")]
 
 
 def build_specs(num_jobs: int, num_vars: int, seed: int) -> List[JobSpec]:
@@ -95,7 +99,7 @@ def main(argv=None) -> int:
     profiles = [
         (o.run_seconds, o.qa_calls, o.qpu_time_us) for o in baseline.values()
     ]
-    serial_makespan_s = simulate_makespan(profiles, workers=1)
+    serial_makespan_s = simulate_fleet_makespan(profiles, 1, QPU)
     serial_jobs_per_s = num_jobs / serial_makespan_s
 
     report = {
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
             for o in outcomes
         )
         all_identical = all_identical and identical
-        makespan_s = simulate_makespan(profiles, workers=workers)
+        makespan_s = simulate_fleet_makespan(profiles, workers, QPU)
         report["service"].append(
             {
                 "workers": workers,

@@ -1,5 +1,5 @@
-"""Persistent, subsumption-aware result cache (L2 under the service's
-in-memory :class:`~repro.service.store.ResultStore`).
+"""Persistent, subsumption-aware result cache: the one store of
+finished results behind the service and the gateway.
 
 The service/gateway layers answer three progressively cheaper
 questions before paying for a solve:

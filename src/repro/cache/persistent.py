@@ -1,8 +1,10 @@
 """The disk-backed result store: SQLite, WAL mode, restart-surviving.
 
-:class:`PersistentResultStore` is the L2 of the service's result path
-(the in-memory :class:`~repro.service.store.ResultStore` stays the
-L1 for in-flight claims and same-session duplicates).  Three tables:
+:class:`PersistentResultStore` holds every finished result the service
+and the gateway keep (the service's run loop only tracks in-flight
+claims and same-session duplicates).  Both solve through
+:meth:`~PersistentResultStore.before_solve` and
+:meth:`~PersistentResultStore.after_solve`.  Three tables:
 
 ``results``
     One row per *solve key* (fingerprint + option hash): the full
@@ -125,10 +127,8 @@ class CacheStats:
 class PersistentResultStore:
     """Disk-backed solve-key -> outcome map with subsumption lookups.
 
-    ``subsume`` gates the clause-signature layer (exact hits always
-    work); ``warm_start`` gates clause-bank donation.  All methods are
-    thread-safe; SQLite WAL mode makes the file safe to share across
-    processes.
+    All methods are thread-safe; SQLite WAL mode makes the file safe
+    to share across processes.
     """
 
     def __init__(
@@ -136,8 +136,6 @@ class PersistentResultStore:
         path: str,
         max_entries: Optional[int] = None,
         ttl_s: Optional[float] = None,
-        subsume: bool = True,
-        warm_start: bool = True,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 when set")
@@ -146,8 +144,6 @@ class PersistentResultStore:
         self.path = path
         self.max_entries = max_entries
         self.ttl_s = ttl_s
-        self.subsume = subsume
-        self.warm_start = warm_start
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._db = sqlite3.connect(path, check_same_thread=False)
@@ -185,10 +181,9 @@ class PersistentResultStore:
                     )
                 self.stats.hits += 1
                 return self._exact_outcome(json.loads(row[0]), spec)
-            if self.subsume:
-                hit = self._subsumption_lookup_locked(spec, formula)
-                if hit is not None:
-                    return hit
+            hit = self._subsumption_lookup_locked(spec, formula)
+            if hit is not None:
+                return hit
             self.stats.misses += 1
             return None
 
@@ -300,8 +295,6 @@ class PersistentResultStore:
         range (possible when the donor declared more variables) are
         filtered defensively.
         """
-        if not self.warm_start:
-            return None
         sigs = clause_signatures(formula)
         mask = signature_mask(sigs)
         fp = fingerprint(formula)
@@ -398,14 +391,87 @@ class PersistentResultStore:
                 )
             self._evict_locked(now)
 
-    def note_warm_start(self, donor_conflicts: int, conflicts: int) -> None:
+    def note_warm_start(self, donor_conflicts: int, conflicts: int) -> int:
         """Count one warm-started solve and its conflict savings
-        (thread-safe; callers report after the solve finishes)."""
+        (thread-safe; callers report after the solve finishes).
+        Returns the conflicts saved."""
+        saved = max(0, donor_conflicts - conflicts)
         with self._lock:
             self.stats.warm_starts += 1
-            self.stats.warm_start_conflicts_saved += max(
-                0, donor_conflicts - conflicts
+            self.stats.warm_start_conflicts_saved += saved
+        return saved
+
+    # -- the cache-backed solve path ------------------------------------
+
+    def before_solve(
+        self, key: str, spec: JobSpec, formula: CNF
+    ) -> Tuple[Optional[JobOutcome], Optional[WarmStart]]:
+        """Pre-solve step: ``(hit, None)`` when the cache answers,
+        else ``(None, warm start or None)``.
+
+        The cache is advisory: an error in either lookup counts as a
+        miss, and the caller solves and calls :meth:`after_solve` as
+        for any miss.  A hit never reaches a QPU scheduler, so its
+        modelled time is never billed twice.
+        """
+        try:
+            hit = self.lookup(key, spec, formula)
+        except Exception:  # noqa: BLE001 — advisory, never fatal
+            hit = None
+        if hit is not None:
+            return hit, None
+        try:
+            return None, self.warm_clauses(formula)
+        except Exception:  # noqa: BLE001
+            return None, None
+
+    def after_solve(
+        self,
+        key: str,
+        formula: CNF,
+        outcome: JobOutcome,
+        warm: Optional[WarmStart],
+    ) -> Optional[int]:
+        """Post-solve step: count a warm start, record ``outcome``, then
+        strip its cache-internal ``learned`` payload so it never reaches
+        a journal, result line or wire.  Returns the conflicts the warm
+        start saved (None when the solve was not warm-started)."""
+        saved = None
+        if warm is not None and outcome.warm_clauses:
+            saved = self.note_warm_start(
+                warm.donor_conflicts, outcome.conflicts or 0
             )
+        try:
+            self.record(key, formula, outcome)
+        except Exception:  # noqa: BLE001 — advisory
+            pass
+        outcome.learned = None
+        return saved
+
+    def flush_metrics(self, metrics) -> None:
+        """Fold :attr:`stats` into the ``hyqsat_cache_*`` metrics of
+        ``metrics`` (once, when the owning session ends)."""
+        stats = self.stats
+        for name, value in (
+            ("hyqsat_cache_hits_total", stats.hits),
+            ("hyqsat_cache_misses_total", stats.misses),
+            ("hyqsat_cache_warm_starts_total", stats.warm_starts),
+            (
+                "hyqsat_cache_warm_start_conflicts_saved_total",
+                stats.warm_start_conflicts_saved,
+            ),
+            ("hyqsat_cache_evictions_total", stats.evictions),
+        ):
+            if value:
+                metrics.counter(name).inc(value)
+        for kind, count in sorted(stats.subsumption_hits.items()):
+            metrics.counter("hyqsat_cache_subsumption_hits_total").labels(
+                kind=kind
+            ).inc(count)
+        try:
+            metrics.gauge("hyqsat_cache_entries").set(self.entry_count())
+        except Exception:  # noqa: BLE001 — DB already closed
+            pass
 
     # -- maintenance ----------------------------------------------------
 

@@ -108,13 +108,3 @@ def model_satisfies(formula: CNF, model: Sequence[int]) -> bool:
         else:
             return False
     return True
-
-
-def family_signature(formula: CNF) -> str:
-    """Hex digest over the signature *set* (not the header) — equal for
-    any two formulas with the same clause multiset regardless of their
-    declared variable counts.  Used as the clause-bank key."""
-    digest = hashlib.blake2b(digest_size=CLAUSE_SIG_BYTES)
-    for sig in clause_signatures(formula):
-        digest.update(sig)
-    return digest.hexdigest()

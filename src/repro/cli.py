@@ -436,7 +436,6 @@ def _run_service(args: argparse.Namespace, specs) -> int:
             dedup=not args.no_dedup,
             journal_path=args.journal,
             checkpoint_dir=args.checkpoint_dir,
-            store_max_entries=args.store_cap or None,
             cache_path=None if args.no_cache else args.cache_db,
             cache_cap=args.cache_cap,
             cache_ttl_s=args.cache_ttl_s,
@@ -947,8 +946,6 @@ def _add_durability_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     """Service-runtime flags shared by ``serve`` and ``batch``."""
-    from repro.service.service import DEFAULT_STORE_CAP
-
     parser.add_argument(
         "--jobs", type=int, default=1, help="concurrent worker slots"
     )
@@ -998,14 +995,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         "--checkpoint-every > 0 resume from here after a crash)",
     )
     parser.add_argument(
-        "--store-cap",
-        type=int,
-        default=DEFAULT_STORE_CAP,
-        metavar="N",
-        help="LRU cap on cached in-memory dedup results "
-        f"(default {DEFAULT_STORE_CAP}, from ServiceConfig; 0 = unbounded)",
-    )
-    parser.add_argument(
         "--cache-db",
         default=None,
         metavar="FILE",
@@ -1033,7 +1022,7 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore --cache-db (run with the in-memory store only)",
+        help="ignore --cache-db (run without the persistent cache)",
     )
     parser.add_argument(
         "--trace",

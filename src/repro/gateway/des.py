@@ -1,13 +1,13 @@
-"""Fleet capacity model: the k-workers x m-QPUs makespan DES.
+"""Capacity model: the k-workers x m-QPUs makespan DES.
 
-PR 5's :func:`~repro.service.scheduler.simulate_makespan` answers
-"how long does this job set take on *k* workers sharing **one**
-QPU?".  The gateway adds devices, so the planning question becomes
-"how does makespan scale as the fleet grows to *m* QPUs?" — the
-paper's Table II economics extended to a multi-tenant deployment.
+The repo's one makespan model answers "how long does this job set
+take on *k* workers sharing *m* QPUs?" — the paper's Table II
+economics extended to a multi-tenant deployment.  The service
+benchmark runs it on one unit-speed lane (one shared QPU); the
+gateway and cache benchmarks on a fleet.
 
-:func:`simulate_fleet_makespan` generalises the same discrete-event
-model: each profile ``(cpu_seconds, qa_calls, qpu_time_us)`` becomes
+:func:`simulate_fleet_makespan` is a discrete-event model: each
+profile ``(cpu_seconds, qa_calls, qpu_time_us)`` becomes
 ``qa_calls + 1`` equal CPU segments interleaved with ``qa_calls``
 equal QPU segments; CPU segments overlap across the worker lanes and
 each QPU segment runs on one of *m* device lanes.  An unpinned job
@@ -21,8 +21,7 @@ factor* scaling its modelled anneal time.  Factors come from
 channel of :class:`~repro.annealer.faults.FaultModel` into a
 deterministic per-device slowdown — a drifted device spends extra
 window time on recalibration, up to 25% at the drift-failure
-threshold.  With one unit-speed lane the model reduces exactly to
-``simulate_makespan`` (a property test holds this equivalence).
+threshold.
 """
 
 from __future__ import annotations
@@ -99,8 +98,10 @@ def simulate_fleet_makespan(
     ``(cpu_seconds, qa_calls, qpu_time_us, lane_index)`` to pin the
     job's anneals to one device (the router's placement).  Unpinned
     jobs pick the lane with the earliest segment completion.  See the
-    module docstring for the model; time is the modelled service
-    clock, as in ``simulate_makespan``.
+    module docstring for the model.  Time is the modelled service
+    clock: measured CPU time overlapped across workers plus modelled
+    device time on the lanes, the honest throughput model on hosts
+    without real CPU parallelism (docs/SERVICE.md#benchmark).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -126,6 +127,9 @@ def simulate_fleet_makespan(
             pinned,
         ))
 
+    # Events must interleave across lanes in global time order: a QPU
+    # request queues only behind windows already granted *before* it,
+    # not behind every window an earlier-submitted job will ever take.
     next_job = 0
     events: List[Tuple[float, int, int, int]] = []
     seq = 0

@@ -214,42 +214,9 @@ class GatewayServer:
             await asyncio.wait(self._inflight, timeout=self.config.drain_grace_s)
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.cache is not None:
-            self._flush_cache_metrics()
+            if self.observability.metrics is not None:
+                self.cache.flush_metrics(self.observability.metrics)
             self.cache.close()
-
-    def _flush_cache_metrics(self) -> None:
-        """Fold the cache's counters into ``hyqsat_cache_*`` (event
-        loop thread, once, at drain time)."""
-        metrics = self.observability.metrics
-        if metrics is None or self.cache is None:
-            return
-        cstats = self.cache.stats
-        if cstats.hits:
-            metrics.counter("hyqsat_cache_hits_total").inc(cstats.hits)
-        if cstats.misses:
-            metrics.counter("hyqsat_cache_misses_total").inc(cstats.misses)
-        for kind, count in sorted(cstats.subsumption_hits.items()):
-            metrics.counter(
-                "hyqsat_cache_subsumption_hits_total"
-            ).labels(kind=kind).inc(count)
-        if cstats.warm_starts:
-            metrics.counter("hyqsat_cache_warm_starts_total").inc(
-                cstats.warm_starts
-            )
-        if cstats.warm_start_conflicts_saved:
-            metrics.counter(
-                "hyqsat_cache_warm_start_conflicts_saved_total"
-            ).inc(cstats.warm_start_conflicts_saved)
-        if cstats.evictions:
-            metrics.counter("hyqsat_cache_evictions_total").inc(
-                cstats.evictions
-            )
-        try:
-            metrics.gauge("hyqsat_cache_entries").set(
-                self.cache.entry_count()
-            )
-        except Exception:  # noqa: BLE001 — DB already closed
-            pass
 
     # ------------------------------------------------------------------
     # Observability helpers (event loop thread only)
@@ -583,43 +550,26 @@ class GatewayServer:
     # ------------------------------------------------------------------
 
     def _run_with_cache(self, spec: JobSpec, scheduler) -> JobOutcome:
-        """Executor-side solve wrapper: cache lookup -> solve -> record.
-
-        Runs entirely on a worker thread (the store is internally
-        locked); cache failures degrade to a plain solve, never an
-        error.  A hit returns without solving — and without touching
-        the scheduler, so modelled QPU time is never double-billed.
-        """
+        """Executor-side solve through the cache's
+        :meth:`~repro.cache.PersistentResultStore.before_solve` /
+        ``after_solve`` steps (the store is internally locked)."""
         if self.cache is None or spec.classic:
             return run_job(spec, scheduler)
-        key = None
-        formula = None
-        warm = None
         try:
             formula = spec.load_formula()
             key = spec.solve_key(formula)
-            hit = self.cache.lookup(key, spec, formula)
-            if hit is not None:
-                return hit
-            warm = self.cache.warm_clauses(formula)
-        except Exception:  # noqa: BLE001 — cache is advisory
-            key = formula = warm = None
+        except Exception:  # noqa: BLE001 — run_job reports it
+            return run_job(spec, scheduler)
+        hit, warm = self.cache.before_solve(key, spec, formula)
+        if hit is not None:
+            return hit
         outcome = run_job(
             spec,
             scheduler,
             warm_clauses=warm.clauses if warm is not None else None,
             collect_learned=True,
         )
-        if warm is not None and outcome.warm_clauses:
-            self.cache.note_warm_start(
-                warm.donor_conflicts, outcome.conflicts or 0
-            )
-        if key is not None and formula is not None:
-            try:
-                self.cache.record(key, formula, outcome)
-            except Exception:  # noqa: BLE001
-                pass
-        outcome.learned = None
+        self.cache.after_solve(key, formula, outcome, warm)
         return outcome
 
     async def _dispatch_loop(self) -> None:
@@ -658,12 +608,11 @@ class GatewayServer:
     async def _execute(self, spec: JobSpec, waited_s: float) -> None:
         loop = asyncio.get_running_loop()
         conn = self._owners.get(spec.job_id)
-        decision = None
+        scheduler = None
         pinned = spec.topology is not None or spec.grid is not None
         if pinned and not spec.classic:
             # The client chose its lattice: respect it, and share the
             # matching device's scheduler when the fleet has one.
-            scheduler = None
             for qpu in self.fleet:
                 if (
                     qpu.topology == (spec.topology or "chimera")
@@ -671,16 +620,7 @@ class GatewayServer:
                 ):
                     scheduler = self.router.scheduler_for(qpu)
                     break
-            if conn is not None:
-                await self._send(conn, protocol.event(spec.job_id, "started"))
-            outcome = await loop.run_in_executor(
-                self._executor, self._run_with_cache, spec, scheduler
-            )
-            outcome.wait_seconds = waited_s
-            self._pending -= 1
-            await self._finalise(outcome)
-            return
-        if not spec.classic:
+        elif not spec.classic:
             try:
                 formula = await loop.run_in_executor(
                     self._executor, spec.load_formula
@@ -725,13 +665,9 @@ class GatewayServer:
                         fits=decision.fits,
                     ),
                 )
+            scheduler = self.router.scheduler_for(decision.qpu)
         if conn is not None:
             await self._send(conn, protocol.event(spec.job_id, "started"))
-        scheduler = (
-            None
-            if decision is None
-            else self.router.scheduler_for(decision.qpu)
-        )
         outcome = await loop.run_in_executor(
             self._executor, self._run_with_cache, spec, scheduler
         )

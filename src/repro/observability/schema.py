@@ -280,10 +280,6 @@ METRICS: Tuple[MetricSpec, ...] = (
         "Acked jobs re-emitted from the journal instead of re-solving",
     ),
     MetricSpec(
-        "hyqsat_service_store_evictions_total", "counter", (), "entries",
-        "Finished outcomes evicted from the bounded result store (LRU)",
-    ),
-    MetricSpec(
         "hyqsat_service_worker_retries_total", "counter", (), "jobs",
         "Jobs requeued after their worker process died",
     ),

@@ -338,9 +338,8 @@ def fingerprint(formula: CNF) -> str:
     canonicalisation is attempted, so the hash is stable under
     reordering while x1 and x2 remain distinguishable).
 
-    Used by the service layer's :class:`~repro.service.store.
-    ResultStore` to deduplicate identical instances, and useful
-    standalone as a stable cache/identity key for any CNF.  Note that
+    Used by the service layer to deduplicate identical instances, and
+    useful standalone as a stable cache/identity key for any CNF.  Note that
     CDCL search *is* sensitive to clause order, so two formulas with
     equal fingerprints may produce different models/statistics when
     solved separately; deduplication trades that for solving each

@@ -6,10 +6,10 @@ deadlines and admission control feeds a
 :class:`~repro.service.pool.WorkerPool`; every worker's anneal
 requests are multiplexed across the one simulated annealer by a
 fair-share :class:`~repro.service.scheduler.QpuScheduler` (with
-identical-request coalescing and a shared device-time budget); and a
-:class:`~repro.service.store.ResultStore` deduplicates jobs whose
-canonical CNF fingerprint and solve options match, solving each
-distinct instance once.
+identical-request coalescing and a shared device-time budget); and
+the :class:`~repro.service.service.SolverService` run loop
+deduplicates jobs whose canonical CNF fingerprint and solve options
+match, solving each distinct instance once.
 
 Results are bit-identical to solo ``hyqsat solve`` runs per job seed,
 whatever the worker count or pool mode — see docs/SERVICE.md.
@@ -54,7 +54,6 @@ from repro.service.scheduler import (
     QpuScheduler,
     ScheduledDevice,
     SchedulerStats,
-    simulate_makespan,
 )
 from repro.service.service import (
     ServiceConfig,
@@ -62,7 +61,6 @@ from repro.service.service import (
     SolverService,
     run_batch,
 )
-from repro.service.store import ResultStore
 
 __all__ = [
     "AdmissionError",
@@ -81,7 +79,6 @@ __all__ = [
     "QpuScheduler",
     "QueueStats",
     "RecoveryReport",
-    "ResultStore",
     "ScheduledDevice",
     "SchedulerStats",
     "ServiceConfig",
@@ -96,5 +93,4 @@ __all__ = [
     "run_batch",
     "run_job",
     "save_checkpoint",
-    "simulate_makespan",
 ]

@@ -148,8 +148,7 @@ class JobSpec:
         """Deduplication key: the canonical formula fingerprint plus
         every option that can change the solve's outcome.  Two jobs
         with equal keys are guaranteed to produce identical results,
-        so the :class:`~repro.service.store.ResultStore` solves one
-        and shares the outcome."""
+        so the service solves one and shares the outcome."""
         import hashlib
 
         if formula is None:
@@ -273,10 +272,12 @@ class JobOutcome:
         return cls(**payload)
 
     def as_dedup_of(self, primary: "JobOutcome", job_id: str) -> "JobOutcome":
-        """A copy of ``primary``'s solver fields credited to this job."""
+        """A copy of ``primary``'s solver fields credited to this job:
+        ``deduped`` when the primary is ``done``, else the primary's
+        own state (a follower of a failed solve got no answer)."""
         twin = JobOutcome(**asdict(primary))
         twin.job_id = job_id
-        twin.state = "deduped"
+        twin.state = "deduped" if primary.state == "done" else primary.state
         twin.dedup_of = primary.job_id
         twin.wait_seconds = self.wait_seconds
         twin.run_seconds = 0.0

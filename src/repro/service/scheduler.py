@@ -26,17 +26,13 @@ device stack is wrapped in a :class:`ScheduledDevice`, so every
 
 All accounting uses the modelled device clock
 (:class:`~repro.annealer.timing.QpuTimingModel`), never wall time.
-:func:`simulate_makespan` replays completed jobs through a
-discrete-event model of *k* worker lanes and one QPU lane — the
-service-clock throughput model ``benchmarks/bench_service.py`` reports.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -126,15 +122,6 @@ class QpuScheduler:
             if self.budget_us is None:
                 return float("inf")
             return max(0.0, self.budget_us - self.stats.busy_us)
-
-    def utilization(self, wall_seconds: float) -> float:
-        """QPU busy fraction over a wall-clock window (modelled µs of
-        device occupancy per elapsed second; can exceed 1.0 only if the
-        window is shorter than the busy time, i.e. never in practice)."""
-        if wall_seconds <= 0:
-            return 0.0
-        with self._lock:
-            return self.stats.busy_us * 1e-6 / wall_seconds
 
     def replay(self, job_id: str, grants: int, busy_us: float) -> None:
         """Fold a job's QPU usage into the shared accounting after the
@@ -555,61 +542,3 @@ class FleetDevice:
             return rival
         return result
 
-
-def simulate_makespan(
-    profiles: Sequence[Tuple[float, int, float]], workers: int
-) -> float:
-    """Service-clock makespan of a job set on *k* workers + one QPU.
-
-    Each profile is ``(cpu_seconds, qa_calls, qpu_time_us)`` from a
-    completed job.  A job is modelled as ``qa_calls + 1`` equal CPU
-    segments interleaved with ``qa_calls`` equal QPU segments; a worker
-    lane holds its job start to finish (as the real pool does) and QPU
-    segments serialise on the single device lane.  This is the modelled
-    service clock — measured CPU time overlapped across workers plus
-    modelled device time on one shared QPU — which is the honest
-    throughput model on hosts without real CPU parallelism (the repo's
-    modelled-time convention; docs/SERVICE.md#benchmark).
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    jobs = []
-    for cpu_s, qa_calls, qpu_us in profiles:
-        calls = max(0, int(qa_calls))
-        jobs.append((
-            calls,
-            cpu_s / (calls + 1),
-            (qpu_us * 1e-6 / calls) if calls else 0.0,
-        ))
-    # Events must interleave across lanes in global time order: a QPU
-    # request queues only behind windows already granted *before* it,
-    # not behind every window an earlier-submitted job will ever take.
-    next_job = 0
-    events: List[Tuple[float, int, int, int]] = []
-    seq = 0
-    qpu_free = 0.0
-    makespan = 0.0
-
-    def start_next(now: float) -> None:
-        nonlocal next_job, seq
-        calls, cpu_seg, _ = jobs[next_job]
-        heapq.heappush(events, (now + cpu_seg, seq, next_job, calls))
-        next_job += 1
-        seq += 1
-
-    while next_job < len(jobs) and next_job < workers:
-        start_next(0.0)
-    while events:
-        now, _, index, remaining = heapq.heappop(events)
-        _, cpu_seg, qpu_seg = jobs[index]
-        if remaining:
-            qpu_free = max(now, qpu_free) + qpu_seg
-            heapq.heappush(
-                events, (qpu_free + cpu_seg, seq, index, remaining - 1)
-            )
-            seq += 1
-        else:
-            makespan = max(makespan, now)
-            if next_job < len(jobs):
-                start_next(now)
-    return makespan

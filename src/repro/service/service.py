@@ -3,9 +3,18 @@
 :class:`SolverService` wires the subsystem together: jobs are admitted
 into a :class:`~repro.service.queue.JobQueue` (priority, deadlines,
 admission control), dispatched onto a :class:`~repro.service.pool.
-WorkerPool` as worker slots free up, deduplicated through a
-:class:`~repro.service.store.ResultStore`, and their anneal requests
-arbitrated by one shared :class:`~repro.service.scheduler.QpuScheduler`.
+WorkerPool` as worker slots free up, deduplicated by solve key, and
+their anneal requests arbitrated by one shared
+:class:`~repro.service.scheduler.QpuScheduler`.
+
+Deduplication: the first job to claim a
+:meth:`~repro.service.jobs.JobSpec.solve_key` is its *primary* and
+solves; a later job with the same key is a *follower*, handed the
+primary's outcome (``deduped``, ``dedup_of`` naming the primary; a
+follower of a primary that is not ``done`` finalises in the primary's
+state).  A ``done`` primary answers duplicates for the rest of the
+session; any other outcome releases the claim, so the next duplicate
+re-solves.  Results outlive a session only in the persistent cache.
 
 Threading model: **all** coordination — queue pops, dedup decisions,
 outcome finalisation, and every tracer/metrics touch — happens on the
@@ -35,12 +44,6 @@ from repro.service.journal import JobJournal
 from repro.service.pool import WorkerPool
 from repro.service.queue import AdmissionError, JobQueue
 from repro.service.scheduler import QpuScheduler
-from repro.service.store import ResultStore
-
-#: Default LRU cap on the in-memory dedup store — the single source of
-#: truth ``hyqsat serve`` and ``hyqsat batch`` both resolve their
-#: ``--store-cap`` default from (docs/SERVICE.md).
-DEFAULT_STORE_CAP = 4096
 
 
 @dataclass
@@ -67,9 +70,6 @@ class ServiceConfig:
     #: (:mod:`repro.service.checkpoint`); ``None`` disables them.  Only
     #: jobs with ``checkpoint_every > 0`` in their spec checkpoint.
     checkpoint_dir: Optional[str] = None
-    #: LRU cap on cached dedup outcomes in the
-    #: :class:`~repro.service.store.ResultStore` (``None`` = unbounded).
-    store_max_entries: Optional[int] = DEFAULT_STORE_CAP
     #: How many times a job lost to a dead worker process is returned
     #: to the pool before it is failed.
     max_worker_retries: int = 2
@@ -82,11 +82,6 @@ class ServiceConfig:
     cache_cap: Optional[int] = None
     #: TTL in seconds on exact-result rows (``None`` = no expiry).
     cache_ttl_s: Optional[float] = None
-    #: Clause-signature subsumption lookups (model revalidation /
-    #: UNSAT inheritance); exact hits work regardless.
-    cache_subsume: bool = True
-    #: Learned-clause-bank warm starts for near-miss instances.
-    cache_warm_start: bool = True
 
 
 @dataclass
@@ -130,10 +125,8 @@ class SolverService:
 
         self.config = config or ServiceConfig()
         self.queue = JobQueue(max_depth=self.config.max_depth)
-        self.store = ResultStore(max_entries=self.config.store_max_entries)
-        #: Persistent L2 cache under the in-memory store (``None`` when
-        #: disabled).  Opened on the coordinator thread; workers never
-        #: touch it.
+        #: Persistent result cache (``None`` when disabled).  Opened on
+        #: the coordinator thread; workers never touch it.
         self.cache = None
         if self.config.cache_path is not None:
             from repro.cache import PersistentResultStore
@@ -142,8 +135,6 @@ class SolverService:
                 self.config.cache_path,
                 max_entries=self.config.cache_cap,
                 ttl_s=self.config.cache_ttl_s,
-                subsume=self.config.cache_subsume,
-                warm_start=self.config.cache_warm_start,
             )
         self.scheduler = QpuScheduler(budget_us=self.config.qpu_budget_us)
         self.pool = WorkerPool(
@@ -204,9 +195,11 @@ class SolverService:
         #: dispatched job_id ->
         #: (spec, future, waited_s, dedup key, formula, warm start)
         inflight: Dict[str, Tuple] = {}
+        #: dedup key -> job id of the in-flight primary solving it
+        claims: Dict[str, str] = {}
         #: dedup key -> parked duplicate (spec, waited_s) pairs
         followers: Dict[str, List[Tuple[JobSpec, float]]] = {}
-        #: dedup key -> finished primary outcome
+        #: dedup key -> finished ``done`` primary outcome
         primaries: Dict[str, JobOutcome] = {}
         free_slots = self.config.workers
 
@@ -221,7 +214,9 @@ class SolverService:
                 obs.metrics.counter("hyqsat_service_jobs_total").labels(
                     state=outcome.state
                 ).inc()
-                if outcome.state in ("done", "failed"):
+                if outcome.state in ("done", "failed") and (
+                    outcome.dedup_of is None
+                ):
                     obs.metrics.histogram(
                         "hyqsat_service_queue_wait_seconds"
                     ).observe(outcome.wait_seconds)
@@ -243,13 +238,37 @@ class SolverService:
             if on_outcome is not None:
                 on_outcome(outcome)
 
-        def settle_followers(key: str, primary: JobOutcome) -> None:
-            primaries[key] = primary
+        def credit(spec: JobSpec, waited: float, primary: JobOutcome) -> None:
+            finalise(
+                JobOutcome(job_id=spec.job_id, wait_seconds=waited)
+                .as_dedup_of(primary, spec.job_id)
+            )
+
+        def settle(key: str, primary: JobOutcome) -> None:
+            claims.pop(key, None)
+            if primary.state == "done":
+                primaries[key] = primary
             for spec, waited in followers.pop(key, []):
-                twin = JobOutcome(
-                    job_id=spec.job_id, wait_seconds=waited
-                ).as_dedup_of(primary, spec.job_id)
-                finalise(twin)
+                credit(spec, waited, primary)
+
+        def dispatch(spec, waited, key, formula, warm) -> None:
+            nonlocal free_slots
+            live = self.pool.live_scheduling and not spec.classic
+            future = self.pool.submit(
+                run_job,
+                spec,
+                self.scheduler if live else None,
+                self.config.checkpoint_dir,
+                warm.clauses if warm is not None else None,
+                self.cache is not None and key is not None,
+            )
+            free_slots -= 1
+            inflight[spec.job_id] = (spec, future, waited, key, formula, warm)
+            future.add_done_callback(
+                lambda _f, jid=spec.job_id: self._completions.put(
+                    ("done", jid)
+                )
+            )
 
         batch_span = tracer.start_span(
             "service.batch",
@@ -347,10 +366,13 @@ class SolverService:
                             formula = spec.load_formula()
                             key = spec.solve_key(formula)
                         except Exception:  # noqa: BLE001 — unreadable
-                            key = None  # let run_job surface the error
+                            key = formula = None  # run_job reports it
                     if key is not None and self.config.dedup:
-                        primary_id = self.store.lookup_or_claim(
-                            key, spec.job_id
+                        primary = primaries.get(key)
+                        primary_id = (
+                            claims.get(key)
+                            if primary is None
+                            else primary.job_id
                         )
                         if primary_id is not None:
                             self.stats.dedup_hits += 1
@@ -363,26 +385,19 @@ class SolverService:
                                 obs.metrics.counter(
                                     "hyqsat_service_dedup_hits_total"
                                 ).inc()
-                            if key in primaries:
-                                twin = JobOutcome(
-                                    job_id=spec.job_id, wait_seconds=waited
-                                ).as_dedup_of(primaries[key], spec.job_id)
-                                finalise(twin)
+                            if primary is not None:
+                                credit(spec, waited, primary)
                             else:
                                 followers.setdefault(key, []).append(
                                     (spec, waited)
                                 )
                             continue
+                        claims[key] = spec.job_id
                     warm = None
-                    if self.cache is not None and formula is not None:
-                        # L2: exact replay or a subsumption
-                        # certificate — either way no solve runs and no
-                        # QPU time is billed.
-                        hit = None
-                        try:
-                            hit = self.cache.lookup(key, spec, formula)
-                        except Exception:  # noqa: BLE001 — cache is
-                            hit = None  # advisory, never fatal
+                    if self.cache is not None and key is not None:
+                        hit, warm = self.cache.before_solve(
+                            key, spec, formula
+                        )
                         if hit is not None:
                             hit.wait_seconds = waited
                             tracer.event(
@@ -391,36 +406,11 @@ class SolverService:
                                 kind=hit.cache_kind,
                             )
                             finalise(hit)
-                            if key is not None:
-                                settle_followers(key, hit)
-                                self.store.fulfil(key, hit)
+                            settle(key, hit)
                             continue
-                        try:
-                            warm = self.cache.warm_clauses(formula)
-                        except Exception:  # noqa: BLE001
-                            warm = None
-                    live = (
-                        self.pool.live_scheduling and not spec.classic
-                    )
                     if self.journal is not None:
                         self.journal.record_start(spec.job_id)
-                    future = self.pool.submit(
-                        run_job,
-                        spec,
-                        self.scheduler if live else None,
-                        self.config.checkpoint_dir,
-                        warm.clauses if warm is not None else None,
-                        self.cache is not None and not spec.classic,
-                    )
-                    free_slots -= 1
-                    inflight[spec.job_id] = (
-                        spec, future, waited, key, formula, warm
-                    )
-                    future.add_done_callback(
-                        lambda _f, jid=spec.job_id: self._completions.put(
-                            ("done", jid)
-                        )
-                    )
+                    dispatch(spec, waited, key, formula, warm)
 
                 if not inflight and pending == 0:
                     break
@@ -465,26 +455,7 @@ class SolverService:
                             obs.metrics.counter(
                                 "hyqsat_service_worker_retries_total"
                             ).inc()
-                        live = (
-                            self.pool.live_scheduling and not spec.classic
-                        )
-                        future = self.pool.submit(
-                            run_job,
-                            spec,
-                            self.scheduler if live else None,
-                            self.config.checkpoint_dir,
-                            warm.clauses if warm is not None else None,
-                            self.cache is not None and not spec.classic,
-                        )
-                        free_slots -= 1
-                        inflight[job_id] = (
-                            spec, future, waited, key, formula, warm
-                        )
-                        future.add_done_callback(
-                            lambda _f, jid=job_id: self._completions.put(
-                                ("done", jid)
-                            )
-                        )
+                        dispatch(spec, waited, key, formula, warm)
                         continue
                     outcome = JobOutcome(
                         job_id=job_id,
@@ -507,34 +478,20 @@ class SolverService:
                     self.scheduler.replay(
                         job_id, outcome.qa_calls, outcome.qpu_time_us
                     )
-                if self.cache is not None and not spec.classic:
-                    if outcome.warm_clauses and warm is not None:
-                        saved = max(
-                            0,
-                            warm.donor_conflicts
-                            - (outcome.conflicts or 0),
-                        )
-                        self.cache.note_warm_start(
-                            warm.donor_conflicts, outcome.conflicts or 0
-                        )
+                if self.cache is not None and key is not None:
+                    saved = self.cache.after_solve(
+                        key, formula, outcome, warm
+                    )
+                    if saved is not None:
                         tracer.event(
                             "service.warm_start",
                             job_id=job_id,
                             clauses=outcome.warm_clauses,
                             conflicts_saved=saved,
                         )
-                    if key is not None and formula is not None:
-                        try:
-                            self.cache.record(key, formula, outcome)
-                        except Exception:  # noqa: BLE001 — advisory
-                            pass
-                # The clause-bank payload is cache-internal: strip it
-                # before the outcome reaches the journal / JSONL.
-                outcome.learned = None
                 finalise(outcome)
                 if key is not None:
-                    settle_followers(key, outcome)
-                    self.store.fulfil(key, outcome)
+                    settle(key, outcome)
         except BaseException:
             # Interrupt/crash: stop feeding workers and return control
             # immediately; already-running jobs finish in the
@@ -571,44 +528,8 @@ class SolverService:
                 metrics.gauge("hyqsat_service_qpu_busy_us").set(
                     self.scheduler.stats.busy_us
                 )
-                if self.store.evictions:
-                    metrics.counter(
-                        "hyqsat_service_store_evictions_total"
-                    ).inc(self.store.evictions)
                 if self.cache is not None:
-                    cstats = self.cache.stats
-                    if cstats.hits:
-                        metrics.counter(
-                            "hyqsat_cache_hits_total"
-                        ).inc(cstats.hits)
-                    if cstats.misses:
-                        metrics.counter(
-                            "hyqsat_cache_misses_total"
-                        ).inc(cstats.misses)
-                    for kind, count in sorted(
-                        cstats.subsumption_hits.items()
-                    ):
-                        metrics.counter(
-                            "hyqsat_cache_subsumption_hits_total"
-                        ).labels(kind=kind).inc(count)
-                    if cstats.warm_starts:
-                        metrics.counter(
-                            "hyqsat_cache_warm_starts_total"
-                        ).inc(cstats.warm_starts)
-                    if cstats.warm_start_conflicts_saved:
-                        metrics.counter(
-                            "hyqsat_cache_warm_start_conflicts_saved_total"
-                        ).inc(cstats.warm_start_conflicts_saved)
-                    if cstats.evictions:
-                        metrics.counter(
-                            "hyqsat_cache_evictions_total"
-                        ).inc(cstats.evictions)
-                    try:
-                        metrics.gauge("hyqsat_cache_entries").set(
-                            self.cache.entry_count()
-                        )
-                    except Exception:  # noqa: BLE001 — closing DB
-                        pass
+                    self.cache.flush_metrics(metrics)
                 if self.journal is not None:
                     jstats = self.journal.stats
                     for kind, count in sorted(
@@ -641,42 +562,14 @@ class SolverService:
 
 def run_batch(
     specs: Sequence[JobSpec],
-    workers: int = 1,
-    pool_mode: str = "thread",
     observability=None,
     on_outcome: Optional[Callable[[JobOutcome], None]] = None,
-    max_depth: Optional[int] = None,
-    qpu_budget_us: Optional[float] = None,
-    dedup: bool = True,
-    journal_path: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    store_max_entries: Optional[int] = DEFAULT_STORE_CAP,
-    max_worker_retries: int = 2,
-    cache_path: Optional[str] = None,
-    cache_cap: Optional[int] = None,
-    cache_ttl_s: Optional[float] = None,
-    cache_subsume: bool = True,
-    cache_warm_start: bool = True,
+    **config,
 ) -> Tuple[List[JobOutcome], "ServiceStats"]:
-    """One-shot convenience: build a service, run ``specs``, return
+    """One-shot convenience: build a service from
+    :class:`ServiceConfig` keyword arguments, run ``specs``, return
     ``(outcomes, stats)`` (outcomes in submission order)."""
     service = SolverService(
-        ServiceConfig(
-            workers=workers,
-            pool_mode=pool_mode,
-            max_depth=max_depth,
-            qpu_budget_us=qpu_budget_us,
-            dedup=dedup,
-            journal_path=journal_path,
-            checkpoint_dir=checkpoint_dir,
-            store_max_entries=store_max_entries,
-            max_worker_retries=max_worker_retries,
-            cache_path=cache_path,
-            cache_cap=cache_cap,
-            cache_ttl_s=cache_ttl_s,
-            cache_subsume=cache_subsume,
-            cache_warm_start=cache_warm_start,
-        ),
-        observability=observability,
+        ServiceConfig(**config), observability=observability
     )
     return service.run(specs, on_outcome=on_outcome), service.stats

@@ -1,6 +1,6 @@
 """CLI surface of the persistent cache: --cache-db on batch, the
---no-cache opt-out, --store-cap defaulting, and the ``hyqsat cache``
-maintenance subcommands."""
+--no-cache opt-out, and the ``hyqsat cache`` maintenance
+subcommands."""
 
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from repro.benchgen.random_ksat import random_3sat
-from repro.cli import build_parser, main
+from repro.cli import main
 from repro.sat import to_dimacs
 from repro.service import JobOutcome
-from repro.service.service import DEFAULT_STORE_CAP
 
 #: Outcome fields that must replay bit-identically from the cache.
 SOLVER_FIELDS = (
@@ -45,12 +44,6 @@ def run_batch_cli(cnf_dir, tmp_path, capsys, name, *extra):
 
 
 class TestBatchFlags:
-    def test_store_cap_defaults_from_service_config(self):
-        args = build_parser().parse_args(["batch", "dir"])
-        assert args.store_cap == DEFAULT_STORE_CAP
-        serve_args = build_parser().parse_args(["serve", "queue"])
-        assert serve_args.store_cap == DEFAULT_STORE_CAP
-
     def test_cache_round_trip_is_bit_identical(
         self, cnf_dir, tmp_path, capsys
     ):

@@ -4,12 +4,15 @@ no-double-billing guarantee."""
 
 from __future__ import annotations
 
+import sqlite3
+
 import numpy as np
 import pytest
 
 from repro.benchgen.random_ksat import random_3sat
+from repro.cache import PersistentResultStore
 from repro.sat import to_dimacs
-from repro.service import JobSpec
+from repro.service import JobSpec, run_job
 from repro.service.service import run_batch
 
 from tests.service.conftest import solver_view
@@ -79,6 +82,41 @@ class TestExactReplayThroughService:
     def test_learned_clauses_never_leak_into_outcomes(self, specs, db_path):
         fresh, _ = run_batch(specs, cache_path=db_path)
         assert all(o.learned is None for o in fresh)
+
+    def test_cache_hit_answers_its_duplicates(self, specs, db_path):
+        run_batch(specs[:1], cache_path=db_path)
+        dups = [
+            JobSpec(job_id=f"d{i}", dimacs=specs[0].dimacs, seed=0)
+            for i in range(3)
+        ]
+        outcomes, stats = run_batch(dups, workers=2, cache_path=db_path)
+        hit = outcomes[0]
+        assert hit.state == "done" and hit.cached
+        for twin in outcomes[1:]:
+            assert twin.state == "deduped" and twin.dedup_of == "d0"
+            assert solver_view(twin) == solver_view(hit)
+        assert stats.cache_hits == 1 and stats.cache_misses == 0
+        assert stats.dedup_hits == 2
+
+
+def _broken(*_args):
+    raise sqlite3.OperationalError("disk I/O error")
+
+
+class TestBrokenCache:
+    def test_failing_lookup_and_record_still_answer(
+        self, specs, db_path, monkeypatch
+    ):
+        """Cache errors are misses: every job still solves, answers as
+        a solo run does, and leaks no clause-bank payload."""
+        monkeypatch.setattr(PersistentResultStore, "lookup", _broken)
+        monkeypatch.setattr(PersistentResultStore, "record", _broken)
+        outcomes, stats = run_batch(specs, workers=2, cache_path=db_path)
+        for spec, outcome in zip(specs, outcomes):
+            assert outcome.state == "done" and not outcome.cached
+            assert outcome.learned is None
+            assert solver_view(outcome) == solver_view(run_job(spec))
+        assert stats.cache_hits == 0
 
 
 class TestSubsumptionThroughService:

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.benchgen.random_ksat import random_3sat
 from repro.cache import (
-    PersistentResultStore,
     clause_signatures,
     model_completed,
     model_satisfies,
@@ -123,14 +122,6 @@ class TestSubsetSuperset:
         hit, _ = lookup(store, "p cnf 2 2\n1 0\n2 0\n")
         assert hit is None
 
-    def test_subsume_flag_disables_the_layer(self, tmp_path):
-        with PersistentResultStore(
-            str(tmp_path / "c.sqlite"), subsume=False
-        ) as store:
-            record_solve(store, SAT_DIMACS, "sat", model=[1, 2, 3])
-            hit, _ = lookup(store, SAT_SUBSET_DIMACS)
-            assert hit is None
-
     def test_corrupted_model_is_never_served(self, store):
         """Hash-defence: even an exact-fingerprint instance row is
         re-validated against the actual formula before serving."""
@@ -188,19 +179,6 @@ class TestWarmClauses:
         )
         assert warm is not None
         assert warm.clauses == [[1, 3]]
-
-    def test_warm_start_flag_disables_donation(self, tmp_path):
-        with PersistentResultStore(
-            str(tmp_path / "c.sqlite"), warm_start=False
-        ) as store:
-            record_solve(
-                store, SAT_SUBSET_DIMACS, "sat", model=[1, 2, 3],
-                learned=[[1, 3]],
-            )
-            assert (
-                store.warm_clauses(spec_for(SAT_DIMACS).load_formula())
-                is None
-            )
 
     def test_note_warm_start_counts_savings(self, store):
         store.note_warm_start(donor_conflicts=40, conflicts=10)

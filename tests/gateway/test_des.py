@@ -11,7 +11,6 @@ from repro.gateway.des import (
     drift_speed_factors,
     simulate_fleet_makespan,
 )
-from repro.service.scheduler import simulate_makespan
 
 UNIT = [QpuLane("qpu0")]
 
@@ -47,6 +46,32 @@ class TestDriftSpeedFactors:
             drift_speed_factors(0)
 
 
+class TestOneUnitLane:
+    """k workers sharing one QPU: the service clock bench_service
+    reports."""
+
+    def test_cpu_bound_jobs_scale_with_workers(self):
+        profiles = [(1.0, 0, 0.0)] * 4
+        assert simulate_fleet_makespan(profiles, 1, UNIT) == pytest.approx(4.0)
+        assert simulate_fleet_makespan(profiles, 4, UNIT) == pytest.approx(1.0)
+
+    def test_qpu_bound_jobs_serialise(self):
+        profiles = [(0.0, 1, 1e6)] * 2  # 1 modelled second each, pure QPU
+        assert simulate_fleet_makespan(profiles, 2, UNIT) == pytest.approx(2.0)
+
+    def test_mixed_jobs_overlap_cpu_with_qpu(self):
+        profiles = [(1.0, 1, 1e5)] * 2
+        serial = simulate_fleet_makespan(profiles, 1, UNIT)
+        parallel = simulate_fleet_makespan(profiles, 2, UNIT)
+        assert parallel < serial
+        # QPU lane still serialises its 0.1s segments
+        assert parallel >= 1.0 + 0.1
+
+    def test_invalid_workers(self):
+        with pytest.raises(ValueError):
+            simulate_fleet_makespan([], 0, UNIT)
+
+
 class TestFleetMakespan:
     PROFILES = [
         (0.4, 3, 900.0),
@@ -55,12 +80,6 @@ class TestFleetMakespan:
         (0.3, 4, 1200.0),
         (0.5, 0, 0.0),
     ]
-
-    def test_reduces_to_simulate_makespan_on_one_unit_lane(self):
-        for workers in (1, 2, 3, 8):
-            assert simulate_fleet_makespan(
-                self.PROFILES, workers, UNIT
-            ) == pytest.approx(simulate_makespan(self.PROFILES, workers))
 
     def test_more_lanes_never_slower(self):
         one = simulate_fleet_makespan(self.PROFILES, 4, UNIT)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import sqlite3
 import threading
 
 import numpy as np
 import pytest
 
 from repro.benchgen.random_ksat import random_3sat
+from repro.cache import PersistentResultStore
 from repro.gateway import protocol
 from repro.gateway.client import GatewayClient, GatewayError, GatewayReject
 from repro.gateway.server import GatewayConfig, GatewayServer
@@ -250,6 +252,35 @@ class TestResultCache:
             client.submit({"id": "b2", "dimacs": DIMACS, "seed": 5})
             client.drain(["b2"])
         assert server.ledger.spent_us(None) == spent_after_first
+
+    def test_failing_lookup_and_record_still_answer(
+        self, gateway_factory, tmp_path, monkeypatch
+    ):
+        def broken(*_args):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(PersistentResultStore, "lookup", broken)
+        monkeypatch.setattr(PersistentResultStore, "record", broken)
+        server = gateway_factory(cache_db=str(tmp_path / "gw.sqlite"))
+        with GatewayClient(port=server.port) as client:
+            client.submit({"id": "x", "dimacs": DIMACS, "seed": 9})
+            seen = []
+            outcome = client.drain(["x"], on_message=seen.append)["x"]
+        routed = next(m for m in seen if m.get("event") == "routed")
+        solo = run_job(
+            JobSpec(
+                job_id="solo",
+                dimacs=DIMACS,
+                seed=9,
+                topology=routed["attrs"]["topology"],
+                grid=routed["attrs"]["grid"],
+            )
+        )
+        assert outcome["state"] == "done"
+        assert "cached" not in outcome and "learned" not in outcome
+        for field in ("status", "iterations", "conflicts", "qa_calls"):
+            assert outcome.get(field) == getattr(solo, field), field
+        assert outcome.get("model") == solo.model
 
 
 class StubConnection:

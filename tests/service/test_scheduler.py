@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.resilience import QaUnavailable
-from repro.service import QpuScheduler, ScheduledDevice, simulate_makespan
+from repro.service import QpuScheduler, ScheduledDevice
 
 KEY_A = ("devA", 1, 1, 1.0, ((), ()))
 KEY_B = ("devB", 1, 1, 1.0, ((), ()))
@@ -195,25 +195,3 @@ class TestScheduledDevice:
         token = sched.acquire("other", KEY_B, 0.0)
         sched.release(token, 0.0)
 
-
-class TestSimulateMakespan:
-    def test_cpu_bound_jobs_scale_with_workers(self):
-        profiles = [(1.0, 0, 0.0)] * 4
-        assert simulate_makespan(profiles, 1) == pytest.approx(4.0)
-        assert simulate_makespan(profiles, 4) == pytest.approx(1.0)
-
-    def test_qpu_bound_jobs_serialise(self):
-        profiles = [(0.0, 1, 1e6)] * 2  # 1 modelled second each, pure QPU
-        assert simulate_makespan(profiles, 2) == pytest.approx(2.0)
-
-    def test_mixed_jobs_overlap_cpu_with_qpu(self):
-        profiles = [(1.0, 1, 1e5)] * 2
-        serial = simulate_makespan(profiles, 1)
-        parallel = simulate_makespan(profiles, 2)
-        assert parallel < serial
-        # QPU lane still serialises its 0.1s segments
-        assert parallel >= 1.0 + 0.1
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            simulate_makespan([], 0)

@@ -6,8 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.service.service as service_module
 from repro.observability import Observability, read_trace
 from repro.service import (
+    JobOutcome,
     JobSpec,
     SolverService,
     ServiceConfig,
@@ -80,6 +82,84 @@ class TestDedup:
             assert solver_view(by_id[dup]) == solver_view(by_id["primary"])
         assert by_id["other"].state == "done"
         assert stats.jobs_by_state == {"done": 2, "deduped": 2}
+
+    @pytest.mark.parametrize("pool_mode,workers", [
+        ("inline", 1),
+        ("thread", 2),
+        ("process", 2),
+    ])
+    def test_duplicates_solve_once_on_every_pool(
+        self, instance_texts, pool_mode, workers
+    ):
+        specs = [
+            JobSpec(job_id=f"d{i}", dimacs=instance_texts[0], seed=3)
+            for i in range(3)
+        ]
+        outcomes, stats = run_batch(
+            specs, workers=workers, pool_mode=pool_mode
+        )
+        primary = outcomes[0]
+        assert primary.state == "done" and primary.qa_calls > 0
+        for twin in outcomes[1:]:
+            assert twin.state == "deduped" and twin.dedup_of == "d0"
+            assert solver_view(twin) == solver_view(primary)
+        assert stats.dedup_hits == 2
+        # One solve's anneals reach the shared ledger, not three.
+        assert stats.qpu_grants == primary.qa_calls
+
+    def test_followers_of_a_failed_primary_fail_too(self, monkeypatch):
+        """Duplicates parked on a primary that fails got no answer:
+        they finalise ``failed`` (naming the primary), not
+        ``deduped``."""
+
+        def failing(spec, *_args):
+            return JobOutcome(
+                job_id=spec.job_id, state="failed", error="boom",
+                seed=spec.seed,
+            )
+
+        monkeypatch.setattr(service_module, "run_job", failing)
+        specs = [
+            JobSpec(job_id=f"j{i}", dimacs=DIMACS, seed=1) for i in range(3)
+        ]
+        obs = Observability.profiling()
+        outcomes, stats = run_batch(specs, workers=2, observability=obs)
+        assert [o.state for o in outcomes] == ["failed"] * 3
+        assert [o.dedup_of for o in outcomes] == [None, "j0", "j0"]
+        assert all(o.error == "boom" for o in outcomes)
+        assert stats.jobs_by_state == {"failed": 3}
+        assert stats.dedup_hits == 2
+        # Only the primary ran: followers add no wait/run samples.
+        metrics = obs.metrics
+        assert metrics.histogram("hyqsat_service_job_run_seconds").count == 1
+        assert (
+            metrics.histogram("hyqsat_service_queue_wait_seconds").count == 1
+        )
+
+    def test_failed_primary_releases_its_claim(self, monkeypatch):
+        """A duplicate admitted after the primary failed re-solves
+        instead of inheriting the failure."""
+        calls = []
+
+        def fail_first(spec, *args):
+            calls.append(spec.job_id)
+            if len(calls) == 1:
+                return JobOutcome(
+                    job_id=spec.job_id, state="failed", error="boom",
+                    seed=spec.seed,
+                )
+            return run_job(spec, *args)
+
+        monkeypatch.setattr(service_module, "run_job", fail_first)
+        specs = [
+            JobSpec(job_id="a", dimacs=DIMACS, seed=1),
+            JobSpec(job_id="b", dimacs=DIMACS, seed=1),
+        ]
+        outcomes, stats = run_batch(specs, workers=1)
+        assert calls == ["a", "b"]
+        assert [o.state for o in outcomes] == ["failed", "done"]
+        assert outcomes[1].dedup_of is None
+        assert stats.dedup_hits == 0
 
     def test_clause_order_does_not_defeat_dedup(self):
         shuffled = "p cnf 3 2\n3 2 -1 0\n2 1 3 0\n"
