@@ -38,7 +38,7 @@ import numpy as np
 from repro.cache import PersistentResultStore
 from repro.gateway.des import QpuLane, simulate_fleet_makespan
 from repro.benchgen.random_ksat import random_3sat
-from repro.sat import to_dimacs
+from repro.sat import fingerprint, to_dimacs
 from repro.service import JobSpec
 from repro.service.service import run_batch
 
@@ -86,7 +86,7 @@ def measure_hit_cost(db_path: str, specs: List[JobSpec]) -> float:
         timings = []
         for spec in specs:
             formula = spec.load_formula()
-            key = spec.solve_key(formula)
+            key = spec.solve_key(fingerprint(formula))
             start = time.perf_counter()
             hit = store.lookup(key, spec, formula)
             timings.append(time.perf_counter() - start)

@@ -59,7 +59,7 @@ from repro.cache.signature import (
     sigs_subset,
     unpack_signatures,
 )
-from repro.sat.cnf import CNF, fingerprint
+from repro.sat.cnf import CNF
 from repro.service.jobs import JobOutcome, JobSpec
 
 #: Clause-bank caps: only short clauses generalise across near-miss
@@ -119,6 +119,9 @@ class CacheStats:
     warm_starts: int = 0
     warm_start_conflicts_saved: int = 0
     evictions: int = 0
+    #: Exceptions the advisory solve path swallowed (each read as a
+    #: miss or a skipped record).
+    errors: int = 0
 
     def count_subsumption(self, kind: str) -> None:
         self.subsumption_hits[kind] = self.subsumption_hits.get(kind, 0) + 1
@@ -181,7 +184,7 @@ class PersistentResultStore:
                     )
                 self.stats.hits += 1
                 return self._exact_outcome(json.loads(row[0]), spec)
-            hit = self._subsumption_lookup_locked(spec, formula)
+            hit = self._subsumption_lookup_locked(key, spec, formula)
             if hit is not None:
                 return hit
             self.stats.misses += 1
@@ -216,9 +219,9 @@ class PersistentResultStore:
         )
 
     def _subsumption_lookup_locked(
-        self, spec: JobSpec, formula: CNF
+        self, key: str, spec: JobSpec, formula: CNF
     ) -> Optional[JobOutcome]:
-        fp = fingerprint(formula)
+        fp = JobSpec.fingerprint_of(key)
         sigs = clause_signatures(formula)
         mask = signature_mask(sigs)
         # Same formula under different solve options: any cached
@@ -287,7 +290,7 @@ class PersistentResultStore:
                         )
         return None
 
-    def warm_clauses(self, formula: CNF) -> Optional[WarmStart]:
+    def warm_clauses(self, formula: CNF, key: str) -> Optional[WarmStart]:
         """Banked learned clauses of the largest strict-subset donor.
 
         Sound because a clause derivable from a subset of our clauses
@@ -297,7 +300,7 @@ class PersistentResultStore:
         """
         sigs = clause_signatures(formula)
         mask = signature_mask(sigs)
-        fp = fingerprint(formula)
+        fp = JobSpec.fingerprint_of(key)
         with self._lock:
             best: Optional[Tuple[int, str, str, int]] = None
             for cand in self._db.execute(
@@ -348,8 +351,8 @@ class PersistentResultStore:
         now = time.time()
         payload = outcome.as_dict()
         payload["learned"] = None
+        fp = JobSpec.fingerprint_of(key)
         with self._lock, self._db:
-            fp = fingerprint(formula)
             if not outcome.warm_clauses:
                 self._db.execute(
                     "INSERT OR REPLACE INTO results "
@@ -409,20 +412,23 @@ class PersistentResultStore:
         """Pre-solve step: ``(hit, None)`` when the cache answers,
         else ``(None, warm start or None)``.
 
-        The cache is advisory: an error in either lookup counts as a
-        miss, and the caller solves and calls :meth:`after_solve` as
-        for any miss.  A hit never reaches a QPU scheduler, so its
-        modelled time is never billed twice.
+        The cache is advisory: an error in either lookup counts in
+        :attr:`CacheStats.errors` and reads as a miss, and the caller
+        solves and calls :meth:`after_solve` as for any miss.  A hit
+        never reaches a QPU scheduler, so its modelled time is never
+        billed twice.
         """
         try:
             hit = self.lookup(key, spec, formula)
         except Exception:  # noqa: BLE001 — advisory, never fatal
+            self._count_error()
             hit = None
         if hit is not None:
             return hit, None
         try:
-            return None, self.warm_clauses(formula)
+            return None, self.warm_clauses(formula, key)
         except Exception:  # noqa: BLE001
+            self._count_error()
             return None, None
 
     def after_solve(
@@ -444,9 +450,13 @@ class PersistentResultStore:
         try:
             self.record(key, formula, outcome)
         except Exception:  # noqa: BLE001 — advisory
-            pass
+            self._count_error()
         outcome.learned = None
         return saved
+
+    def _count_error(self) -> None:
+        with self._lock:
+            self.stats.errors += 1
 
     def flush_metrics(self, metrics) -> None:
         """Fold :attr:`stats` into the ``hyqsat_cache_*`` metrics of
@@ -461,6 +471,7 @@ class PersistentResultStore:
                 stats.warm_start_conflicts_saved,
             ),
             ("hyqsat_cache_evictions_total", stats.evictions),
+            ("hyqsat_cache_errors_total", stats.errors),
         ):
             if value:
                 metrics.counter(name).inc(value)

@@ -26,6 +26,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -224,6 +225,9 @@ def _build_library() -> Optional[Path]:
 
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
+#: Held across the build, so a concurrent first caller waits for the
+#: library instead of seeing ``_load_attempted`` and getting None.
+_load_lock = threading.Lock()
 
 
 def load_kernel() -> Optional[ctypes.CDLL]:
@@ -234,22 +238,23 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     reference engine.
     """
     global _lib, _load_attempted
-    if _lib is not None or _load_attempted:
+    with _load_lock:
+        if _lib is not None or _load_attempted:
+            return _lib
+        _load_attempted = True
+        lib_path = _build_library()
+        if lib_path is None:
+            return None
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+        except OSError:
+            return None
+        for name, restype, extra in _SIGNATURES:
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = [_SP] + extra
+        _lib = lib
         return _lib
-    _load_attempted = True
-    lib_path = _build_library()
-    if lib_path is None:
-        return None
-    try:
-        lib = ctypes.CDLL(str(lib_path))
-    except OSError:
-        return None
-    for name, restype, extra in _SIGNATURES:
-        fn = getattr(lib, name)
-        fn.restype = restype
-        fn.argtypes = [_SP] + extra
-    _lib = lib
-    return _lib
 
 
 def native_available() -> bool:

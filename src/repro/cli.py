@@ -474,7 +474,8 @@ def _run_service(args: argparse.Namespace, specs) -> int:
                 f"c cache_hits={stats.cache_hits} "
                 f"cache_misses={stats.cache_misses} "
                 f"cache_subsumption_hits={stats.cache_subsumption_hits} "
-                f"cache_warm_starts={stats.cache_warm_starts}",
+                f"cache_warm_starts={stats.cache_warm_starts} "
+                f"cache_errors={stats.cache_errors}",
                 file=summary,
             )
     if interrupted:

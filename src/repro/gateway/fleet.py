@@ -22,7 +22,7 @@ replayable bit-identically as ``hyqsat solve --topology T --grid N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.service.scheduler import QpuScheduler
@@ -102,22 +102,14 @@ class RoutingDecision:
     fits: bool
 
 
-@dataclass
-class FleetRouterStats:
-    """Routing counters (the ``hyqsat_fleet_*`` metrics source)."""
-
-    routed: Dict[str, int] = field(default_factory=dict)
-    fallbacks: int = 0
-
-
 class FleetRouter:
     """Places jobs on the smallest fleet device they embed into.
 
     Capacity probes run the real HyQSAT line embedder per (formula,
-    device) and are memoised by formula fingerprint, so a stream of
-    identical instances costs one probe per device.  Each member owns
-    a :class:`QpuScheduler`, giving the gateway m independent anneal
-    arbiters (vs the service's single shared QPU).
+    device) and are memoised by the fingerprint the caller passes, so
+    a stream of identical instances costs one probe per device.  Each
+    member owns a :class:`QpuScheduler`, giving the gateway m
+    independent anneal arbiters (vs the service's single shared QPU).
     """
 
     def __init__(
@@ -131,7 +123,6 @@ class FleetRouter:
         self.schedulers: Dict[str, QpuScheduler] = {
             qpu.name: QpuScheduler(budget_us=qpu_budget_us) for qpu in self.qpus
         }
-        self.stats = FleetRouterStats()
         # Probe order: smallest lattice first; denser topology wins
         # ties (same capacity for the line embedder, shorter chains).
         self._probe_order = sorted(
@@ -167,12 +158,9 @@ class FleetRouter:
         self._probe_cache[key] = placed
         return placed
 
-    def route(self, formula) -> RoutingDecision:
-        """Pick the device for one formula (smallest full fit, else
-        the best partial) and record the placement."""
-        from repro.sat.cnf import fingerprint
-
-        fp = fingerprint(formula)
+    def route(self, formula, fp: str) -> RoutingDecision:
+        """Pick the device for ``formula``, whose fingerprint is
+        ``fp``: the smallest full fit, else the best partial."""
         best: Optional[RoutingDecision] = None
         for qpu in self._probe_order:
             embedded, total = self._probe(formula, fp, qpu)
@@ -182,10 +170,14 @@ class FleetRouter:
             if best is None or embedded > best.embedded_clauses:
                 best = RoutingDecision(qpu, embedded, total, fits=False)
         assert best is not None  # fleet is non-empty
-        self.stats.routed[best.qpu.name] = self.stats.routed.get(best.qpu.name, 0) + 1
-        if not best.fits:
-            self.stats.fallbacks += 1
         return best
 
-    def scheduler_for(self, qpu: GatewayQpu) -> QpuScheduler:
-        return self.schedulers[qpu.name]
+    def scheduler_for(
+        self, topology: Optional[str], grid: Optional[int]
+    ) -> Optional[QpuScheduler]:
+        """The first scheduler for this lattice (None = chimera / 16,
+        as in ``hyqsat solve``); None when no device has it."""
+        for qpu in self.qpus:
+            if (qpu.topology, qpu.grid) == (topology or "chimera", grid or 16):
+                return self.schedulers[qpu.name]
+        return None

@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Set
 from repro.gateway import protocol
 from repro.gateway.fleet import FleetRouter, GatewayQpu, parse_fleet_spec
 from repro.gateway.limits import TenantLedger, TenantPolicy
+from repro.sat.cnf import fingerprint
 from repro.service.jobs import JobOutcome, JobSpec, run_job
 from repro.service.queue import AdmissionError, JobQueue
 
@@ -549,17 +550,26 @@ class GatewayServer:
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _run_with_cache(self, spec: JobSpec, scheduler) -> JobOutcome:
+    def _read(self, spec: JobSpec):
+        """Executor step: the job's formula, its fingerprint (classic
+        jobs skip it) and routing (only for hybrid, unpinned jobs)."""
+        formula = spec.load_formula()
+        if spec.classic:
+            return formula, None, None
+        fp = fingerprint(formula)
+        if spec.topology is not None or spec.grid is not None:
+            return formula, fp, None
+        return formula, fp, self.router.route(formula, fp)
+
+    def _run_with_cache(
+        self, spec: JobSpec, formula, fp: Optional[str], scheduler
+    ) -> JobOutcome:
         """Executor-side solve through the cache's
         :meth:`~repro.cache.PersistentResultStore.before_solve` /
         ``after_solve`` steps (the store is internally locked)."""
         if self.cache is None or spec.classic:
-            return run_job(spec, scheduler)
-        try:
-            formula = spec.load_formula()
-            key = spec.solve_key(formula)
-        except Exception:  # noqa: BLE001 — run_job reports it
-            return run_job(spec, scheduler)
+            return run_job(spec, scheduler, formula=formula)
+        key = spec.solve_key(fp)
         hit, warm = self.cache.before_solve(key, spec, formula)
         if hit is not None:
             return hit
@@ -568,6 +578,7 @@ class GatewayServer:
             scheduler,
             warm_clauses=warm.clauses if warm is not None else None,
             collect_learned=True,
+            formula=formula,
         )
         self.cache.after_solve(key, formula, outcome, warm)
         return outcome
@@ -608,38 +619,23 @@ class GatewayServer:
     async def _execute(self, spec: JobSpec, waited_s: float) -> None:
         loop = asyncio.get_running_loop()
         conn = self._owners.get(spec.job_id)
-        scheduler = None
-        pinned = spec.topology is not None or spec.grid is not None
-        if pinned and not spec.classic:
-            # The client chose its lattice: respect it, and share the
-            # matching device's scheduler when the fleet has one.
-            for qpu in self.fleet:
-                if (
-                    qpu.topology == (spec.topology or "chimera")
-                    and qpu.grid == (spec.grid or 16)
-                ):
-                    scheduler = self.router.scheduler_for(qpu)
-                    break
-        elif not spec.classic:
-            try:
-                formula = await loop.run_in_executor(
-                    self._executor, spec.load_formula
+        try:
+            formula, fp, decision = await loop.run_in_executor(
+                self._executor, self._read, spec
+            )
+        except Exception as error:  # noqa: BLE001 — unreadable instance
+            self._pending -= 1
+            await self._finalise(
+                JobOutcome(
+                    job_id=spec.job_id,
+                    state="failed",
+                    error=f"{type(error).__name__}: {error}",
+                    seed=spec.seed,
+                    wait_seconds=waited_s,
                 )
-                decision = await loop.run_in_executor(
-                    self._executor, self.router.route, formula
-                )
-            except Exception as error:  # noqa: BLE001 — bad instance
-                self._pending -= 1
-                await self._finalise(
-                    JobOutcome(
-                        job_id=spec.job_id,
-                        state="failed",
-                        error=f"{type(error).__name__}: {error}",
-                        seed=spec.seed,
-                        wait_seconds=waited_s,
-                    )
-                )
-                return
+            )
+            return
+        if decision is not None:
             # Pin the placement so the solve (and any solo replay of
             # it) builds exactly the routed device.
             spec.topology = decision.qpu.topology
@@ -665,11 +661,12 @@ class GatewayServer:
                         fits=decision.fits,
                     ),
                 )
-            scheduler = self.router.scheduler_for(decision.qpu)
+        # A pinned lattice the fleet lacks solves on its own device.
+        scheduler = self.router.scheduler_for(spec.topology, spec.grid)
         if conn is not None:
             await self._send(conn, protocol.event(spec.job_id, "started"))
         outcome = await loop.run_in_executor(
-            self._executor, self._run_with_cache, spec, scheduler
+            self._executor, self._run_with_cache, spec, formula, fp, scheduler
         )
         outcome.wait_seconds = waited_s
         self._pending -= 1

@@ -334,6 +334,10 @@ METRICS: Tuple[MetricSpec, ...] = (
         "Exact-result rows dropped by the cache's LRU cap or TTL",
     ),
     MetricSpec(
+        "hyqsat_cache_errors_total", "counter", (), "errors",
+        "Cache exceptions the advisory solve path swallowed",
+    ),
+    MetricSpec(
         "hyqsat_cache_entries", "gauge", (), "entries",
         "Exact-result rows currently in the persistent cache",
     ),

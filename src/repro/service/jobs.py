@@ -144,15 +144,16 @@ class JobSpec:
             formula = to_3sat(formula).formula
         return formula
 
-    def solve_key(self, formula: Optional[CNF] = None) -> str:
-        """Deduplication key: the canonical formula fingerprint plus
-        every option that can change the solve's outcome.  Two jobs
-        with equal keys are guaranteed to produce identical results,
-        so the service solves one and shares the outcome."""
+    def solve_key(self, fp: Optional[str] = None) -> str:
+        """Deduplication key: the formula's fingerprint ``fp`` (read
+        from the instance when omitted) plus every option that can
+        change the solve's outcome.  Two jobs with equal keys are
+        guaranteed to produce identical results, so the service solves
+        one and shares the outcome."""
         import hashlib
 
-        if formula is None:
-            formula = self.load_formula()
+        if fp is None:
+            fp = fingerprint(self.load_formula())
         options = repr((
             self.seed, self.classic, self.noise, self.qa_faults,
             self.fault_seed, self.qa_retries, self.qa_deadline_us,
@@ -161,7 +162,12 @@ class JobSpec:
             self.topology, self.grid,
         ))
         opt_hash = hashlib.sha256(options.encode()).hexdigest()[:12]
-        return f"{fingerprint(formula)}:{opt_hash}"
+        return f"{fp}:{opt_hash}"
+
+    @staticmethod
+    def fingerprint_of(key: str) -> str:
+        """The formula fingerprint a :meth:`solve_key` starts with."""
+        return key.partition(":")[0]
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict view (all fields, JSON-able) — the journal's
@@ -422,6 +428,7 @@ def run_job(
     checkpoint_dir=None,
     warm_clauses: Optional[List[List[int]]] = None,
     collect_learned: bool = False,
+    formula: Optional[CNF] = None,
 ) -> JobOutcome:
     """Execute one job start to finish (the worker entry point).
 
@@ -442,10 +449,10 @@ def run_job(
     cache only donates clauses implied by a clause-subset of this
     instance).  ``collect_learned`` harvests the solve's own short
     learned clauses into ``outcome.learned`` for the bank.
+    ``formula`` is the instance when the caller has already read it.
     """
     started = time.perf_counter()
     try:
-        formula = spec.load_formula()
         device = None
         if scheduler is not None and not spec.classic:
             from repro.service.scheduler import ScheduledDevice

@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.sat.cnf import fingerprint
 from repro.service.jobs import JobOutcome, JobSpec, run_job
 from repro.service.journal import JobJournal
 from repro.service.pool import WorkerPool
@@ -98,6 +99,7 @@ class ServiceStats:
     cache_misses: int = 0
     cache_subsumption_hits: int = 0
     cache_warm_starts: int = 0
+    cache_errors: int = 0
 
     def count(self, state: str) -> None:
         self.jobs_by_state[state] = self.jobs_by_state.get(state, 0) + 1
@@ -261,6 +263,8 @@ class SolverService:
                 self.config.checkpoint_dir,
                 warm.clauses if warm is not None else None,
                 self.cache is not None and key is not None,
+                # Process workers re-read it: cheaper than a pickled CNF.
+                formula if self.pool.live_scheduling else None,
             )
             free_slots -= 1
             inflight[spec.job_id] = (spec, future, waited, key, formula, warm)
@@ -364,7 +368,7 @@ class SolverService:
                     if want_key:
                         try:
                             formula = spec.load_formula()
-                            key = spec.solve_key(formula)
+                            key = spec.solve_key(fingerprint(formula))
                         except Exception:  # noqa: BLE001 — unreadable
                             key = formula = None  # run_job reports it
                     if key is not None and self.config.dedup:
@@ -511,6 +515,7 @@ class SolverService:
                     self.cache.stats.subsumption_hits.values()
                 )
                 self.stats.cache_warm_starts = self.cache.stats.warm_starts
+                self.stats.cache_errors = self.cache.stats.errors
             self.stats.wall_seconds = time.perf_counter() - started
             self.stats.qpu_grants = self.scheduler.stats.grants
             self.stats.qpu_coalesced = self.scheduler.stats.coalesced

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import PersistentResultStore
+from repro.sat import fingerprint
 from repro.service import JobSpec
 from repro.service.jobs import JobOutcome
 
@@ -61,7 +62,7 @@ def record_solve(
     """Record one synthetic solve; returns (spec, key, outcome)."""
     spec = spec_for(dimacs)
     formula = spec.load_formula()
-    key = spec.solve_key(formula)
+    key = spec.solve_key(fingerprint(formula))
     outcome = done_outcome(spec, status=status, model=model, **kwargs)
     store.record(key, formula, outcome)
     return spec, key, outcome

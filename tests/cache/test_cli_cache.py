@@ -56,6 +56,7 @@ class TestBatchFlags:
         )
         assert "cache_misses=3" in out1 and "cache_hits=0" in out1
         assert "cache_hits=3" in out2 and "cache_misses=0" in out2
+        assert "cache_errors=0" in out1 and "cache_errors=0" in out2
         for job_id, outcome in fresh.items():
             replay = cached[job_id]
             assert replay.cached is True

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import CacheStats, PersistentResultStore
+from repro.sat import fingerprint
 from repro.service import JobSpec
 
 from tests.cache.conftest import (
@@ -45,7 +46,7 @@ class TestExactReplay:
     def test_unfinished_outcomes_are_not_recorded(self, store):
         spec = spec_for(SAT_DIMACS)
         formula = spec.load_formula()
-        key = spec.solve_key(formula)
+        key = spec.solve_key(fingerprint(formula))
         failed = done_outcome(spec)
         failed.state = "failed"
         store.record(key, formula, failed)
@@ -54,7 +55,7 @@ class TestExactReplay:
     def test_cached_outcomes_are_never_re_recorded(self, store):
         spec = spec_for(SAT_DIMACS)
         formula = spec.load_formula()
-        key = spec.solve_key(formula)
+        key = spec.solve_key(fingerprint(formula))
         replay = done_outcome(spec, model=[1, 2, 3])
         replay.cached = True
         store.record(key, formula, replay)
@@ -66,7 +67,7 @@ class TestExactReplay:
         sat/unsat answer still feeds the instance index."""
         spec = spec_for(SAT_DIMACS)
         formula = spec.load_formula()
-        key = spec.solve_key(formula)
+        key = spec.solve_key(fingerprint(formula))
         outcome = done_outcome(
             spec, status="sat", model=[1, 2, 3], warm_clauses=4
         )
@@ -86,7 +87,7 @@ class TestEviction:
                 spec = spec_for(dimacs, seed=index)
                 formula = spec.load_formula()
                 store.record(
-                    spec.solve_key(formula), formula, done_outcome(spec)
+                    spec.solve_key(fingerprint(formula)), formula, done_outcome(spec)
                 )
             assert store.entry_count() == 2
             assert store.stats.evictions == 1
@@ -94,7 +95,7 @@ class TestEviction:
             first = spec_for(SAT_DIMACS, seed=0)
             formula = first.load_formula()
             assert (
-                store.lookup(first.solve_key(formula), first, formula)
+                store.lookup(first.solve_key(fingerprint(formula)), first, formula)
                 is None
             )
 
@@ -176,7 +177,7 @@ class TestMaintenance:
             spec = spec_for(dimacs, seed=index)
             formula = spec.load_formula()
             store.record(
-                spec.solve_key(formula),
+                spec.solve_key(fingerprint(formula)),
                 formula,
                 done_outcome(spec, status=status, model=model),
             )
@@ -190,7 +191,7 @@ class TestMaintenance:
     def test_learned_clauses_never_stored_in_results_payload(self, store):
         spec = spec_for(SAT_DIMACS)
         formula = spec.load_formula()
-        key = spec.solve_key(formula)
+        key = spec.solve_key(fingerprint(formula))
         outcome = done_outcome(
             spec, status="sat", model=[1, 2, 3], learned=[[1, 2], [2, 3]]
         )

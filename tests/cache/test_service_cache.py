@@ -117,6 +117,49 @@ class TestBrokenCache:
             assert outcome.learned is None
             assert solver_view(outcome) == solver_view(run_job(spec))
         assert stats.cache_hits == 0
+        # ...but counted: one failed lookup and one failed record a job.
+        assert stats.cache_errors == 2 * len(specs)
+
+
+class TestReadOnce:
+    """The coordinator reads each instance once; the cache and the
+    thread or inline worker share that formula and its fingerprint."""
+
+    @pytest.mark.parametrize("pool_mode", ["thread", "inline"])
+    def test_one_parse_and_one_fingerprint_per_job(
+        self, specs, db_path, read_counts, pool_mode
+    ):
+        for kinds in ({None}, {"exact"}):  # a cold cache, then hits
+            read_counts.clear()
+            outcomes, _ = run_batch(
+                specs, workers=2, pool_mode=pool_mode, cache_path=db_path
+            )
+            assert {o.cache_kind for o in outcomes} == kinds
+            assert read_counts == {
+                "parse": len(specs), "fingerprint": len(specs)
+            }
+
+    def test_process_workers_read_their_own_instance(
+        self, specs, db_path, monkeypatch
+    ):
+        """Process pools ship the spec alone: a parsed CNF costs more
+        to pickle than to parse again in the worker."""
+        from repro.service.pool import WorkerPool
+
+        shipped = []
+        submit = WorkerPool.submit
+
+        def spy(pool, fn, *args):
+            shipped.append(args)
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(WorkerPool, "submit", spy)
+        outcomes, _ = run_batch(
+            specs[:2], workers=1, pool_mode="process", cache_path=db_path
+        )
+        assert all(o.state == "done" for o in outcomes)
+        assert len(shipped) == 2
+        assert all(args[-1] is None for args in shipped)
 
 
 class TestSubsumptionThroughService:

@@ -14,7 +14,7 @@ from repro.cache import (
     signature_mask,
     sigs_subset,
 )
-from repro.sat import to_dimacs
+from repro.sat import fingerprint, to_dimacs
 
 from tests.cache.conftest import (
     SAT_DIMACS,
@@ -31,7 +31,14 @@ from tests.cache.conftest import (
 def lookup(store, dimacs, **spec_kwargs):
     spec = spec_for(dimacs, **spec_kwargs)
     formula = spec.load_formula()
-    return store.lookup(spec.solve_key(formula), spec, formula), formula
+    key = spec.solve_key(fingerprint(formula))
+    return store.lookup(key, spec, formula), formula
+
+
+def warm_clauses(store, dimacs):
+    spec = spec_for(dimacs)
+    formula = spec.load_formula()
+    return store.warm_clauses(formula, spec.solve_key(fingerprint(formula)))
 
 
 class TestSignatures:
@@ -148,9 +155,7 @@ class TestWarmClauses:
             learned=[[2, 3], [1, 3]],
             conflicts=29,
         )
-        warm = store.warm_clauses(
-            spec_for(SAT_SUPERSET_DIMACS).load_formula()
-        )
+        warm = warm_clauses(store, SAT_SUPERSET_DIMACS)
         assert warm is not None
         assert warm.clauses == [[2, 3], [1, 3]]
         assert warm.donor_conflicts == 29
@@ -159,9 +164,7 @@ class TestWarmClauses:
         record_solve(
             store, SAT_DIMACS, "sat", model=[1, 2, 3], learned=[[1, 3]]
         )
-        warm = store.warm_clauses(
-            spec_for("p cnf 2 1\n1 2 0\n").load_formula()
-        )
+        warm = warm_clauses(store, "p cnf 2 1\n1 2 0\n")
         assert warm is None
 
     def test_out_of_range_literals_filtered(self, store):
@@ -174,9 +177,7 @@ class TestWarmClauses:
             model=[1, 2, 3, 4],
             learned=[[1, 3], [2, 4]],
         )
-        warm = store.warm_clauses(
-            spec_for("p cnf 3 3\n1 2 0\n2 3 0\n-1 3 0\n").load_formula()
-        )
+        warm = warm_clauses(store, "p cnf 3 3\n1 2 0\n2 3 0\n-1 3 0\n")
         assert warm is not None
         assert warm.clauses == [[1, 3]]
 
@@ -204,7 +205,7 @@ class TestSweepSoundness:
             spec = spec_for(to_dimacs(formula), job_id=f"s{index}")
             loaded = spec.load_formula()
             store.record(
-                spec.solve_key(loaded),
+                spec.solve_key(fingerprint(loaded)),
                 loaded,
                 done_outcome(
                     spec,

@@ -1,5 +1,7 @@
 """Tests for the CDCL engine registry (reference / fast selection)."""
 
+import threading
+
 import pytest
 
 from repro.cdcl import native
@@ -147,3 +149,41 @@ class TestKernelFallback:
         fresh_loader.setattr(native.Path, "mkdir", refuse)
         assert native.load_kernel() is None
         assert not native_available()
+
+
+@needs_native
+class TestConcurrentFirstLoad:
+    def test_threads_racing_the_first_load_share_one_kernel(self, monkeypatch):
+        """A caller arriving while another thread builds the kernel
+        waits for it instead of falling back to the reference engine."""
+        build = native._build_library
+        building, release = threading.Event(), threading.Event()
+
+        def slow_build():
+            building.set()
+            release.wait(30)
+            return build()
+
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_load_attempted", False)
+        monkeypatch.setattr(native, "_build_library", slow_build)
+        libs = [None] * 4
+
+        def load(index):
+            libs[index] = native.load_kernel()
+
+        threads = [
+            threading.Thread(target=load, args=(index,)) for index in range(4)
+        ]
+        threads[0].start()
+        assert building.wait(30)
+        for thread in threads[1:]:
+            thread.start()
+        for thread in threads[1:]:
+            thread.join(0.2)  # they must still be waiting on the build
+        release.set()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert libs[0] is not None
+        assert all(lib is libs[0] for lib in libs)

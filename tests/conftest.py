@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -54,3 +57,32 @@ def tiny_unsat_formula() -> CNF:
 def make_random_3sat(num_vars: int, num_clauses: int, seed: int) -> CNF:
     """Deterministic random instance helper for parametrised tests."""
     return random_3sat(num_vars, num_clauses, np.random.default_rng(seed))
+
+
+@pytest.fixture
+def read_counts(monkeypatch) -> Counter:
+    """Counts instance reads while the test runs: ``parse`` per
+    ``JobSpec.load_formula`` call and ``fingerprint`` per
+    ``repro.sat.cnf.fingerprint`` call, under every ``repro`` module
+    name it is imported as."""
+    from repro.sat import cnf
+    from repro.service.jobs import JobSpec
+
+    counts: Counter = Counter()
+    load, fingerprint = JobSpec.load_formula, cnf.fingerprint
+
+    def counted_load(spec):
+        counts["parse"] += 1
+        return load(spec)
+
+    def counted_fingerprint(formula):
+        counts["fingerprint"] += 1
+        return fingerprint(formula)
+
+    monkeypatch.setattr(JobSpec, "load_formula", counted_load)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, "fingerprint", None) is fingerprint
+        ):
+            monkeypatch.setattr(module, "fingerprint", counted_fingerprint)
+    return counts

@@ -6,16 +6,21 @@ stream event, error code, and the protocol version string declared in
 :mod:`repro.gateway.protocol` must appear (backtick-quoted) in the
 doc, and every ``hyqsat gateway`` / ``hyqsat connect`` flag must be
 mentioned — so neither the wire surface nor the CLI can grow
-undocumented.
+undocumented.  The stream-event table's attrs must be exactly the
+attrs a live round trip emits.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.benchgen.random_ksat import random_3sat
 from repro.cli import build_parser
+from repro.gateway.client import GatewayClient
 from repro.gateway.protocol import (
     CLIENT_MESSAGE_TYPES,
     ERROR_CODES,
@@ -25,6 +30,7 @@ from repro.gateway.protocol import (
     STREAM_EVENTS,
 )
 from repro.gateway.server import GatewayConfig
+from repro.sat.dimacs import to_dimacs
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GATEWAY_DOC = REPO_ROOT / "docs" / "GATEWAY.md"
@@ -74,6 +80,36 @@ class TestProtocolCoverage:
 
     def test_line_cap_documented(self, doc_text):
         assert f"{MAX_LINE_BYTES // (1024 * 1024)} MiB" in doc_text
+
+
+def _documented_event_attrs(doc_text: str):
+    """event -> attr names, read from the §1.6 stream-event table."""
+    section = doc_text.split("### 1.6 Stream events", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    attrs = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) > 3 and re.fullmatch(r"`\w+`", cells[1]):
+            attrs[cells[1].strip("`")] = set(re.findall(r"`(\w+)`", cells[2]))
+    return attrs
+
+
+class TestStreamEventAttrs:
+    def test_documented_attrs_match_a_live_round_trip(
+        self, doc_text, gateway_factory
+    ):
+        server = gateway_factory()
+        dimacs = to_dimacs(random_3sat(8, 24, np.random.default_rng(2)))
+        seen = []
+        with GatewayClient(port=server.port) as client:
+            client.submit({"id": "j", "dimacs": dimacs, "seed": 1})
+            client.drain(["j"], on_message=seen.append)
+        emitted = {
+            message["event"]: set(message.get("attrs", {}))
+            for message in seen
+            if message["type"] == "event"
+        }
+        assert emitted == _documented_event_attrs(doc_text)
 
 
 class TestCliCoverage:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import sqlite3
-import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,41 +25,11 @@ from repro.cache import PersistentResultStore
 from repro.gateway import protocol
 from repro.gateway.client import GatewayClient, GatewayError, GatewayReject
 from repro.gateway.server import GatewayConfig, GatewayServer
+from repro.observability import Observability
 from repro.service.jobs import JobSpec, run_job
 from repro.sat.dimacs import to_dimacs
 
 DIMACS = to_dimacs(random_3sat(8, 24, np.random.default_rng(2)))
-
-
-@pytest.fixture
-def gateway_factory():
-    """Start real gateways on ephemeral ports; drain them at teardown."""
-    created = []
-
-    def factory(**kwargs) -> GatewayServer:
-        kwargs.setdefault("port", 0)
-        kwargs.setdefault("fleet", "chimera:4,chimera:8")
-        kwargs.setdefault("drain_grace_s", 30.0)
-        config = GatewayConfig(**kwargs)
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
-        thread.start()
-
-        async def make() -> GatewayServer:
-            server = GatewayServer(config)
-            await server.start()
-            return server
-
-        server = asyncio.run_coroutine_threadsafe(make(), loop).result(10)
-        created.append((server, loop, thread))
-        return server
-
-    yield factory
-    for server, loop, thread in created:
-        asyncio.run_coroutine_threadsafe(server.shutdown(), loop).result(60)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(5)
-        loop.close()
 
 
 class TestHandshake:
@@ -281,6 +251,87 @@ class TestResultCache:
         for field in ("status", "iterations", "conflicts", "qa_calls"):
             assert outcome.get(field) == getattr(solo, field), field
         assert outcome.get("model") == solo.model
+        assert server.cache.stats.errors == 2  # one lookup, one record
+
+
+class TestReadOnce:
+    """The executor step that reads a job's instance is the only one:
+    routing, the cache key, the cache and the solve share its formula
+    and fingerprint."""
+
+    def test_one_parse_and_one_fingerprint_per_job(
+        self, gateway_factory, tmp_path, read_counts
+    ):
+        server = gateway_factory(cache_db=str(tmp_path / "gw.sqlite"))
+        with GatewayClient(port=server.port) as client:
+            for job_id, kind in (("miss", None), ("hit", "exact")):
+                read_counts.clear()
+                client.submit({"id": job_id, "dimacs": DIMACS, "seed": 5})
+                outcome = client.drain([job_id])[job_id]
+                assert outcome.get("cache_kind") == kind
+                assert read_counts == {"parse": 1, "fingerprint": 1}, job_id
+
+    @pytest.mark.parametrize(
+        "placement",
+        [{}, {"topology": "chimera", "grid": 8}, {"classic": True}],
+        ids=["routed", "pinned", "classic"],
+    )
+    def test_unreadable_instance_fails_before_started(
+        self, gateway_factory, placement
+    ):
+        server = gateway_factory()
+        with GatewayClient(port=server.port) as client:
+            client.submit(
+                {"id": "bad", "dimacs": "p cnf 2 1\n1 x 0\n", **placement}
+            )
+            seen = []
+            bad = client.drain(["bad"], on_message=seen.append)["bad"]
+            client.submit({"id": "next", "dimacs": DIMACS, **placement})
+            after = client.drain(["next"])["next"]
+        assert [m["event"] for m in seen if m["type"] == "event"] == ["done"]
+        assert bad["state"] == "failed"
+        assert bad["error"].startswith("DimacsError")
+        assert after["state"] == "done"
+        assert server.stats.jobs == {"failed": 1, "done": 1}
+
+
+class TestFleetMetrics:
+    def test_routed_and_fallback_counters_match_the_stream(
+        self, gateway_factory
+    ):
+        """The gateway's own ``hyqsat_fleet_*`` counters are the one
+        record of routing: one ``routed`` count per placement, one
+        fallback per placement that fits no device fully."""
+        obs = Observability.profiling()
+        server = gateway_factory(
+            observability=obs, fleet="chimera:4,pegasus:4,chimera:8"
+        )
+        sizes = ((6, 12), (10, 30), (30, 129))  # grid 4, chimera8, none
+        jobs = {
+            f"f{index}": to_dimacs(
+                random_3sat(num_vars, clauses, np.random.default_rng(1))
+            )
+            for index, (num_vars, clauses) in enumerate(sizes)
+        }
+        seen = []
+        with GatewayClient(port=server.port) as client:
+            for job_id, dimacs in jobs.items():
+                client.submit({"id": job_id, "dimacs": dimacs, "seed": 1})
+            client.drain(list(jobs), on_message=seen.append)
+        routed = [m["attrs"] for m in seen if m.get("event") == "routed"]
+        assert len(routed) == len(jobs)
+        placed = Counter(attrs["device"] for attrs in routed)
+        fallbacks = sum(not attrs["fits"] for attrs in routed)
+        assert len(placed) == 2 and fallbacks == 1
+        counter = obs.metrics.counter("hyqsat_fleet_routed_total")
+        assert {
+            dict(key)["device"]: child.value
+            for key, child in counter.children.items()
+        } == placed
+        assert (
+            obs.metrics.counter("hyqsat_fleet_routing_fallbacks_total").value
+            == fallbacks
+        )
 
 
 class StubConnection:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.annealer import AnnealerDevice
 from repro.resilience import ResilientDevice
+from repro.sat import fingerprint
 from repro.service import JobOutcome, JobSpec, build_device, run_job
 
 SAT_DIMACS = "p cnf 3 2\n1 2 3 0\n-1 2 3 0\n"
@@ -85,6 +86,13 @@ class TestSolveKey:
             JobSpec(job_id="b", dimacs=SAT_DIMACS, no_resilience=True),
         ):
             assert base.solve_key() != other.solve_key()
+
+    def test_key_carries_the_given_fingerprint(self):
+        spec = JobSpec(job_id="a", dimacs=SAT_DIMACS)
+        fp = fingerprint(spec.load_formula())
+        key = spec.solve_key(fp)
+        assert key == spec.solve_key()
+        assert JobSpec.fingerprint_of(key) == fp
 
     def test_key_is_stable_text(self):
         # hashlib-based, so stable across processes (unlike hash()).
