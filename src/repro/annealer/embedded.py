@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -145,6 +145,13 @@ def build_embedded_problem(
 ) -> EmbeddedProblem:
     """Compile ``objective`` onto the hardware through ``embedding``.
 
+    The chains become one qubit index array and the problem couplers a
+    flat coupler list; every bias and coupler weight is then a
+    ``np.bincount`` over those indices, in the order per-qubit and
+    per-coupler adds would take.  Chain couplers are the hardware's
+    :attr:`~repro.topology.chimera.ChimeraGraph.coupler_array` rows with
+    both ends in one chain.
+
     Raises ``ValueError`` if the objective mentions an unembedded
     variable or a quadratic term has no realising coupler.
     """
@@ -154,62 +161,75 @@ def build_embedded_problem(
     if missing:
         raise ValueError(f"objective variables not embedded: {missing[:5]}")
 
-    qubits: List[int] = []
-    index_of: Dict[int, int] = {}
-    chain_of_index: List[int] = []
-    for var in embedding.variables:
-        for qubit in embedding.chain_of(var):
-            index_of[qubit] = len(qubits)
-            qubits.append(qubit)
-            chain_of_index.append(var)
+    variables = embedding.variables
+    chains = [embedding.chain_of(var) for var in variables]
+    sizes = np.array([len(chain) for chain in chains], dtype=np.int64)
+    qubits = np.array([q for chain in chains for q in chain], dtype=np.int64)
+    n = len(qubits)
+    first = np.cumsum(sizes) - sizes
+    index_of = np.full(hardware.num_qubits, -1, dtype=np.int64)
+    index_of[qubits] = np.arange(n)
+    owner = np.full(hardware.num_qubits, -1, dtype=np.int64)
+    owner[qubits] = np.repeat(np.arange(len(variables)), sizes)
 
-    linear = np.zeros(len(qubits))
-    coupling_acc: Dict[Tuple[int, int], float] = {}
-
-    def add_coupling(i: int, j: int, weight: float) -> None:
-        key = (i, j) if i < j else (j, i)
-        coupling_acc[key] = coupling_acc.get(key, 0.0) + weight
-
-    # Linear biases spread over chains.
-    for var, bias in objective.linear.items():
-        chain = embedding.chain_of(var)
-        share = bias / len(chain)
-        for qubit in chain:
-            linear[index_of[qubit]] += share
+    # Linear biases spread uniformly over chains.
+    biased = np.searchsorted(variables, list(objective.linear)).astype(np.int64)
+    counts = sizes[biased]
+    shares = np.array(list(objective.linear.values()), dtype=float) / counts
+    bias_index = np.arange(counts.sum()) + np.repeat(
+        first[biased] - (np.cumsum(counts) - counts), counts
+    )
 
     # Problem couplings spread over realising couplers.
+    ends: List[Tuple[int, int]] = []
+    weights: List[float] = []
     for (u, v), weight in objective.quadratic.items():
         key: Edge = (u, v) if u < v else (v, u)
-        couplers = list(edge_couplers.get(key, ()))
+        couplers = edge_couplers.get(key, ())
         if not couplers:
             raise ValueError(f"no hardware coupler realises problem edge {key}")
-        share = weight / len(couplers)
-        for qa, qb in couplers:
-            add_coupling(index_of[qa], index_of[qb], share)
+        ends.extend(couplers)
+        weights.extend([weight / len(couplers)] * len(couplers))
+    pairs = index_of[np.array(ends, dtype=np.int64).reshape(-1, 2)]
 
-    # Chain equality penalties on every intra-chain hardware coupler.
-    chain_edge_keys: List[Tuple[int, int]] = []
-    for var in embedding.variables:
-        chain = embedding.chain_of(var)
-        members = set(chain)
-        for qubit in chain:
-            for other in hardware.neighbors(qubit):
-                if other in members and qubit < other:
-                    i, j = index_of[qubit], index_of[other]
-                    linear[i] += chain_strength
-                    linear[j] += chain_strength
-                    add_coupling(i, j, -2.0 * chain_strength)
-                    chain_edge_keys.append((min(i, j), max(i, j)))
-
-    couplings = tuple(
-        (i, j, w) for (i, j), w in sorted(coupling_acc.items()) if w != 0.0
+    # Chain equality penalties on every intra-chain hardware coupler:
+    # cs·(x_a + x_b − 2 x_a x_b).
+    a, b = hardware.coupler_array
+    inside = (owner[a] >= 0) & (owner[a] == owner[b])
+    chain_i, chain_j = index_of[a[inside]], index_of[b[inside]]
+    linear = np.bincount(
+        np.concatenate([bias_index, chain_i, chain_j]),
+        weights=np.concatenate(
+            [np.repeat(shares, counts), np.full(2 * len(chain_i), chain_strength)]
+        ),
+        minlength=n,
     )
+    lo = np.concatenate([pairs.min(axis=1), np.minimum(chain_i, chain_j)])
+    hi = np.concatenate([pairs.max(axis=1), np.maximum(chain_i, chain_j)])
+    codes, term = np.unique(lo * n + hi, return_inverse=True)
+    summed = np.bincount(
+        term,
+        weights=np.concatenate(
+            [weights, np.full(len(chain_i), -2.0 * chain_strength)]
+        ),
+        minlength=len(codes),
+    )
+    kept = summed != 0.0
+    chain_edges = np.unique(lo[len(pairs):] * n + hi[len(pairs):])
     return EmbeddedProblem(
-        qubits=tuple(qubits),
+        qubits=tuple(qubits.tolist()),
         linear=linear,
-        couplings=couplings,
-        chain_edges=tuple(sorted(set(chain_edge_keys))),
-        chain_of_index=tuple(chain_of_index),
+        couplings=tuple(
+            zip(
+                (codes[kept] // n).tolist(),
+                (codes[kept] % n).tolist(),
+                summed[kept].tolist(),
+            )
+        ),
+        chain_edges=tuple(
+            zip((chain_edges // n).tolist(), (chain_edges % n).tolist())
+        ),
+        chain_of_index=tuple(np.repeat(variables, sizes).tolist()),
         offset=objective.offset,
         chain_strength=chain_strength,
     )

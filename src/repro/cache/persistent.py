@@ -43,12 +43,13 @@ row drops orphaned instance/bank rows on :meth:`gc`.
 
 from __future__ import annotations
 
+import functools
 import json
 import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.signature import (
     clause_signatures,
@@ -100,13 +101,25 @@ CREATE TABLE IF NOT EXISTS clause_bank (
 """
 
 
+#: A formula's clause signatures, computed on the first call.
+Signatures = Callable[[], List[bytes]]
+
+
+def _signatures_of(formula: CNF) -> Signatures:
+    return functools.cache(functools.partial(clause_signatures, formula))
+
+
 @dataclass
 class WarmStart:
-    """Clause-bank donor material for one near-miss solve."""
+    """What a miss's :meth:`~PersistentResultStore.before_solve` hands
+    its ``after_solve``: clause-bank donor material when a strict-subset
+    donor qualifies (``clauses`` is None otherwise), and the formula's
+    clause signatures, so the record step does not hash them again."""
 
-    clauses: List[List[int]]
-    donor_conflicts: int
-    donor_fingerprint: str
+    clauses: Optional[List[List[int]]] = None
+    donor_conflicts: int = 0
+    donor_fingerprint: Optional[str] = None
+    signatures: Optional[Signatures] = None
 
 
 @dataclass
@@ -159,7 +172,12 @@ class PersistentResultStore:
     # -- lookups --------------------------------------------------------
 
     def lookup(
-        self, key: str, spec: JobSpec, formula: CNF
+        self,
+        key: str,
+        spec: JobSpec,
+        formula: CNF,
+        *,
+        signatures: Optional[Signatures] = None,
     ) -> Optional[JobOutcome]:
         """The cached answer for ``spec``, or None (a miss).
 
@@ -168,6 +186,7 @@ class PersistentResultStore:
         validated certificate with zeroed search counters
         (``cache_kind="model"`` or ``"unsat"``).  Never raises on a
         healthy database; the caller treats any exception as a miss.
+        Only the subsumption step reads ``signatures``.
         """
         now = time.time()
         with self._lock:
@@ -184,7 +203,9 @@ class PersistentResultStore:
                     )
                 self.stats.hits += 1
                 return self._exact_outcome(json.loads(row[0]), spec)
-            hit = self._subsumption_lookup_locked(key, spec, formula)
+            hit = self._subsumption_lookup_locked(
+                key, spec, formula, signatures or _signatures_of(formula)
+            )
             if hit is not None:
                 return hit
             self.stats.misses += 1
@@ -219,10 +240,10 @@ class PersistentResultStore:
         )
 
     def _subsumption_lookup_locked(
-        self, key: str, spec: JobSpec, formula: CNF
+        self, key: str, spec: JobSpec, formula: CNF, signatures: Signatures
     ) -> Optional[JobOutcome]:
         fp = JobSpec.fingerprint_of(key)
-        sigs = clause_signatures(formula)
+        sigs = signatures()
         mask = signature_mask(sigs)
         # Same formula under different solve options: any cached
         # certificate transfers directly.
@@ -290,7 +311,13 @@ class PersistentResultStore:
                         )
         return None
 
-    def warm_clauses(self, formula: CNF, key: str) -> Optional[WarmStart]:
+    def warm_clauses(
+        self,
+        formula: CNF,
+        key: str,
+        *,
+        signatures: Optional[Signatures] = None,
+    ) -> Optional[WarmStart]:
         """Banked learned clauses of the largest strict-subset donor.
 
         Sound because a clause derivable from a subset of our clauses
@@ -298,7 +325,8 @@ class PersistentResultStore:
         range (possible when the donor declared more variables) are
         filtered defensively.
         """
-        sigs = clause_signatures(formula)
+        signatures = signatures or _signatures_of(formula)
+        sigs = signatures()
         mask = signature_mask(sigs)
         fp = JobSpec.fingerprint_of(key)
         with self._lock:
@@ -331,12 +359,18 @@ class PersistentResultStore:
                 clauses=clauses,
                 donor_conflicts=conflicts,
                 donor_fingerprint=donor_fp,
+                signatures=signatures,
             )
 
     # -- writes ---------------------------------------------------------
 
     def record(
-        self, key: str, formula: CNF, outcome: JobOutcome
+        self,
+        key: str,
+        formula: CNF,
+        outcome: JobOutcome,
+        *,
+        signatures: Optional[Signatures] = None,
     ) -> None:
         """Persist a finished solve.
 
@@ -361,7 +395,7 @@ class PersistentResultStore:
                     (key, fp, json.dumps(payload), now, now),
                 )
             if outcome.status in ("sat", "unsat"):
-                sigs = clause_signatures(formula)
+                sigs = (signatures or _signatures_of(formula))()
                 self._db.execute(
                     "INSERT OR REPLACE INTO instances "
                     "(fingerprint, num_vars, num_clauses, mask, sigs, "
@@ -410,26 +444,31 @@ class PersistentResultStore:
         self, key: str, spec: JobSpec, formula: CNF
     ) -> Tuple[Optional[JobOutcome], Optional[WarmStart]]:
         """Pre-solve step: ``(hit, None)`` when the cache answers,
-        else ``(None, warm start or None)``.
+        else ``(None, warm start)`` for the caller to hand to
+        :meth:`after_solve`.
 
+        The formula's clause signatures are computed at most once per
+        miss, shared by the lookup, the donor search and the record.
         The cache is advisory: an error in either lookup counts in
         :attr:`CacheStats.errors` and reads as a miss, and the caller
         solves and calls :meth:`after_solve` as for any miss.  A hit
         never reaches a QPU scheduler, so its modelled time is never
         billed twice.
         """
+        signatures = _signatures_of(formula)
         try:
-            hit = self.lookup(key, spec, formula)
+            hit = self.lookup(key, spec, formula, signatures=signatures)
         except Exception:  # noqa: BLE001 — advisory, never fatal
             self._count_error()
             hit = None
         if hit is not None:
             return hit, None
         try:
-            return None, self.warm_clauses(formula, key)
+            warm = self.warm_clauses(formula, key, signatures=signatures)
         except Exception:  # noqa: BLE001
             self._count_error()
-            return None, None
+            warm = None
+        return None, warm or WarmStart(signatures=signatures)
 
     def after_solve(
         self,
@@ -448,7 +487,12 @@ class PersistentResultStore:
                 warm.donor_conflicts, outcome.conflicts or 0
             )
         try:
-            self.record(key, formula, outcome)
+            self.record(
+                key,
+                formula,
+                outcome,
+                signatures=warm.signatures if warm is not None else None,
+            )
         except Exception:  # noqa: BLE001 — advisory
             self._count_error()
         outcome.learned = None

@@ -1,13 +1,18 @@
 """The HyQSAT frontend: from CDCL to QA (Section IV).
 
-Pipeline per QA call:
+The frontend holds one :class:`~repro.sat.cnf.ClauseTable` per solve:
+the formula's clauses as rows of signed literals.  Pipeline per QA
+call, on index arrays rather than per-clause objects:
 
-1. take the clause queue (indices into the formula),
-2. encode the queue clauses into the Eq. 5 objective,
-3. apply the Section IV-C coefficient adjustment (optional),
+1. take the clause queue (row indices into that table) and condition
+   it on the trail: a mask drops the literals of assigned variables,
+2. encode the residual clauses into the Eq. 5 objective, a gather from
+   the per-shape Eq. 4 terms (:mod:`repro.qubo.encoding`),
+3. apply the Section IV-C coefficient adjustment (optional), which
+   changes only the α array,
 4. embed with the linear-time Section IV-B scheme,
-5. rebuild the objective over the *embedded* clauses only and
-   normalise it into hardware range (Eq. 6),
+5. sum the weighted terms of the *embedded* clauses only and normalise
+   that objective into hardware range (Eq. 6),
 6. optionally precompile the physical :class:`EmbeddedProblem` for the
    device (when the device's chain strength is known).
 
@@ -42,18 +47,19 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.annealer.device import AnnealRequest
 from repro.annealer.embedded import build_embedded_problem
-from repro.embedding.base import Edge, Embedding, EmbeddingTimeout
+from repro.embedding.base import EmbeddingTimeout
 from repro.embedding.hyqsat_embed import HyQSatEmbedder, HyQSatEmbeddingResult
 from repro.qubo.coefficients import adjust_coefficients
 from repro.qubo.encoding import FormulaEncoding, encode_formula
-from repro.qubo.ising import QuadraticObjective
 from repro.qubo.normalization import normalize
 from repro.sat.assignment import Assignment
-from repro.sat.cnf import CNF, Clause
+from repro.sat.cnf import CNF, ClauseTable
 from repro.topology.chimera import ChimeraGraph
 
 #: The request object a prepared (and possibly cached) frontend call
@@ -94,10 +100,8 @@ class FrontendResult:
     @property
     def embedded_variables(self) -> Tuple[int, ...]:
         """Formula variables involved in the embedded clauses."""
-        out = set()
-        for k in self.embedding_result.embedded_clauses:
-            out.update(self.encoding.clauses[k].variables)
-        return tuple(sorted(out))
+        lits = self.encoding.clauses.lits[list(self.embedding_result.embedded_clauses)]
+        return tuple(v for v in np.unique(np.abs(lits)).tolist() if v)
 
 
 class Frontend:
@@ -145,6 +149,7 @@ class Frontend:
             declare_solver_metrics(self.observability.metrics)
         self._cache: "OrderedDict[CacheKey, Optional[FrontendResult]]" = OrderedDict()
         self._embedder = HyQSatEmbedder(hardware)
+        self._table = ClauseTable.of(formula.clauses)
 
     def reset_cache(self) -> None:
         """Drop all cached entries and zero the hit/miss counters."""
@@ -218,13 +223,10 @@ class Frontend:
         fingerprint = tuple(sorted(queue))
         if assignment is None:
             return fingerprint, ()
-        pairs = set()
-        for i in fingerprint:
-            for lit in self.formula.clauses[i].lits:
-                value = assignment.get(lit.var)
-                if value is not None:
-                    pairs.add((lit.var, value))
-        return fingerprint, tuple(sorted(pairs))
+        variables = np.unique(np.abs(self._table.lits[list(fingerprint)]))
+        return fingerprint, tuple(
+            (var, assignment[var]) for var in variables.tolist() if var in assignment
+        )
 
     def _prepare_uncached(
         self,
@@ -232,22 +234,14 @@ class Frontend:
         assignment: Optional["Assignment"],
         start: float,
     ) -> Optional[FrontendResult]:
-        clauses = []
-        kept_indices = []
-        for i in queue:
-            clause = self.formula.clauses[i]
-            if assignment is not None:
-                residual = [
-                    lit for lit in clause.lits if lit.var not in assignment
-                ]
-                if not residual:
-                    continue  # conflicting clause; propagation handles it
-                clause = Clause(residual)
-            clauses.append(clause)
-            kept_indices.append(i)
-        if not clauses:
+        trail = np.fromiter(assignment or (), np.int64)
+        assigned = np.zeros(max(self.formula.num_vars, trail.max(initial=0)) + 1, bool)
+        assigned[trail] = True
+        # A clause the trail falsified leaves no row: propagation
+        # handles it.
+        clauses, kept = self._table.conditioned(queue, assigned)
+        if not len(clauses):
             return None
-        queue = kept_indices
         encoding = encode_formula(clauses, self.formula.num_vars)
         if self.adjust:
             encoding = adjust_coefficients(encoding).encoding
@@ -262,7 +256,8 @@ class Frontend:
         if not embed_result.embedded_clauses:
             return None
 
-        objective = self._embedded_objective(encoding, embed_result.embedded_clauses)
+        # The dropped clauses stay on the CDCL side.
+        objective = encoding.objective_over(embed_result.embedded_clauses)
         normalized, d_star = normalize(objective)
         if not normalized.variables:
             # The queue's sub-objectives summed to a constant (every
@@ -289,7 +284,7 @@ class Frontend:
             num_reads=self.num_reads,
             compiled=compiled,
         )
-        formula_clauses = tuple(queue[k] for k in embed_result.embedded_clauses)
+        formula_clauses = tuple(kept[list(embed_result.embedded_clauses)].tolist())
         return FrontendResult(
             request=request,
             formula_clauses=formula_clauses,
@@ -297,16 +292,3 @@ class Frontend:
             encoding=encoding,
             elapsed_seconds=time.perf_counter() - start,
         )
-
-    @staticmethod
-    def _embedded_objective(
-        encoding: FormulaEncoding, embedded_clauses: Sequence[int]
-    ) -> QuadraticObjective:
-        """Sum the weighted sub-objectives of the embedded clauses only
-        (the dropped clauses stay on the CDCL side)."""
-        keep = set(embedded_clauses)
-        total = QuadraticObjective()
-        for sub in encoding.sub_objectives:
-            if sub.clause_index in keep:
-                total.add_objective(sub.objective, scale=sub.coefficient)
-        return total

@@ -295,6 +295,7 @@ class HyQSatSolver:
         # made no calls).
         self._conflicts_at_checkpoint = 0
         self._resumed_from_checkpoint = False
+        self._fingerprint: Optional[str] = None
         # Last deployed queue + trail snapshot, reused while no new
         # conflict has been learned (see HyQSatConfig.reuse_queue_between_conflicts).
         self._last_queue: Optional[List[int]] = None
@@ -399,6 +400,13 @@ class HyQSatSolver:
         self._qa_disabled = False
         self._conflicts_at_checkpoint = 0
         self._resumed_from_checkpoint = False
+        # The formula never changes: one fingerprint serves the resume
+        # check and every checkpoint this solve saves.
+        self._fingerprint = (
+            fingerprint(self.formula)
+            if self.config.checkpoint_path is not None
+            else None
+        )
         resume_state = self._load_resume_state()
         if resume_state is not None:
             self.hybrid_stats = HybridStats.from_dict(resume_state["hybrid"])
@@ -616,7 +624,7 @@ class HyQSatSolver:
         save_checkpoint(
             config.checkpoint_path,
             {
-                "fingerprint": fingerprint(self.formula),
+                "fingerprint": self._fingerprint,
                 "solver_seed": self.solver_config.seed,
                 "hybrid_seed": config.seed,
                 "conflicts": conflicts,
@@ -640,7 +648,7 @@ class HyQSatSolver:
         state = load_checkpoint(self.config.checkpoint_path)
         if state is None:
             return None
-        if state.get("fingerprint") != fingerprint(self.formula):
+        if state.get("fingerprint") != self._fingerprint:
             return None
         if state.get("solver_seed") != self.solver_config.seed:
             return None

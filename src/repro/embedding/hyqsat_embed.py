@@ -29,13 +29,16 @@ fit is returned with a valid embedding.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.embedding.base import Edge, Embedding, EmbeddingResult, _norm_edge
 from repro.embedding.crl import ConnectionRequirementList
 from repro.qubo.encoding import FormulaEncoding
-from repro.topology.chimera import ChimeraGraph, HorizontalLine, VerticalLine
+from repro.topology.chimera import ChimeraGraph
+
+#: A horizontal-line segment: (owner, line index, first col, last col).
+_Segment = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -56,41 +59,37 @@ class HyQSatEmbeddingResult(EmbeddingResult):
         return len(self.embedded_clauses)
 
 
+def _requirements(variables: Sequence[int], aux: int) -> List[Tuple[int, int]]:
+    """CRL entries (owner, target) of one clause.
+
+    The first literal's variable owns the variable-variable edge; the
+    auxiliary owns its three connections (it has no vertical line, so
+    it must be the one extending onto horizontal qubits).
+    """
+    if len(variables) == 2:
+        return [(variables[0], variables[1])]
+    if len(variables) == 3:
+        v1, v2, v3 = variables
+        return [(v1, v2), (aux, v1), (aux, v2), (aux, v3)]
+    return []
+
+
 def clause_edges(encoding: FormulaEncoding, clause_index: int) -> List[Edge]:
     """Problem-graph edges contributed by one encoded clause."""
-    clause = encoding.clauses[clause_index]
-    aux = encoding.aux_of_clause[clause_index]
-    variables = [lit.var for lit in clause.lits]
-    if len(variables) == 1:
-        return []
-    if len(variables) == 2:
-        return [_norm_edge(variables[0], variables[1])]
-    assert aux is not None, "3-literal clauses carry an auxiliary variable"
-    v1, v2, v3 = variables
-    return [
-        _norm_edge(v1, v2),
-        _norm_edge(aux, v1),
-        _norm_edge(aux, v2),
-        _norm_edge(aux, v3),
-    ]
-
-
-@dataclass
-class _Segment:
-    """A horizontal-line segment allocated to one owner chain."""
-
-    owner: int
-    line: HorizontalLine
-    col_start: int
-    col_end: int
-
-    def qubits(self, hardware: ChimeraGraph) -> List[int]:
-        line_qubits = hardware.horizontal_line_qubits(self.line)
-        return line_qubits[self.col_start : self.col_end + 1]
+    variables = [v for v in abs(encoding.clauses.lits[clause_index]).tolist() if v]
+    aux = int(encoding.aux[clause_index])
+    return [_norm_edge(o, t) for o, t in _requirements(variables, aux)]
 
 
 class HyQSatEmbedder:
-    """The Section IV-B embedder for a Chimera lattice."""
+    """The Section IV-B embedder for a Chimera lattice.
+
+    Lines are addressed by index into the hardware's
+    :attr:`~repro.topology.chimera.ChimeraGraph.line_qubits` tables:
+    vertical line ``col * shore + unit``, horizontal line
+    ``row * shore + unit``.  Free cells of a horizontal line are one
+    bit per column.
+    """
 
     def __init__(self, hardware: ChimeraGraph):
         self.hardware = hardware
@@ -99,90 +98,121 @@ class HyQSatEmbedder:
         """Embed as many queue clauses as fit, in queue order."""
         start = time.perf_counter()
         hardware = self.hardware
+        shore, cols = hardware.shore, hardware.cols
+        vertical, horizontal = hardware.line_qubits
+        clause_rows = abs(encoding.clauses.lits).tolist()
+        aux = encoding.aux.tolist()
 
         # ---------------- Step 1: vertical-line allocation ----------------
-        lines = hardware.vertical_lines()
-        line_of_var: Dict[int, VerticalLine] = {}
-        next_line = 0
+        line_of_var: Dict[int, int] = {}
         crl = ConnectionRequirementList()
-        candidates: List[int] = []
-
-        for k in range(len(encoding.clauses)):
-            clause = encoding.clauses[k]
-            new_vars = [
-                lit.var for lit in clause.lits if lit.var not in line_of_var
-            ]
-            if next_line + len(new_vars) > len(lines):
+        candidates: List[List[int]] = []  # variables of each candidate
+        for k, row in enumerate(clause_rows):
+            variables = [v for v in row if v]
+            new_vars = [v for v in variables if v not in line_of_var]
+            if len(line_of_var) + len(new_vars) > len(vertical):
                 break  # vertical capacity reached; queue order stops here
             for var in new_vars:
-                line_of_var[var] = lines[next_line]
-                next_line += 1
-            for owner, target in self._requirements(encoding, k):
+                line_of_var[var] = len(line_of_var)
+            for owner, target in _requirements(variables, aux[k]):
                 crl.add(owner, target, k)
-            candidates.append(k)
+            candidates.append(variables)
 
         # ---------------- Step 2: horizontal-line allocation --------------
-        free: Dict[HorizontalLine, List[bool]] = {}
+        hlines = [
+            row * shore + unit
+            for row in range(hardware.rows - 1, -1, -1)
+            for unit in range(shore)
+        ]
+        full = (1 << cols) - 1
+        free: Dict[int, int] = {}
         segments: List[_Segment] = []
         coupling_rows: Dict[int, Set[int]] = {var: set() for var in line_of_var}
         realized: Dict[Edge, List[Tuple[int, int]]] = {}
 
-        pending: List[Tuple[int, List[int]]] = [
-            (owner, crl.targets_of(owner)) for owner in crl.owners()
-        ]
-        hlines = hardware.horizontal_lines_bottom_up()
-        line_cursor = 0
+        def place(owner: int, targets: Sequence[int], span, hline: int) -> None:
+            """Record the segment and the problem edges it realises."""
+            segments.append((owner, hline, span[0], span[1]))
+            row = hline // shore
+            for target in targets:
+                vline = line_of_var[target]
+                realized.setdefault(_norm_edge(owner, target), []).append(
+                    (horizontal[hline][vline // shore], vertical[vline][row])
+                )
+                coupling_rows[target].add(row)
+            if owner in line_of_var:
+                coupling_rows[owner].add(row)
 
-        while pending and line_cursor < len(hlines):
-            line = hlines[line_cursor]
-            if line not in free:
-                free[line] = [True] * hardware.cols
-            cells = free[line]
-            still_pending: List[Tuple[int, List[int]]] = []
-            for owner, targets in pending:
-                span = self._span_columns(owner, targets, line_of_var)
-                if span is None:
-                    still_pending.append((owner, targets))
-                    continue
-                c1, c2 = span
-                if all(cells[c] for c in range(c1, c2 + 1)):
-                    segment = _Segment(owner, line, c1, c2)
-                    segments.append(segment)
-                    for c in range(c1, c2 + 1):
-                        cells[c] = False
-                    self._record_couplings(
-                        owner, targets, segment, line_of_var, coupling_rows, realized
-                    )
+        # A requirement's column span never changes within step 2.
+        pending = [
+            (owner, targets, self._span(owner, targets, line_of_var))
+            for owner, targets in ((o, crl.targets_of(o)) for o in crl.owners())
+        ]
+        for hline in hlines:
+            if not pending:
+                break
+            cells = full
+            still_pending = []
+            for owner, targets, span in pending:
+                if span is None or cells & span[2] != span[2]:
+                    still_pending.append((owner, targets, span))
                 else:
-                    still_pending.append((owner, targets))
-            pending = still_pending
+                    cells &= ~span[2]
+                    place(owner, targets, span, hline)
+            free[hline] = cells
             # Free cells only shrink, so a requirement that failed on
             # this line cannot fit later: always move to the next line.
-            line_cursor += 1
+            pending = still_pending
 
         # Split pass: merged requirements that never fit are retried as
-        # one segment per target, which has a smaller column span.
-        if pending:
-            pending = self._split_pass(
-                pending, free, hlines, segments, line_of_var, coupling_rows, realized
-            )
+        # one segment per target, which has a smaller column span.  Only
+        # vertical owners split (an auxiliary chain must stay a single
+        # connected segment).
+        for owner, targets, _ in pending:
+            if owner not in line_of_var:
+                continue
+            for target in targets:
+                span = self._span(owner, [target], line_of_var)
+                for hline in hlines if span is not None else ():
+                    cells = free.get(hline, full)
+                    if cells & span[2] == span[2]:
+                        free[hline] = cells & ~span[2]
+                        place(owner, [target], span, hline)
+                        break
+
+        # ---------------- Clause classification ---------------------------
+        segments_of: Dict[int, List[_Segment]] = {}
+        for segment in segments:
+            segments_of.setdefault(segment[0], []).append(segment)
+        embedded: List[int] = []
+        unembedded: List[int] = list(range(len(candidates), len(clause_rows)))
+        for k, variables in enumerate(candidates):
+            if aux[k] and aux[k] not in segments_of or not all(
+                realized.get(_norm_edge(o, t))
+                for o, t in _requirements(variables, aux[k])
+            ):
+                unembedded.append(k)
+            else:
+                embedded.append(k)
+        # Auxiliary chains of unembedded clauses are dropped.
+        dropped_aux = {aux[k] for k in unembedded if aux[k]}
 
         # ---------------- Chain construction ------------------------------
-        embedding = self._build_chains(line_of_var, segments, coupling_rows)
-
-        embedded, unembedded = self._classify_clauses(
-            encoding, candidates, line_of_var, embedding, realized
-        )
-        # Drop auxiliary chains of unembedded clauses.
-        dropped_aux = {
-            encoding.aux_of_clause[k]
-            for k in unembedded
-            if encoding.aux_of_clause[k] is not None
-        }
-        if dropped_aux:
-            embedding = embedding.restricted_to(
-                v for v in embedding.variables if v not in dropped_aux
-            )
+        # Trimmed vertical spans plus owned segments, then the kept
+        # auxiliary chains.
+        embedding = Embedding()
+        for var, vline in line_of_var.items():
+            rows = coupling_rows[var] or {hardware.rows - 1}
+            qubits = vertical[vline][min(rows) : max(rows) + 1]
+            for _, hline, c1, c2 in segments_of.get(var, ()):
+                qubits = qubits + horizontal[hline][c1 : c2 + 1]
+            embedding.set_chain(var, qubits)
+        for owner, owned in segments_of.items():
+            if owner not in line_of_var and owner not in dropped_aux:
+                embedding.set_chain(
+                    owner,
+                    [q for _, h, c1, c2 in owned for q in horizontal[h][c1 : c2 + 1]],
+                )
 
         elapsed = time.perf_counter() - start
         edge_couplers = {
@@ -190,179 +220,31 @@ class HyQSatEmbedder:
         }
         return HyQSatEmbeddingResult(
             embedding=embedding,
-            success=len(embedded) == len(encoding.clauses),
+            success=len(embedded) == len(clause_rows),
             elapsed_seconds=elapsed,
             edge_couplers=edge_couplers,
             embedded_clauses=tuple(embedded),
-            unembedded_clauses=tuple(unembedded),
+            unembedded_clauses=tuple(sorted(unembedded)),
         )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _requirements(
-        self, encoding: FormulaEncoding, clause_index: int
-    ) -> List[Tuple[int, int]]:
-        """CRL entries (owner, target) for one clause.
-
-        The first literal's variable owns the variable-variable edge;
-        the auxiliary owns its three connections (it has no vertical
-        line, so it must be the one extending onto horizontal qubits).
-        """
-        clause = encoding.clauses[clause_index]
-        aux = encoding.aux_of_clause[clause_index]
-        variables = [lit.var for lit in clause.lits]
-        if len(variables) == 1:
-            return []
-        if len(variables) == 2:
-            return [(variables[0], variables[1])]
-        assert aux is not None
-        v1, v2, v3 = variables
-        return [(v1, v2), (aux, v1), (aux, v2), (aux, v3)]
-
-    def _span_columns(
-        self,
-        owner: int,
-        targets: Sequence[int],
-        line_of_var: Dict[int, VerticalLine],
-    ) -> Optional[Tuple[int, int]]:
-        """Cell-column span a segment must cover, or None if a target
-        (or a vertical owner) has no vertical line."""
+    def _span(
+        self, owner: int, targets: Sequence[int], line_of_var: Dict[int, int]
+    ) -> Optional[Tuple[int, int, int]]:
+        """``(first col, last col, column bit mask)`` a segment must
+        cover, or None if a target (or a vertical owner) has no
+        vertical line."""
+        shore = self.hardware.shore
         cols: List[int] = []
         if owner in line_of_var:
-            cols.append(line_of_var[owner].col)
+            cols.append(line_of_var[owner] // shore)
         elif owner <= 0:
             return None
         for target in targets:
             line = line_of_var.get(target)
             if line is None:
                 return None
-            cols.append(line.col)
+            cols.append(line // shore)
         if not cols:
             return None
-        return min(cols), max(cols)
-
-    def _record_couplings(
-        self,
-        owner: int,
-        targets: Sequence[int],
-        segment: _Segment,
-        line_of_var: Dict[int, VerticalLine],
-        coupling_rows: Dict[int, Set[int]],
-        realized: Dict[Edge, List[Tuple[int, int]]],
-    ) -> None:
-        """Mark the problem edges realised by a freshly allocated segment."""
-        hardware = self.hardware
-        row = segment.line.row
-        for target in targets:
-            vline = line_of_var[target]
-            vq, hq = hardware.crossing_qubits(vline, segment.line)
-            realized.setdefault(_norm_edge(owner, target), []).append((hq, vq))
-            coupling_rows[target].add(row)
-        if owner in line_of_var:
-            coupling_rows[owner].add(row)
-
-    def _split_pass(
-        self,
-        pending: List[Tuple[int, List[int]]],
-        free: Dict[HorizontalLine, List[bool]],
-        hlines: List[HorizontalLine],
-        segments: List[_Segment],
-        line_of_var: Dict[int, VerticalLine],
-        coupling_rows: Dict[int, Set[int]],
-        realized: Dict[Edge, List[Tuple[int, int]]],
-    ) -> List[Tuple[int, List[int]]]:
-        """Retry failed merged requirements one target at a time.
-
-        Only vertical owners can split (an auxiliary chain must stay a
-        single connected segment).
-        """
-        still_failed: List[Tuple[int, List[int]]] = []
-        for owner, targets in pending:
-            if owner not in line_of_var:
-                still_failed.append((owner, targets))
-                continue
-            unplaced: List[int] = []
-            for target in targets:
-                placed = False
-                for line in hlines:
-                    if line not in free:
-                        free[line] = [True] * self.hardware.cols
-                    cells = free[line]
-                    span = self._span_columns(owner, [target], line_of_var)
-                    if span is None:
-                        break
-                    c1, c2 = span
-                    if all(cells[c] for c in range(c1, c2 + 1)):
-                        segment = _Segment(owner, line, c1, c2)
-                        segments.append(segment)
-                        for c in range(c1, c2 + 1):
-                            cells[c] = False
-                        self._record_couplings(
-                            owner, [target], segment, line_of_var,
-                            coupling_rows, realized,
-                        )
-                        placed = True
-                        break
-                if not placed:
-                    unplaced.append(target)
-            if unplaced:
-                still_failed.append((owner, unplaced))
-        return still_failed
-
-    def _build_chains(
-        self,
-        line_of_var: Dict[int, VerticalLine],
-        segments: List[_Segment],
-        coupling_rows: Dict[int, Set[int]],
-    ) -> Embedding:
-        """Assemble chains: trimmed vertical spans plus owned segments."""
-        hardware = self.hardware
-        segments_of: Dict[int, List[_Segment]] = {}
-        for segment in segments:
-            segments_of.setdefault(segment.owner, []).append(segment)
-
-        embedding = Embedding()
-        for var, vline in line_of_var.items():
-            rows = set(coupling_rows.get(var, set()))
-            if not rows:
-                rows = {hardware.rows - 1}
-            line_qubits = hardware.vertical_line_qubits(vline)
-            qubits: List[int] = list(line_qubits[min(rows) : max(rows) + 1])
-            for segment in segments_of.get(var, []):
-                qubits.extend(segment.qubits(hardware))
-            embedding.set_chain(var, qubits)
-        for owner, owned in segments_of.items():
-            if owner in line_of_var:
-                continue
-            qubits = [q for segment in owned for q in segment.qubits(hardware)]
-            embedding.set_chain(owner, qubits)
-        return embedding
-
-    def _classify_clauses(
-        self,
-        encoding: FormulaEncoding,
-        candidates: List[int],
-        line_of_var: Dict[int, VerticalLine],
-        embedding: Embedding,
-        realized: Dict[Edge, List[Tuple[int, int]]],
-    ) -> Tuple[List[int], List[int]]:
-        """Partition clause indices into embedded / unembedded."""
-        embedded: List[int] = []
-        unembedded: List[int] = list(
-            range(len(candidates), len(encoding.clauses))
-        )
-        for k in candidates:
-            clause = encoding.clauses[k]
-            vars_ok = all(lit.var in line_of_var for lit in clause.lits)
-            edges_ok = all(
-                realized.get(edge) for edge in clause_edges(encoding, k)
-            )
-            aux = encoding.aux_of_clause[k]
-            aux_ok = aux is None or aux in embedding
-            if vars_ok and edges_ok and aux_ok:
-                embedded.append(k)
-            else:
-                unembedded.append(k)
-        return embedded, sorted(unembedded)
+        c1, c2 = min(cols), max(cols)
+        return c1, c2, ((1 << (c2 - c1 + 1)) - 1) << c1

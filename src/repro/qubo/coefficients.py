@@ -20,19 +20,21 @@ term ``k``, so the largest admissible scale has a closed form::
     s* = min over b_k != 0 of (t_k − sign(b_k)·a_k) / |b_k|
 
 where ``t_k`` is ``2·d*`` for a linear and ``d*`` for a quadratic term.
-One pass over the terms builds ``a``, ``b`` and ``t`` as arrays; the
-objective itself is rebuilt once, at the chosen scale.
+The encoding's term arrays give ``a``, ``b`` and ``t`` in one
+``np.bincount`` each, and :meth:`FormulaEncoding.with_coefficients`
+sets the new α without summing anything: the re-weighted objective is
+built if and when something reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.qubo.encoding import FormulaEncoding, SubClauseObjective
+from repro.qubo.encoding import FormulaEncoding
 
 #: Relative slack on ``d*`` (absorbs float rounding in the sums).
 _D_STAR_SLACK = 1e-9
@@ -67,39 +69,6 @@ class CoefficientAdjustment:
         return max(self.alphas.values(), default=1.0)
 
 
-def _summed_terms(
-    subs: Sequence[SubClauseObjective],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every (sub-objective, term) coefficient as flat arrays.
-
-    Returns ``(term, source, coeff, bound)``: entry ``i`` says that
-    sub-objective ``source[i]`` contributes ``coeff[i]`` (unweighted) to
-    summed term ``term[i]``; ``bound[k]`` is 2 for a linear and 1 for a
-    quadratic term (the Eq. 6 ranges in units of ``d*``).  Entries are
-    in the order :meth:`FormulaEncoding.with_coefficients` adds them.
-    """
-    index: Dict[object, int] = {}
-    bound = []
-    term, source, coeff = [], [], []
-    for j, sub in enumerate(subs):
-        objective = sub.objective
-        for keys, width in ((objective.linear, 2.0), (objective.quadratic, 1.0)):
-            for key, value in keys.items():
-                k = index.get(key)
-                if k is None:
-                    k = index[key] = len(bound)
-                    bound.append(width)
-                term.append(k)
-                source.append(j)
-                coeff.append(value)
-    return (
-        np.array(term, dtype=np.intp),
-        np.array(source, dtype=np.intp),
-        np.array(coeff),
-        np.array(bound),
-    )
-
-
 def adjust_coefficients(encoding: FormulaEncoding) -> CoefficientAdjustment:
     """Apply the Section IV-C adjustment to an α = 1 encoding.
 
@@ -112,33 +81,32 @@ def adjust_coefficients(encoding: FormulaEncoding) -> CoefficientAdjustment:
     the original's, the boost is scaled back to the closed-form ``s*``
     of the module docstring, rounded down to a multiple of 2^-30 (the
     resolution the tests pin α at), and clamped to ``[0, 1 − 2^-30]``.
-    The adjusted objective is built once, by
-    :meth:`FormulaEncoding.with_coefficients`.
     """
-    d_star = encoding.objective.d_star()
-    alphas: Dict[Tuple[int, int], float] = {}
-    d_values: Dict[Tuple[int, int], float] = {}
-    for sub in encoding.sub_objectives:
-        key = (sub.clause_index, sub.part)
-        d_ij = sub.d_value()
-        d_values[key] = d_ij
-        if d_ij <= 0.0 or d_star <= 0.0:
-            alphas[key] = 1.0
-        else:
-            # Only ever *increase* weak coefficients: cross-clause
-            # cancellation can leave the summed d* below an individual
-            # sub-clause's d_ij, and scaling that sub-clause down would
-            # shrink its penalty (never intended by Section IV-C).
-            alphas[key] = max(1.0, d_star / d_ij)
+    layout = encoding.layout
+    # Number the summed terms: a variable, or a pair coded above every
+    # variable.  Terms run in sub-objective order, so np.bincount sums
+    # each one as with_coefficients would.
+    u, v = layout.keys.T
+    span = int(layout.keys.max(initial=0)) + 1
+    keys, term = np.unique(np.where(u == v, u, span * u + v), return_inverse=True)
+    source, coeff = layout.sub, layout.coeff
+    size = len(keys)
+    bound = np.where(keys < span, 2.0, 1.0)
+    summed = np.bincount(term, weights=encoding.alpha[source] * coeff, minlength=size)
+    d_star = float(np.max(np.abs(summed) / bound, initial=0.0))
 
+    d_values = layout.d_value
+    alpha = np.ones(len(d_values))
     if d_star > 0.0:
+        # Only ever *increase* weak coefficients: cross-clause
+        # cancellation can leave the summed d* below an individual
+        # sub-clause's d_ij, and scaling that sub-clause down would
+        # shrink its penalty (never intended by Section IV-C).
+        weak = d_values > 0.0
+        alpha[weak] = np.maximum(1.0, d_star / d_values[weak])
         limit = d_star * (1.0 + _D_STAR_SLACK)
-        subs = encoding.sub_objectives
-        term, source, coeff, bound = _summed_terms(subs)
-        alpha = np.array([alphas[(s.clause_index, s.part)] for s in subs])
-        size = len(bound)
-        # The raised objective's coefficients, summed exactly as
-        # with_coefficients sums them (bincount adds in input order).
+        # The raised objective's coefficients (bincount adds in input
+        # order, which is sub-objective order).
         raised = np.bincount(term, weights=alpha[source] * coeff, minlength=size)
         if float(np.max(np.abs(raised) / bound)) > limit:
             a = np.bincount(term, weights=coeff, minlength=size)
@@ -152,13 +120,13 @@ def adjust_coefficients(encoding: FormulaEncoding) -> CoefficientAdjustment:
                 s_star = float(np.min(room / np.abs(b[moving])))
             steps = 1 << _SCALE_BITS
             scale = min(max(math.floor(s_star * steps), 0), steps - 1) / steps
-            alphas = {
-                key: 1.0 + scale * (value - 1.0) for key, value in alphas.items()
-            }
+            alpha = 1.0 + scale * (alpha - 1.0)
 
+    keys = encoding.sub_keys
+    alphas = dict(zip(keys, alpha.tolist()))
     return CoefficientAdjustment(
         encoding=encoding.with_coefficients(alphas),
         d_star=d_star,
         alphas=alphas,
-        d_values=d_values,
+        d_values=dict(zip(keys, d_values.tolist())),
     )

@@ -15,32 +15,34 @@ Each sub-objective is zero exactly when its sub-clause is satisfied and
 positive otherwise; the formula objective is the coefficient-weighted
 sum of Eq. 5.  Clauses of width 1 or 2 need no auxiliary variable: the
 direct product penalty ``Π (1 − H_li)`` is already at most quadratic.
+
+A clause's sub-objectives depend only on its width and sign pattern,
+its *shape*.  :func:`encode_clause` runs once per shape, on template
+variables; encoding a :class:`~repro.sat.cnf.ClauseTable` gathers each
+clause's shape terms with its own variables in place.  Summing adds the
+gathered terms one at a time, in sub-objective order: the values and
+dict key order of adding each sub-objective's dict in turn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.qubo.ising import LinearExpr, QuadraticObjective
-from repro.sat.cnf import CNF, Clause
+from repro.sat.cnf import CNF, Clause, ClauseTable
 
 
 @dataclass(frozen=True)
 class SubClauseObjective:
     """One Eq. 4 sub-objective with its Eq. 5 coefficient.
 
-    Attributes
-    ----------
-    clause_index:
-        Index of the originating clause in the encoded clause list.
-    part:
-        1 or 2 (``c_{k,1}`` / ``c_{k,2}``); width-<=2 clauses have a
-        single part numbered 1.
-    objective:
-        The *unweighted* penalty objective.
-    coefficient:
-        The α weight applied when summing into the formula objective.
+    Part ``part`` (``c_{k,1}`` / ``c_{k,2}``; width-<=2 clauses have
+    part 1 only) of encoded clause ``clause_index``: the *unweighted*
+    penalty ``objective`` and the α ``coefficient`` it is summed with.
     """
 
     clause_index: int
@@ -48,74 +50,175 @@ class SubClauseObjective:
     objective: QuadraticObjective
     coefficient: float = 1.0
 
-    def with_coefficient(self, alpha: float) -> "SubClauseObjective":
-        """Same sub-objective with a different α."""
-        if alpha <= 0:
-            raise ValueError(f"sub-clause coefficient must be positive, got {alpha}")
-        return SubClauseObjective(self.clause_index, self.part, self.objective, alpha)
-
     def d_value(self) -> float:
         """The Eq. 7 per-sub-clause maximum coefficient ``d_{i,j}``
         (measured on the unweighted objective)."""
         return self.objective.d_star()
 
 
-@dataclass(frozen=True)
+class Layout(NamedTuple):
+    """Where an encoding's sub-objectives and terms come from.
+
+    Sub-objective ``j`` belongs to clause ``sub_clause[j]`` as part
+    ``sub_part[j]`` (1 or 2), with constant ``offset[j]`` and Eq. 7
+    ``d_value[j]``.  Term ``i`` adds ``coeff[i]`` (unweighted) to key
+    ``keys[i]`` of sub-objective ``sub[i]``: a pair ``u < v``, or
+    ``(v, v)`` for the linear term of ``v``.  Terms run in
+    sub-objective order, each sub-objective's in its dict order.
+    """
+
+    sub_clause: np.ndarray
+    sub_part: np.ndarray
+    offset: np.ndarray
+    d_value: np.ndarray
+    keys: np.ndarray
+    sub: np.ndarray
+    coeff: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _shapes():
+    """Per shape ``2^w − 2 + Σ 2^i·[literal i positive]``: its part
+    count, each part's ``(offset, d_ij)``, and a padded ``(ok, slots,
+    part, coeff)`` table of its terms, read off :func:`encode_clause`
+    on variables 1..3 and auxiliary 4 (slot ``s`` holds variable
+    ``s + 1``)."""
+    shapes = [
+        encode_clause(
+            Clause([v if signs >> (v - 1) & 1 else -v for v in range(1, width + 1)]),
+            4 if width == 3 else None,
+        )
+        for width in (1, 2, 3)
+        for signs in range(1 << width)
+    ]
+    listed = [
+        [
+            (pair, part, c)
+            for part, sub in enumerate(subs)
+            for pair, c in (
+                [((v, v), c) for v, c in sub.objective.linear.items()]
+                + list(sub.objective.quadratic.items())
+            )
+        ]
+        for subs in shapes
+    ]
+    ok = np.zeros((len(shapes), max(map(len, listed))), bool)
+    slots = np.zeros(ok.shape + (2,), np.intp)
+    part, coeff = np.zeros(ok.shape, np.intp), np.zeros(ok.shape)
+    parts = np.zeros((len(shapes), 2, 2))
+    for shape, subs in enumerate(shapes):
+        for j, sub in enumerate(subs):
+            parts[shape, j] = sub.objective.offset, sub.d_value()
+        for t, (pair, j, c) in enumerate(listed[shape]):
+            ok[shape, t], slots[shape, t], part[shape, t], coeff[shape, t] = (
+                True, np.subtract(pair, 1), j, c,
+            )
+    return np.array([len(subs) for subs in shapes]), parts, (ok, slots, part, coeff)
+
+
+def _gather(shape: np.ndarray, variables: np.ndarray) -> Layout:
+    """Every clause's shape terms, its ``variables`` row (literal
+    variables, then the auxiliary) filling the template's slots."""
+    num_subs, parts, (ok, slots, part, coeff) = _shapes()
+    counts = num_subs[shape]
+    first = np.cumsum(counts) - counts
+    clause = np.repeat(np.arange(len(counts)), counts)
+    sub_part = np.arange(len(clause)) - first[clause]
+    rows, t = np.nonzero(ok[shape])
+    s = shape[rows]
+    offset, d_value = parts[shape[clause], sub_part].T
+    return Layout(
+        clause, sub_part + 1, offset, d_value,
+        keys=variables[rows[:, None], slots[s, t]],
+        sub=first[rows] + part[s, t],
+        coeff=coeff[s, t],
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class FormulaEncoding:
     """A complete Eq. 5 encoding of a clause set.
 
-    Attributes
-    ----------
-    objective:
-        The summed objective ``Σ α_{k,j} H_{c_k,j}``.
-    sub_objectives:
-        The individual weighted parts (ablation and Sec. IV-C input).
-    aux_of_clause:
-        Auxiliary variable introduced for each encoded clause (None for
-        width-<=2 clauses).
-    num_formula_vars:
-        Variables ``1..num_formula_vars`` are formula variables; any
-        higher index is auxiliary.
-    clauses:
-        The encoded clauses, in order.
+    ``clauses`` (three literal columns) are encoded in order; ``aux``
+    holds each clause's auxiliary variable (0 below width 3), ``alpha``
+    the Eq. 5 coefficient of each sub-objective (clause order, part 1
+    first) and ``layout`` where each comes from.  Variables above
+    ``num_formula_vars`` are auxiliary.  The dict views are built when
+    first read.
     """
 
-    objective: QuadraticObjective
-    sub_objectives: Tuple[SubClauseObjective, ...]
-    aux_of_clause: Tuple[Optional[int], ...]
+    clauses: ClauseTable
+    aux: np.ndarray
+    alpha: np.ndarray
     num_formula_vars: int
-    clauses: Tuple[Clause, ...]
+    layout: Layout
+
+    @property
+    def sub_keys(self) -> List[Tuple[int, int]]:
+        """``(clause_index, part)`` of each sub-objective."""
+        layout = self.layout
+        return list(zip(layout.sub_clause.tolist(), layout.sub_part.tolist()))
+
+    @property
+    def aux_of_clause(self) -> Tuple[Optional[int], ...]:
+        """Auxiliary variable of each clause (None for width <= 2)."""
+        return tuple(a or None for a in self.aux.tolist())
 
     @property
     def aux_variables(self) -> Tuple[int, ...]:
         """All auxiliary variables, in clause order."""
-        return tuple(a for a in self.aux_of_clause if a is not None)
+        return tuple(a for a in self.aux.tolist() if a)
 
-    @property
-    def num_variables(self) -> int:
-        """Formula + auxiliary variable count in the objective."""
-        return len(self.objective.variables)
+    @cached_property
+    def objective(self) -> QuadraticObjective:
+        """The summed objective ``Σ α_{k,j} H_{c_k,j}``."""
+        return self.objective_over(range(len(self.clauses)))
+
+    def objective_over(self, clauses: Sequence[int]) -> QuadraticObjective:
+        """``Σ α·H`` over the sub-objectives of ``clauses`` only, adding
+        their terms one at a time in sub-objective order: the values and
+        dict key order of adding their dicts one by one."""
+        layout = self.layout
+        chosen = np.isin(layout.sub_clause, list(clauses))
+        total = QuadraticObjective()
+        for constant in (self.alpha * layout.offset)[chosen].tolist():
+            total.add_constant(constant)
+        keep = chosen[layout.sub]
+        keys = layout.keys[keep].tolist()
+        weights = (self.alpha[layout.sub] * layout.coeff)[keep].tolist()
+        for (u, v), weight in zip(keys, weights):
+            if u == v:
+                total.add_linear(u, weight)
+            else:
+                total.add_quadratic(u, v, weight)
+        return total
+
+    @cached_property
+    def sub_objectives(self) -> Tuple[SubClauseObjective, ...]:
+        """The individual weighted parts (ablation and Sec. IV-C input)."""
+        alphas = iter(self.alpha.tolist())
+        return tuple(
+            replace(sub, coefficient=next(alphas))
+            for k, (clause, aux) in enumerate(zip(self.clauses, self.aux_of_clause))
+            for sub in encode_clause(clause, aux, clause_index=k)
+        )
 
     def with_coefficients(self, alphas: Dict[Tuple[int, int], float]) -> "FormulaEncoding":
-        """Rebuild the summed objective with new α values.
+        """The same encoding with new α values.
 
         ``alphas`` maps ``(clause_index, part)`` to the coefficient;
         missing keys keep their current value.
         """
-        new_subs: List[SubClauseObjective] = []
-        total = QuadraticObjective()
-        for sub in self.sub_objectives:
-            alpha = alphas.get((sub.clause_index, sub.part), sub.coefficient)
-            new_sub = sub.with_coefficient(alpha)
-            new_subs.append(new_sub)
-            total.add_objective(new_sub.objective, scale=new_sub.coefficient)
-        return FormulaEncoding(
-            objective=total,
-            sub_objectives=tuple(new_subs),
-            aux_of_clause=self.aux_of_clause,
-            num_formula_vars=self.num_formula_vars,
-            clauses=self.clauses,
-        )
+        alpha = [
+            alphas.get(key, old)
+            for key, old in zip(self.sub_keys, self.alpha.tolist())
+        ]
+        for value in alpha:
+            if value <= 0:
+                raise ValueError(
+                    f"sub-clause coefficient must be positive, got {value}"
+                )
+        return replace(self, alpha=np.array(alpha, dtype=float))
 
 
 def encode_clause(
@@ -181,51 +284,43 @@ def encode_clause(
 
 
 def encode_formula(
-    clauses: Sequence[Clause],
+    clauses: Union[Sequence[Clause], ClauseTable],
     num_formula_vars: int,
     first_aux_var: Optional[int] = None,
 ) -> FormulaEncoding:
     """Encode a clause list into the Eq. 5 formula objective (α = 1).
 
-    Parameters
-    ----------
-    clauses:
-        Width-<=3 clauses (use :func:`repro.sat.to_3sat` first if
-        needed).  This can be a *subset* of a formula — HyQSAT's
-        frontend encodes only the clause queue.
-    num_formula_vars:
-        The highest formula variable index (aux numbering starts above).
-    first_aux_var:
-        Override the first auxiliary index (defaults to
-        ``num_formula_vars + 1``).
+    ``clauses`` are width-<=3 :class:`Clause` objects or a
+    ``ClauseTable`` (use :func:`repro.sat.to_3sat` first if needed),
+    possibly a *subset* of a formula: HyQSAT's frontend encodes only
+    the clause queue.  Auxiliary variables are numbered from
+    ``first_aux_var``, by default ``num_formula_vars + 1``.
     """
-    max_mentioned = max(
-        (lit.var for clause in clauses for lit in clause), default=0
-    )
+    table = clauses if isinstance(clauses, ClauseTable) else ClauseTable.of(clauses)
+    variables = np.abs(table.lits)
+    max_mentioned = int(variables.max(initial=0))
     if max_mentioned > num_formula_vars:
         raise ValueError(
             f"clause mentions variable {max_mentioned} > num_formula_vars="
             f"{num_formula_vars}"
         )
-    next_aux = first_aux_var if first_aux_var is not None else num_formula_vars + 1
-    subs: List[SubClauseObjective] = []
-    aux_list: List[Optional[int]] = []
-    total = QuadraticObjective()
-    for index, clause in enumerate(clauses):
-        aux: Optional[int] = None
-        if len(clause) == 3:
-            aux = next_aux
-            next_aux += 1
-        for sub in encode_clause(clause, aux, clause_index=index):
-            subs.append(sub)
-            total.add_objective(sub.objective, scale=sub.coefficient)
-        aux_list.append(aux)
+    width = np.count_nonzero(variables, axis=1)
+    repeated = (variables[:, 1:] == variables[:, :-1]) & (variables[:, 1:] != 0)
+    bad = (width == 0) | (width > 3) | repeated.any(axis=1)
+    if bad.any():
+        encode_clause(table[int(np.argmax(bad))], None)  # raises the reason
+    lits = np.pad(table.lits, ((0, 0), (0, 3)))[:, :3]
+    shape = (1 << width) - 2 + (lits > 0) @ np.array([1, 2, 4])
+    has_aux = width == 3
+    first = num_formula_vars + 1 if first_aux_var is None else first_aux_var
+    aux = np.where(has_aux, first + np.cumsum(has_aux) - 1, 0)
+    layout = _gather(shape, np.column_stack([np.abs(lits), aux]))
     return FormulaEncoding(
-        objective=total,
-        sub_objectives=tuple(subs),
-        aux_of_clause=tuple(aux_list),
+        clauses=ClauseTable(lits),
+        aux=aux,
+        alpha=np.ones(len(layout.sub_clause)),
         num_formula_vars=num_formula_vars,
-        clauses=tuple(clauses),
+        layout=layout,
     )
 
 

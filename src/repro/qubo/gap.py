@@ -16,7 +16,7 @@ Figure 15 sweeps).
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.qubo.encoding import FormulaEncoding
 from repro.sat.assignment import Assignment
@@ -24,16 +24,27 @@ from repro.sat.assignment import Assignment
 _MAX_EXHAUSTIVE_VARS = 22
 
 
-def _formula_vars(encoding: FormulaEncoding) -> List[int]:
-    # Union of objective and clause variables: coefficient cancellation
-    # (e.g. encoding both (x) and (¬x)) can erase a variable from the
-    # summed objective even though the clauses still mention it.
+def _assignments(encoding: FormulaEncoding) -> Iterator[Dict[int, int]]:
+    """Every 0/1 assignment of the encoding's formula variables.
+
+    Those are the objective's and the clauses' variables together:
+    coefficient cancellation (e.g. encoding both (x) and (¬x)) can
+    erase a variable from the summed objective while the clauses
+    still mention it.
+    """
     mentioned = {
         v for v in encoding.objective.variables if v <= encoding.num_formula_vars
     }
     for clause in encoding.clauses:
         mentioned.update(clause.variables)
-    return sorted(mentioned)
+    variables = sorted(mentioned)
+    if len(variables) > _MAX_EXHAUSTIVE_VARS:
+        raise ValueError(
+            f"exhaustive evaluation limited to {_MAX_EXHAUSTIVE_VARS} formula "
+            f"variables, got {len(variables)}"
+        )
+    for bits in product((0, 1), repeat=len(variables)):
+        yield dict(zip(variables, bits))
 
 
 def min_energy_given_x(
@@ -42,15 +53,14 @@ def min_energy_given_x(
     """Minimum energy over auxiliary variables for fixed formula bits.
 
     Returns ``(energy, full_assignment)`` where the full assignment
-    includes the optimal auxiliary values.  Exploits that each
-    auxiliary variable occurs in exactly one clause's sub-objectives,
-    so each can be optimised independently.
+    includes the optimal auxiliary values.  Each auxiliary variable
+    occurs in exactly one clause's sub-objectives, so each is
+    optimised independently.
     """
     full: Dict[int, int] = dict(x_assignment)
-    # Group weighted sub-objectives by their auxiliary variable.
     by_aux: Dict[Optional[int], List] = {}
-    for sub, aux in _subs_with_aux(encoding):
-        by_aux.setdefault(aux, []).append(sub)
+    for sub in encoding.sub_objectives:
+        by_aux.setdefault(encoding.aux_of_clause[sub.clause_index], []).append(sub)
 
     energy = 0.0
     for aux, subs in by_aux.items():
@@ -71,27 +81,14 @@ def min_energy_given_x(
     return energy, full
 
 
-def _subs_with_aux(encoding: FormulaEncoding):
-    """Pair each sub-objective with its clause's auxiliary variable."""
-    for sub in encoding.sub_objectives:
-        yield sub, encoding.aux_of_clause[sub.clause_index]
-
-
 def min_energy(encoding: FormulaEncoding) -> Tuple[float, Assignment]:
     """Global minimum of the encoding over all variables.
 
     For a correct Eq. 5 encoding this is 0 exactly when the encoded
     clause set is satisfiable.
     """
-    variables = _formula_vars(encoding)
-    if len(variables) > _MAX_EXHAUSTIVE_VARS:
-        raise ValueError(
-            f"exhaustive evaluation limited to {_MAX_EXHAUSTIVE_VARS} formula "
-            f"variables, got {len(variables)}"
-        )
     best: Optional[Tuple[float, Dict[int, int]]] = None
-    for bits in product((0, 1), repeat=len(variables)):
-        x = dict(zip(variables, bits))
+    for x in _assignments(encoding):
         energy, full = min_energy_given_x(encoding, x)
         if best is None or energy < best[0]:
             best = (energy, full)
@@ -105,18 +102,9 @@ def energy_gap(encoding: FormulaEncoding) -> float:
     Returns ``inf`` if every assignment satisfies all encoded clauses
     (no unsatisfying region exists to measure).
     """
-    variables = _formula_vars(encoding)
-    if len(variables) > _MAX_EXHAUSTIVE_VARS:
-        raise ValueError(
-            f"exhaustive evaluation limited to {_MAX_EXHAUSTIVE_VARS} formula "
-            f"variables, got {len(variables)}"
-        )
     gap = float("inf")
-    for bits in product((0, 1), repeat=len(variables)):
-        x = dict(zip(variables, bits))
+    for x in _assignments(encoding):
         assignment = Assignment({v: bool(b) for v, b in x.items()})
-        if all(assignment.satisfies_clause(c) for c in encoding.clauses):
-            continue
-        energy, _ = min_energy_given_x(encoding, x)
-        gap = min(gap, energy)
+        if not all(assignment.satisfies_clause(c) for c in encoding.clauses):
+            gap = min(gap, min_energy_given_x(encoding, x)[0])
     return gap

@@ -12,10 +12,7 @@ II-D) are expressed on these coefficients — so this library does too.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
-
-import networkx as nx
-import numpy as np
+from typing import Dict, Mapping, Optional, Set, Tuple
 
 
 def _edge(u: int, v: int) -> Tuple[int, int]:
@@ -116,11 +113,6 @@ class QuadraticObjective:
             out.add(v)
         return out
 
-    @property
-    def num_interactions(self) -> int:
-        """Number of non-zero quadratic terms."""
-        return len(self.quadratic)
-
     def linear_of(self, var: int) -> float:
         """Coefficient B of ``x_var`` (0 if absent)."""
         return self.linear.get(var, 0.0)
@@ -129,18 +121,13 @@ class QuadraticObjective:
         """Coefficient J of ``x_u x_v`` (0 if absent)."""
         return self.quadratic.get(_edge(u, v), 0.0)
 
-    def max_abs_linear(self) -> float:
-        """``max |B_i|`` (0 for an empty objective)."""
-        return max((abs(c) for c in self.linear.values()), default=0.0)
-
-    def max_abs_quadratic(self) -> float:
-        """``max |J_ij|`` (0 for an empty objective)."""
-        return max((abs(c) for c in self.quadratic.values()), default=0.0)
-
     def d_star(self) -> float:
         """The Eq. 6 normalisation denominator
-        ``max(max |B|/2, max |J|)``."""
-        return max(self.max_abs_linear() / 2.0, self.max_abs_quadratic())
+        ``max(max |B|/2, max |J|)`` (0 for an empty objective)."""
+        return max(
+            max(map(abs, self.linear.values()), default=0.0) / 2.0,
+            max(map(abs, self.quadratic.values()), default=0.0),
+        )
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -156,46 +143,6 @@ class QuadraticObjective:
             if assignment[u] and assignment[v]:
                 total += coeff
         return total
-
-    def to_arrays(
-        self, order: Optional[List[int]] = None
-    ) -> Tuple[float, np.ndarray, np.ndarray, List[int]]:
-        """Dense form for vectorised evaluation.
-
-        Returns ``(offset, b, J, order)`` where ``b[i]`` is the linear
-        coefficient of ``order[i]`` and ``J`` is the symmetric matrix
-        with ``J[i, j] = J[j, i] = coeff/2`` so that
-        ``H(x) = offset + b·x + xᵀ J x`` for a 0/1 vector ``x``.
-        """
-        if order is None:
-            order = sorted(self.variables)
-        index = {var: i for i, var in enumerate(order)}
-        n = len(order)
-        b = np.zeros(n)
-        J = np.zeros((n, n))
-        for var, coeff in self.linear.items():
-            b[index[var]] = coeff
-        for (u, v), coeff in self.quadratic.items():
-            i, j = index[u], index[v]
-            J[i, j] += coeff / 2.0
-            J[j, i] += coeff / 2.0
-        return self.offset, b, J, order
-
-    def energies(self, samples: np.ndarray, order: List[int]) -> np.ndarray:
-        """Vectorised energy of a ``(num_samples, len(order))`` 0/1 array."""
-        offset, b, J, _ = self.to_arrays(order)
-        x = samples.astype(float)
-        return offset + x @ b + np.einsum("si,ij,sj->s", x, J, x)
-
-    def problem_graph(self) -> nx.Graph:
-        """The Section II-D problem graph: vertices are variables with
-        weight B, edges are non-zero quadratic terms with weight J."""
-        graph = nx.Graph()
-        for var in self.variables:
-            graph.add_node(var, weight=self.linear.get(var, 0.0))
-        for (u, v), coeff in self.quadratic.items():
-            graph.add_edge(u, v, weight=coeff)
-        return graph
 
     # ------------------------------------------------------------------
     # Dunder plumbing
@@ -253,11 +200,6 @@ class LinearExpr:
     def variable(cls, var: int) -> "LinearExpr":
         """The bare variable ``x_var``."""
         return cls(0.0, {var: 1.0})
-
-    @classmethod
-    def constant(cls, value: float) -> "LinearExpr":
-        """A constant expression."""
-        return cls(value, {})
 
     def multiply_into(
         self, other: "LinearExpr", objective: QuadraticObjective, scale: float = 1.0

@@ -12,7 +12,10 @@ literals into dense non-negative indices internally (see
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence as SequenceABC
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class Lit:
@@ -177,6 +180,55 @@ class Clause:
         return " ∨ ".join(
             (f"x{lit.var}" if lit.positive else f"¬x{lit.var}") for lit in self._lits
         )
+
+
+class ClauseTable(SequenceABC):
+    """Clauses as one ``(m, w)`` array of signed DIMACS literals.
+
+    Row ``k`` holds clause ``k``'s literals in :class:`Clause` order,
+    zero-padded on the right, so whole clause sets can be masked and
+    gathered at once; indexing yields :class:`Clause` objects.
+    """
+
+    __slots__ = ("lits",)
+
+    def __init__(self, lits: np.ndarray):
+        self.lits = lits
+
+    @classmethod
+    def of(cls, clauses: Iterable[Clause]) -> "ClauseTable":
+        """The table of a clause sequence."""
+        rows = [[lit.value for lit in clause.lits] for clause in clauses]
+        lits = np.zeros((len(rows), max(map(len, rows), default=0)), np.int64)
+        for k, row in enumerate(rows):
+            lits[k, : len(row)] = row
+        return cls(lits)
+
+    def __len__(self) -> int:
+        return len(self.lits)
+
+    def __getitem__(self, k: int) -> Clause:
+        return Clause([lit for lit in self.lits[k].tolist() if lit])
+
+    def conditioned(
+        self, rows: Sequence[int], assigned: np.ndarray
+    ) -> Tuple["ClauseTable", np.ndarray]:
+        """Rows ``rows`` less the literals of assigned variables.
+
+        ``assigned`` is a boolean mask indexed by variable.  Rows left
+        with no literal are dropped; returns the residual table and the
+        kept row indices, in ``rows`` order.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        lits = self.lits[rows]
+        free = (lits != 0) & ~assigned[np.abs(lits)]
+        kept = free.any(axis=1)
+        lits, free = lits[kept], free[kept]
+        # Slide each row's surviving literals left, keeping their order.
+        order = np.argsort(~free, axis=1, kind="stable")
+        free = np.take_along_axis(free, order, axis=1)
+        lits = np.where(free, np.take_along_axis(lits, order, axis=1), 0)
+        return ClauseTable(lits), rows[kept]
 
 
 # Mapping import placed late to avoid polluting module namespace at the top.

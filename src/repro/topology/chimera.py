@@ -24,9 +24,11 @@ problem-graph edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -208,6 +210,17 @@ class ChimeraGraph:
         """Count of working couplers."""
         return sum(1 for _ in self.couplers())
 
+    @cached_property
+    def coupler_array(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every working coupler as ``(q1, q2)`` id arrays, ``q1 < q2``,
+        in :meth:`couplers` order; built from :meth:`neighbors` on first
+        use, so subclass couplers and broken qubits are covered."""
+        adjacency = [self.neighbors(q) for q in range(self.num_qubits)]
+        first = np.repeat(np.arange(self.num_qubits), [len(n) for n in adjacency])
+        second = np.array([q for n in adjacency for q in n], dtype=np.int64)
+        ordered = first < second
+        return first[ordered], second[ordered]
+
     def to_networkx(self) -> nx.Graph:
         """The working graph as a networkx graph (for the baselines)."""
         graph = nx.Graph()
@@ -247,19 +260,31 @@ class ChimeraGraph:
             for unit in range(self.shore)
         ]
 
+    @cached_property
+    def line_qubits(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """``(vertical, horizontal)`` qubit ids of every line, built on
+        first use: ``vertical[col * shore + unit]`` runs top row to
+        bottom row, ``horizontal[row * shore + unit]`` left to right."""
+        shore, cols = self.shore, self.cols
+        vertical = [
+            [(row * cols + col) * 2 * shore + unit for row in range(self.rows)]
+            for col in range(cols)
+            for unit in range(shore)
+        ]
+        horizontal = [
+            [((row * cols + col) * 2 + 1) * shore + unit for col in range(cols)]
+            for row in range(self.rows)
+            for unit in range(shore)
+        ]
+        return vertical, horizontal
+
     def vertical_line_qubits(self, line: VerticalLine) -> List[int]:
         """Qubit ids of a vertical line, top row to bottom row."""
-        return [
-            self.qubit_id(QubitCoord(row, line.col, 0, line.unit))
-            for row in range(self.rows)
-        ]
+        return list(self.line_qubits[0][self.vertical_line_index(line)])
 
     def horizontal_line_qubits(self, line: HorizontalLine) -> List[int]:
         """Qubit ids of a horizontal line, left to right."""
-        return [
-            self.qubit_id(QubitCoord(line.row, col, 1, line.unit))
-            for col in range(self.cols)
-        ]
+        return list(self.line_qubits[1][line.row * self.shore + line.unit])
 
     def vertical_line_of(self, qubit: int) -> Optional[VerticalLine]:
         """The vertical line containing ``qubit`` (None for horizontal)."""

@@ -139,6 +139,24 @@ class TestReadOnce:
                 "parse": len(specs), "fingerprint": len(specs)
             }
 
+    def test_one_signature_set_per_miss(self, specs, db_path, monkeypatch):
+        """A miss's lookup, donor search and record share one
+        clause-signature set."""
+        import repro.cache.persistent as persistent
+
+        calls = []
+        signatures = persistent.clause_signatures
+
+        def counted(formula):
+            calls.append(formula)
+            return signatures(formula)
+
+        monkeypatch.setattr(persistent, "clause_signatures", counted)
+        outcomes, stats = run_batch(specs[:1], cache_path=db_path)
+        assert stats.cache_misses == 1
+        assert outcomes[0].status in ("sat", "unsat")
+        assert len(calls) == 1
+
     def test_process_workers_read_their_own_instance(
         self, specs, db_path, monkeypatch
     ):

@@ -112,3 +112,27 @@ def test_corrupt_checkpoint_falls_back_to_fresh_solve(formula, tmp_path):
     assert not solver._resumed_from_checkpoint
     assert result.status == reference.status
     assert result.stats.conflicts == reference.stats.conflicts
+
+
+def test_one_fingerprint_per_checkpointed_solve(tmp_path, read_counts, monkeypatch):
+    """The resume check and every save share one formula fingerprint."""
+    from repro.service import checkpoint
+
+    saved = []
+    save = checkpoint.save_checkpoint
+
+    def counted(path, state):
+        saved.append(state["fingerprint"])
+        save(path, state)
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", counted)
+    formula = random_3sat(60, 256, np.random.default_rng(3))
+    HyQSatSolver(
+        formula,
+        config=HyQSatConfig(
+            seed=SEED, checkpoint_every=5, checkpoint_path=str(tmp_path / "uf60.ckpt")
+        ),
+        solver_config=SolverConfig(seed=SEED),
+    ).solve()
+    assert len(saved) >= 3 and len(set(saved)) == 1
+    assert read_counts["fingerprint"] == 1

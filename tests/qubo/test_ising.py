@@ -1,7 +1,5 @@
 """Tests for the QuadraticObjective container."""
 
-import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,32 +82,10 @@ class TestEvaluation:
         obj = QuadraticObjective(linear={1: 2.0})
         assert obj.energy({1: True}) == 2.0
 
-    def test_to_arrays_matches_energy(self):
-        obj = QuadraticObjective(0.5, {1: 1.0, 3: -2.0}, {(1, 3): 4.0})
-        offset, b, J, order = obj.to_arrays()
-        for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            x = np.array(bits, dtype=float)
-            dense = offset + b @ x + x @ J @ x
-            sparse = obj.energy(dict(zip(order, bits)))
-            assert dense == pytest.approx(sparse)
-
-    def test_energies_vectorised(self):
-        obj = QuadraticObjective(1.0, {1: 1.0, 2: 1.0}, {(1, 2): -2.0})
-        samples = np.array([[0, 0], [1, 1], [1, 0]])
-        energies = obj.energies(samples, order=[1, 2])
-        assert list(energies) == [1.0, 1.0, 2.0]
-
     def test_d_star(self):
         obj = QuadraticObjective(linear={1: 4.0}, quadratic={(1, 2): -1.5})
         # max(|4|/2, |-1.5|) = 2.0
         assert obj.d_star() == 2.0
-
-    def test_problem_graph(self):
-        obj = QuadraticObjective(linear={1: 1.0}, quadratic={(1, 2): -1.0, (2, 3): 1.0})
-        g = obj.problem_graph()
-        assert set(g.nodes) == {1, 2, 3}
-        assert g.edges[(1, 2)]["weight"] == -1.0
-        assert nx.is_connected(g)
 
 
 class TestLinearExpr:
