@@ -32,6 +32,7 @@ from repro.annealer.unembed import majority_vote_unembed
 from repro.embedding.base import Edge, Embedding
 from repro.qubo.ising import QuadraticObjective
 from repro.sat.assignment import Assignment
+from repro.topology import build_hardware
 from repro.topology.chimera import ChimeraGraph
 
 
@@ -146,7 +147,7 @@ class AnnealerDevice:
         faults: Optional[FaultModel] = None,
         fault_seed: Optional[int] = None,
     ):
-        self.hardware = hardware or ChimeraGraph(16, 16, 4)
+        self.hardware = hardware or build_hardware()
         self.noise = noise or NoiseModel.noiseless()
         self.timing = timing or QpuTimingModel()
         self.sampler_config = sampler_config or SamplerConfig()

@@ -1,13 +1,15 @@
 """Clause-signature primitives of the subsumption index.
 
-A formula's *clause signature set* is one 16-byte hash per canonical
-clause row (the same sorted-literal rows :func:`repro.sat.cnf.
-fingerprint` hashes).  Set inclusion over signature sets decides the
-subset/superset relation between instances without storing (or
-re-parsing) either formula — 128-bit hashes make a false inclusion
-astronomically unlikely, and every SAT answer derived from one is
-re-validated against the *actual* new formula anyway, so only the
-UNSAT-propagation and clause-bank paths rely on the hash width.
+A formula's *clause signature set* is one 16-byte hash per clause:
+the clause's literals sorted by signed value, in decimal joined by
+spaces (``-3 1 2``, where :func:`repro.sat.cnf.fingerprint` hashes
+the :class:`~repro.sat.cnf.Clause` order ``1 2 -3``).  Set inclusion
+over signature sets decides the subset/superset relation between
+instances without storing (or re-parsing) either formula — 128-bit
+hashes make a false inclusion astronomically unlikely, and every SAT
+answer derived from one is re-validated against the *actual* new
+formula anyway, so only the UNSAT-propagation and clause-bank paths
+rely on the hash width.
 
 A 63-bit Bloom-style ``mask`` (one bit per clause hash) rides along
 as an SQL-side prefilter: ``A ⊆ B`` requires
@@ -20,7 +22,9 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterable, List, Sequence
 
-from repro.sat.cnf import CNF
+import numpy as np
+
+from repro.sat.cnf import CNF, ClauseTable
 
 #: Bytes kept per clause hash (128 bits: inclusion false-positives are
 #: negligible even across millions of cached clauses).
@@ -28,19 +32,17 @@ CLAUSE_SIG_BYTES = 16
 
 
 def clause_signatures(formula: CNF) -> List[bytes]:
-    """Sorted 16-byte content hashes, one per canonical clause row."""
-    sigs = []
-    for clause in formula.clauses:
-        row = " ".join(
-            str(value) for value in sorted(lit.value for lit in clause)
-        )
-        sigs.append(
-            hashlib.blake2b(
-                row.encode(), digest_size=CLAUSE_SIG_BYTES
-            ).digest()
-        )
-    sigs.sort()
-    return sigs
+    """Sorted 16-byte BLAKE2b hashes, one per clause, of the clause's
+    literals sorted by signed value and joined by spaces.  The cache DB
+    stores these, so the hashed rows must never change."""
+    lits = formula.table.lits
+    padding = np.iinfo(np.int64).max
+    by_value = np.sort(np.where(lits != 0, lits, padding), axis=1)
+    rows = ClauseTable(np.where(by_value == padding, 0, by_value)).text()
+    return sorted(
+        hashlib.blake2b(row, digest_size=CLAUSE_SIG_BYTES).digest()
+        for row in rows.split(b"\n")[:-1]
+    )
 
 
 def pack_signatures(sigs: Sequence[bytes]) -> bytes:
@@ -98,13 +100,18 @@ def model_satisfies(formula: CNF, model: Sequence[int]) -> bool:
 
     This is the *re-validation* step of a subsumption hit: O(total
     literals), no search — cheap enough to run on every candidate.
+    When ``model`` names a variable twice, its last literal counts.
     """
-    signs = {abs(value): value > 0 for value in model}
-    for clause in formula.clauses:
-        for lit in clause:
-            assigned = signs.get(lit.var)
-            if assigned is not None and assigned == lit.positive:
-                break
-        else:
-            return False
-    return True
+    lits = formula.table.lits
+    model = np.asarray(model, dtype=np.int64).reshape(-1)[::-1]
+    variables, last = np.unique(np.abs(model), return_index=True)
+    if not len(variables):
+        return not len(lits)
+    positive = model[last] > 0
+    slot = np.searchsorted(variables, np.abs(lits)).clip(max=len(variables) - 1)
+    true = (
+        (lits != 0)
+        & (variables[slot] == np.abs(lits))
+        & (positive[slot] == (lits > 0))
+    )
+    return bool(true.any(axis=1).all())

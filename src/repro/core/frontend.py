@@ -1,8 +1,8 @@
 """The HyQSAT frontend: from CDCL to QA (Section IV).
 
-The frontend holds one :class:`~repro.sat.cnf.ClauseTable` per solve:
-the formula's clauses as rows of signed literals.  Pipeline per QA
-call, on index arrays rather than per-clause objects:
+The frontend works on the formula's own :attr:`~repro.sat.cnf.CNF.table`
+(its clauses as rows of signed literals, the form the parser builds).
+Pipeline per QA call, on index arrays rather than per-clause objects:
 
 1. take the clause queue (row indices into that table) and condition
    it on the trail: a mask drops the literals of assigned variables,
@@ -59,7 +59,7 @@ from repro.qubo.coefficients import adjust_coefficients
 from repro.qubo.encoding import FormulaEncoding, encode_formula
 from repro.qubo.normalization import normalize
 from repro.sat.assignment import Assignment
-from repro.sat.cnf import CNF, ClauseTable
+from repro.sat.cnf import CNF
 from repro.topology.chimera import ChimeraGraph
 
 #: The request object a prepared (and possibly cached) frontend call
@@ -149,7 +149,7 @@ class Frontend:
             declare_solver_metrics(self.observability.metrics)
         self._cache: "OrderedDict[CacheKey, Optional[FrontendResult]]" = OrderedDict()
         self._embedder = HyQSatEmbedder(hardware)
-        self._table = ClauseTable.of(formula.clauses)
+        self._table = formula.table
 
     def reset_cache(self) -> None:
         """Drop all cached entries and zero the hit/miss counters."""

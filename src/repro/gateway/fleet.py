@@ -130,15 +130,6 @@ class FleetRouter:
             key=lambda q: (q.num_qubits, 0 if q.topology == "pegasus" else 1),
         )
         self._probe_cache: Dict[Tuple[str, str], Tuple[int, int]] = {}
-        self._hardware_cache: Dict[Tuple[str, int], object] = {}
-
-    def _hardware(self, qpu: GatewayQpu):
-        from repro.topology import build_hardware
-
-        key = (qpu.topology, qpu.grid)
-        if key not in self._hardware_cache:
-            self._hardware_cache[key] = build_hardware(qpu.topology, qpu.grid)
-        return self._hardware_cache[key]
 
     def _probe(self, formula, fp: str, qpu: GatewayQpu) -> Tuple[int, int]:
         """(embedded, total) clauses of one formula on one device."""
@@ -148,12 +139,17 @@ class FleetRouter:
             return cached
         from repro.embedding import HyQSatEmbedder
         from repro.qubo import encode_formula
+        from repro.sat.cnf import ClauseTable
+        from repro.topology import build_hardware
 
         # Both CDCL engines drop tautologies, so the frontend never
         # deploys one: probe only the clauses it can.
-        clauses = [clause for clause in formula.clauses if not clause.is_tautology]
-        encoding = encode_formula(clauses, formula.num_vars)
-        embedded = HyQSatEmbedder(self._hardware(qpu)).embed(encoding)
+        table = formula.table
+        encoding = encode_formula(
+            ClauseTable(table.lits[~table.tautological()]), formula.num_vars
+        )
+        hardware = build_hardware(qpu.topology, qpu.grid)
+        embedded = HyQSatEmbedder(hardware).embed(encoding)
         placed = (embedded.num_embedded, len(encoding.clauses))
         self._probe_cache[key] = placed
         return placed

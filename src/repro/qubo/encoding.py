@@ -305,8 +305,7 @@ def encode_formula(
             f"{num_formula_vars}"
         )
     width = np.count_nonzero(variables, axis=1)
-    repeated = (variables[:, 1:] == variables[:, :-1]) & (variables[:, 1:] != 0)
-    bad = (width == 0) | (width > 3) | repeated.any(axis=1)
+    bad = (width == 0) | (width > 3) | table.tautological()
     if bad.any():
         encode_clause(table[int(np.argmax(bad))], None)  # raises the reason
     lits = np.pad(table.lits, ((0, 0), (0, 3)))[:, :3]

@@ -11,6 +11,7 @@ literals into dense non-negative indices internally (see
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from collections.abc import Sequence as SequenceABC
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -182,12 +183,22 @@ class Clause:
         )
 
 
+#: Largest variable index :meth:`ClauseTable.canonical` can order.
+MAX_VAR = 2**61
+
+#: Sort key of a padding cell: above every literal's key.
+_PAD_KEY = np.iinfo(np.int64).max
+
+
 class ClauseTable(SequenceABC):
     """Clauses as one ``(m, w)`` array of signed DIMACS literals.
 
     Row ``k`` holds clause ``k``'s literals in :class:`Clause` order,
     zero-padded on the right, so whole clause sets can be masked and
-    gathered at once; indexing yields :class:`Clause` objects.
+    gathered at once; indexing yields :class:`Clause` objects.  A
+    *canonical* table (what :meth:`of` and :meth:`canonical` return)
+    is also exactly as wide as its longest row, so equal clause
+    sequences have equal arrays.
     """
 
     __slots__ = ("lits",)
@@ -204,11 +215,57 @@ class ClauseTable(SequenceABC):
             lits[k, : len(row)] = row
         return cls(lits)
 
+    @classmethod
+    def canonical(cls, lits: np.ndarray) -> "ClauseTable":
+        """The table of zero-padded rows of literals in any order: each
+        row sorted into :class:`Clause` order with repeated literals
+        dropped, the width trimmed to the longest row.  Variables may
+        not exceed :data:`MAX_VAR`."""
+        keys = np.where(lits != 0, 2 * np.abs(lits) + (lits < 0), _PAD_KEY)
+        keys.sort(axis=1)
+        repeat = (keys[:, 1:] == keys[:, :-1]) & (keys[:, 1:] != _PAD_KEY)
+        if repeat.any():
+            keys[:, 1:][repeat] = _PAD_KEY
+            keys.sort(axis=1)
+        keys = keys[:, : np.count_nonzero(keys != _PAD_KEY, axis=1).max(initial=0)]
+        variables = keys >> 1
+        return cls(
+            np.where(keys == _PAD_KEY, 0, np.where(keys & 1, -variables, variables))
+        )
+
     def __len__(self) -> int:
         return len(self.lits)
 
     def __getitem__(self, k: int) -> Clause:
         return Clause([lit for lit in self.lits[k].tolist() if lit])
+
+    def tautological(self) -> np.ndarray:
+        """Per row: whether it holds a literal and its negation (two
+        neighbours share a variable, which Clause order guarantees)."""
+        variables = np.abs(self.lits)
+        return (
+            (variables[:, 1:] == variables[:, :-1]) & (variables[:, 1:] != 0)
+        ).any(axis=1)
+
+    def text(self) -> bytes:
+        """Every row as one ASCII line: its literals in decimal, joined
+        by single spaces (a DIMACS clause line without the ``0``)."""
+        lits = self.lits
+        size = np.abs(lits)[..., None]
+        places = 10 ** np.arange(len(str(size.max(initial=0))) - 1, -1, -1)
+        digits = np.where(size >= places, size // places % 10 + ord("0"), 0)
+        sign = np.where(lits < 0, ord("-"), 0)[..., None]
+        last = np.count_nonzero(lits, axis=1)[:, None] - 1
+        space = np.where(np.arange(lits.shape[1]) < last, ord(" "), 0)[..., None]
+        cells = np.concatenate([sign, digits, space], axis=2)
+        chars = np.concatenate(
+            [
+                cells.reshape(len(lits), cells.shape[1] * cells.shape[2]),
+                np.full((len(lits), 1), ord("\n")),
+            ],
+            axis=1,
+        ).ravel()
+        return chars[chars != 0].astype(np.uint8).tobytes()
 
     def conditioned(
         self, rows: Sequence[int], assigned: np.ndarray
@@ -238,6 +295,14 @@ from typing import Mapping  # noqa: E402
 class CNF:
     """A propositional formula in conjunctive normal form.
 
+    The formula holds its clauses in one of two forms and derives the
+    other once, on first use: a canonical :class:`ClauseTable`
+    (:attr:`table`; the parser builds only this) and the tuple of
+    :class:`Clause` objects (:attr:`clauses`, iteration and indexing;
+    the constructor builds only this).  Counts, equality, hashing,
+    pickling and :func:`fingerprint` read the table, so a formula that
+    is only parsed, keyed and looked up never builds a ``Clause``.
+
     Parameters
     ----------
     clauses:
@@ -249,28 +314,44 @@ class CNF:
         the range (it is an error to claim fewer variables than appear).
     """
 
-    __slots__ = ("_clauses", "_num_vars")
+    __slots__ = ("_clauses", "_table", "_num_vars")
 
     def __init__(self, clauses: Iterable[object] = (), num_vars: Optional[int] = None):
-        coerced: List[Clause] = []
-        for clause in clauses:
-            if isinstance(clause, Clause):
-                coerced.append(clause)
-            else:
-                coerced.append(Clause(clause))
-        self._clauses: Tuple[Clause, ...] = tuple(coerced)
-        max_var = max((lit.var for c in self._clauses for lit in c), default=0)
-        if num_vars is None:
-            num_vars = max_var
-        elif num_vars < max_var:
-            raise ValueError(
-                f"num_vars={num_vars} but formula mentions variable {max_var}"
-            )
-        self._num_vars = num_vars
+        self._clauses: Optional[Tuple[Clause, ...]] = tuple(
+            clause if isinstance(clause, Clause) else Clause(clause)
+            for clause in clauses
+        )
+        self._table: Optional[ClauseTable] = None
+        self._num_vars = _checked_num_vars(
+            num_vars, max((lit.var for c in self._clauses for lit in c), default=0)
+        )
+
+    @classmethod
+    def from_table(cls, table: ClauseTable, num_vars: Optional[int] = None) -> "CNF":
+        """The formula of a canonical table (see :class:`ClauseTable`);
+        ``num_vars`` as in the constructor."""
+        formula = cls.__new__(cls)
+        formula._clauses = None
+        formula._table = table
+        formula._num_vars = _checked_num_vars(
+            num_vars, int(np.abs(table.lits).max(initial=0))
+        )
+        return formula
+
+    @property
+    def table(self) -> ClauseTable:
+        """The clauses as one canonical table (built on first use)."""
+        if self._table is None:
+            self._table = ClauseTable.of(self._clauses)
+        return self._table
 
     @property
     def clauses(self) -> Tuple[Clause, ...]:
-        """The clause tuple (order-preserving)."""
+        """The clause tuple (order-preserving; built on first use)."""
+        if self._clauses is None:
+            self._clauses = tuple(
+                Clause(filter(None, row)) for row in self._table.lits.tolist()
+            )
         return self._clauses
 
     @property
@@ -281,19 +362,19 @@ class CNF:
     @property
     def num_clauses(self) -> int:
         """Number of clauses."""
-        return len(self._clauses)
+        return len(self.table)
 
     @property
     def variables(self) -> FrozenSet[int]:
         """Variables that actually occur in some clause."""
         return frozenset(
-            itertools.chain.from_iterable(c.variables for c in self._clauses)
+            itertools.chain.from_iterable(c.variables for c in self.clauses)
         )
 
     @property
     def max_clause_size(self) -> int:
         """Size of the widest clause (0 for an empty formula)."""
-        return max((len(c) for c in self._clauses), default=0)
+        return self.table.lits.shape[1]
 
     @property
     def is_3sat(self) -> bool:
@@ -304,20 +385,20 @@ class CNF:
     def clause_ratio(self) -> float:
         """Clause-to-variable ratio m/n (``inf`` when n == 0)."""
         if self._num_vars == 0:
-            return float("inf") if self._clauses else 0.0
+            return float("inf") if self.num_clauses else 0.0
         return self.num_clauses / self._num_vars
 
     def satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
         """Whether an assignment satisfies every clause."""
-        return all(c.satisfied_by(assignment) for c in self._clauses)
+        return all(c.satisfied_by(assignment) for c in self.clauses)
 
     def unsatisfied_clauses(self, assignment: Mapping[int, bool]) -> List[Clause]:
         """Clauses not satisfied by ``assignment`` (partial assignments allowed)."""
-        return [c for c in self._clauses if not c.satisfied_by(assignment)]
+        return [c for c in self.clauses if not c.satisfied_by(assignment)]
 
     def with_clauses(self, extra: Iterable[object]) -> "CNF":
         """A new formula with ``extra`` clauses appended."""
-        return CNF(list(self._clauses) + list(extra), num_vars=None)
+        return CNF(list(self.clauses) + list(extra), num_vars=None)
 
     def restrict(self, assignment: Mapping[int, bool]) -> "CNF":
         """Apply a partial assignment, dropping satisfied clauses and
@@ -327,7 +408,7 @@ class CNF:
         remain comparable with the original formula.
         """
         reduced: List[Clause] = []
-        for clause in self._clauses:
+        for clause in self.clauses:
             if clause.satisfied_by(assignment):
                 continue
             remaining = [
@@ -339,37 +420,54 @@ class CNF:
     def clause_index(self) -> Dict[int, List[int]]:
         """Map each variable to the list of clause indices mentioning it."""
         index: Dict[int, List[int]] = {}
-        for i, clause in enumerate(self._clauses):
+        for i, clause in enumerate(self.clauses):
             for var in clause.variables:
                 index.setdefault(var, []).append(i)
         return index
 
     def __len__(self) -> int:
-        return len(self._clauses)
+        return self.num_clauses
 
     def __iter__(self) -> Iterator[Clause]:
-        return iter(self._clauses)
+        return iter(self.clauses)
 
     def __getitem__(self, i: int) -> Clause:
-        return self._clauses[i]
+        return self.clauses[i]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CNF):
-            return (
-                self._clauses == other._clauses and self._num_vars == other._num_vars
+            return self._num_vars == other._num_vars and np.array_equal(
+                self.table.lits, other.table.lits
             )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._clauses, self._num_vars))
+        lits = self.table.lits
+        return hash((lits.shape, lits.tobytes(), self._num_vars))
+
+    def __reduce__(self):
+        # Ship the table (one integer array), never Clause objects; a
+        # process worker that solves builds its Clause tuple on first use.
+        return CNF.from_table, (self.table, self._num_vars)
 
     def __repr__(self) -> str:
         return f"CNF(num_vars={self._num_vars}, num_clauses={self.num_clauses})"
 
     def __str__(self) -> str:
-        if not self._clauses:
+        if not self.num_clauses:
             return "⊤"
-        return " ∧ ".join(f"({c})" for c in self._clauses)
+        return " ∧ ".join(f"({c})" for c in self.clauses)
+
+
+def _checked_num_vars(num_vars: Optional[int], max_var: int) -> int:
+    """An explicit ``num_vars``, or ``max_var`` when None; never below it."""
+    if num_vars is None:
+        return max_var
+    if num_vars < max_var:
+        raise ValueError(
+            f"num_vars={num_vars} but formula mentions variable {max_var}"
+        )
+    return num_vars
 
 
 def clause(*lits: object) -> Clause:
@@ -396,13 +494,20 @@ def fingerprint(formula: CNF) -> str:
     equal fingerprints may produce different models/statistics when
     solved separately; deduplication trades that for solving each
     distinct instance once.
-    """
-    import hashlib
 
-    digest = hashlib.sha256()
-    digest.update(f"p cnf {formula.num_vars} {formula.num_clauses}\n".encode())
-    rows = sorted(tuple(lit.value for lit in c) for c in formula.clauses)
-    for row in rows:
-        digest.update(" ".join(str(v) for v in row).encode())
-        digest.update(b"\n")
+    The hashed bytes are ``p cnf <num_vars> <num_clauses>`` and then
+    one line per sorted row of :attr:`CNF.table`, as
+    :meth:`ClauseTable.text` writes it; the cache DB and the dedup key
+    store these digests, so that byte stream must never change.
+    """
+    lits = formula.table.lits
+    if lits.shape[1]:
+        # Python tuple order: a row that prefixes another sorts first,
+        # so padding sorts below every literal.
+        keys = np.where(lits != 0, lits, np.iinfo(np.int64).min)
+        lits = lits[np.lexsort(keys.T[::-1])]
+    digest = hashlib.sha256(
+        f"p cnf {formula.num_vars} {len(lits)}\n".encode()
+    )
+    digest.update(ClauseTable(lits).text())
     return digest.hexdigest()

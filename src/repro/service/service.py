@@ -263,8 +263,7 @@ class SolverService:
                 self.config.checkpoint_dir,
                 warm.clauses if warm is not None else None,
                 self.cache is not None and key is not None,
-                # Process workers re-read it: cheaper than a pickled CNF.
-                formula if self.pool.live_scheduling else None,
+                formula,
             )
             free_slots -= 1
             inflight[spec.job_id] = (spec, future, waited, key, formula, warm)

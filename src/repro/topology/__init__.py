@@ -11,8 +11,12 @@ lattice Pegasus-style (odd + cross-cell couplers) to probe the
 Table III claim that denser topologies shorten embedding chains.
 
 :func:`build_hardware` is the single factory the service and gateway
-layers use to turn a ``(topology, grid)`` pair into a hardware graph.
+layers use to turn a ``(topology, grid)`` pair into a hardware graph;
+it builds each lattice once per process.
 """
+
+import threading
+from typing import Dict, Tuple
 
 from repro.topology.chimera import (
     ChimeraGraph,
@@ -29,12 +33,22 @@ TOPOLOGIES = {
 }
 
 
+#: The graphs :func:`build_hardware` made, one per lattice.
+_BUILT: Dict[Tuple[str, int, int], ChimeraGraph] = {}
+_BUILT_LOCK = threading.Lock()
+
+
 def build_hardware(topology: str = "chimera", grid: int = 16, shore: int = 4):
-    """Build a ``grid x grid`` hardware graph of the named topology.
+    """The ``grid x grid`` hardware graph of the named topology.
 
     The single construction path shared by ``build_device``, the
-    gateway fleet, and the CLI so a ``(topology, grid)`` pair always
-    means the same graph (the bit-identity contract depends on this).
+    default :class:`~repro.annealer.device.AnnealerDevice`, and the
+    gateway fleet, so a ``(topology, grid)`` pair always means the same
+    graph (the bit-identity contract depends on this).  Each lattice is
+    built once per process and shared: a graph never changes after
+    construction, and the tables it builds on first use (adjacency,
+    coupler array, line qubits) come out the same whichever thread
+    builds them, so every job on a lattice after the first reuses them.
     """
     try:
         cls = TOPOLOGIES[topology]
@@ -44,7 +58,11 @@ def build_hardware(topology: str = "chimera", grid: int = 16, shore: int = 4):
         ) from None
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    return cls(rows=grid, cols=grid, shore=shore)
+    key = (topology, grid, shore)
+    with _BUILT_LOCK:
+        if key not in _BUILT:
+            _BUILT[key] = cls(rows=grid, cols=grid, shore=shore)
+        return _BUILT[key]
 
 
 __all__ = [

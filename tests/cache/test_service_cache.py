@@ -4,6 +4,7 @@ no-double-billing guarantee."""
 
 from __future__ import annotations
 
+import os
 import sqlite3
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from repro.benchgen.random_ksat import random_3sat
 from repro.cache import PersistentResultStore
 from repro.sat import to_dimacs
+from repro.sat.cnf import CNF
 from repro.service import JobSpec, run_job
 from repro.service.service import run_batch
 
@@ -123,7 +125,7 @@ class TestBrokenCache:
 
 class TestReadOnce:
     """The coordinator reads each instance once; the cache and the
-    thread or inline worker share that formula and its fingerprint."""
+    worker, on every pool, share that formula and its fingerprint."""
 
     @pytest.mark.parametrize("pool_mode", ["thread", "inline"])
     def test_one_parse_and_one_fingerprint_per_job(
@@ -157,27 +159,47 @@ class TestReadOnce:
         assert outcomes[0].status in ("sat", "unsat")
         assert len(calls) == 1
 
-    def test_process_workers_read_their_own_instance(
-        self, specs, db_path, monkeypatch
+    def test_process_workers_solve_the_coordinators_formula(
+        self, specs, db_path, tmp_path, monkeypatch
     ):
-        """Process pools ship the spec alone: a parsed CNF costs more
-        to pickle than to parse again in the worker."""
+        """Process pools get the parsed formula too, so a job is read
+        once on every pool: each instance file is deleted as its job is
+        submitted, and the worker still answers as a solo run does."""
         from repro.service.pool import WorkerPool
 
+        on_disk = []
+        for spec in specs[:2]:
+            path = tmp_path / f"{spec.job_id}.cnf"
+            path.write_text(spec.dimacs)
+            on_disk.append(
+                JobSpec(job_id=spec.job_id, path=str(path), seed=spec.seed)
+            )
         shipped = []
         submit = WorkerPool.submit
 
         def spy(pool, fn, *args):
-            shipped.append(args)
+            shipped.append(args[-1])
+            os.remove(args[0].path)
             return submit(pool, fn, *args)
 
         monkeypatch.setattr(WorkerPool, "submit", spy)
         outcomes, _ = run_batch(
-            specs[:2], workers=1, pool_mode="process", cache_path=db_path
+            on_disk, workers=1, pool_mode="process", cache_path=db_path
         )
-        assert all(o.state == "done" for o in outcomes)
-        assert len(shipped) == 2
-        assert all(args[-1] is None for args in shipped)
+        assert [type(formula) for formula in shipped] == [CNF, CNF]
+        for spec, outcome in zip(specs, outcomes):
+            assert outcome.state == "done", outcome.error
+            assert solver_view(outcome) == solver_view(run_job(spec))
+
+    def test_exact_hits_build_no_clause_objects(
+        self, specs, db_path, clause_tuple_builds
+    ):
+        run_batch(specs, cache_path=db_path)
+        clause_tuple_builds.clear()
+        outcomes, stats = run_batch(specs, cache_path=db_path)
+        assert stats.cache_hits == len(specs)
+        assert all(o.cache_kind == "exact" for o in outcomes)
+        assert clause_tuple_builds == []
 
 
 class TestSubsumptionThroughService:

@@ -86,3 +86,19 @@ def read_counts(monkeypatch) -> Counter:
         ):
             monkeypatch.setattr(module, "fingerprint", counted_fingerprint)
     return counts
+
+
+@pytest.fixture
+def clause_tuple_builds(monkeypatch) -> list:
+    """The formulas whose ``Clause`` tuple is built from their table
+    while the test runs (parsed formulas build it on first read)."""
+    clauses = CNF.clauses
+    built: list = []
+
+    def counted(formula):
+        if formula._clauses is None:
+            built.append(formula)
+        return clauses.fget(formula)
+
+    monkeypatch.setattr(CNF, "clauses", property(counted))
+    return built

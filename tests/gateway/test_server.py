@@ -271,6 +271,22 @@ class TestReadOnce:
                 assert outcome.get("cache_kind") == kind
                 assert read_counts == {"parse": 1, "fingerprint": 1}, job_id
 
+    def test_exact_hit_builds_no_clause_objects(
+        self, gateway_factory, tmp_path, clause_tuple_builds
+    ):
+        """Parse, fingerprint, routing and an exact cache hit all read
+        the formula's clause table; only a solve needs Clause objects."""
+        server = gateway_factory(cache_db=str(tmp_path / "gw.sqlite"))
+        with GatewayClient(port=server.port) as client:
+            for job_id, kind, builds in (
+                ("miss", None, 1), ("hit", "exact", 0),
+            ):
+                clause_tuple_builds.clear()
+                client.submit({"id": job_id, "dimacs": DIMACS, "seed": 5})
+                outcome = client.drain([job_id])[job_id]
+                assert outcome.get("cache_kind") == kind
+                assert len(clause_tuple_builds) == builds, job_id
+
     @pytest.mark.parametrize(
         "placement",
         [{}, {"topology": "chimera", "grid": 8}, {"classic": True}],

@@ -1,9 +1,14 @@
 """Tests for the core CNF data model."""
 
+import pickle
+import pickletools
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sat.cnf import CNF, Clause, Lit, clause, fingerprint
+from repro.sat.dimacs import parse_dimacs
 
 
 # ----------------------------------------------------------------------
@@ -285,3 +290,63 @@ class TestFingerprint:
         rnd.shuffle(shuffled_rows)
         shuffled = CNF(shuffled_rows, num_vars=6)
         assert fingerprint(formula) == fingerprint(shuffled)
+
+
+class TestTableForm:
+    """A CNF holds a canonical clause table and derives the Clause
+    tuple from it (or the other way round) once, on first use."""
+
+    TEXT = "p cnf 4 3\n3 -1 1 0\n2 2 0\n-4 -2 0\n"
+
+    def test_parsed_formula_builds_clauses_only_when_read(self):
+        formula = parse_dimacs(self.TEXT)
+        assert formula._clauses is None
+        assert (formula.num_clauses, formula.max_clause_size) == (3, 3)
+        assert formula.is_3sat and len(formula) == 3
+        fingerprint(formula)
+        assert formula._clauses is None
+        assert formula.clauses == (
+            Clause([1, -1, 3]), Clause([2]), Clause([-2, -4]),
+        )
+        assert formula.clauses is formula.clauses
+
+    def test_table_rows_are_in_clause_order(self):
+        parsed = parse_dimacs(self.TEXT)
+        built = CNF([[3, -1, 1], [2, 2], [-4, -2]], num_vars=4)
+        assert built._table is None
+        assert parsed.table.lits.tolist() == [[1, -1, 3], [2, 0, 0], [-2, -4, 0]]
+        assert np.array_equal(parsed.table.lits, built.table.lits)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed != CNF(built.clauses, num_vars=5)
+
+    def test_from_table_checks_num_vars(self):
+        table = parse_dimacs(self.TEXT).table
+        assert CNF.from_table(table).num_vars == 4
+        with pytest.raises(ValueError, match="mentions variable 4"):
+            CNF.from_table(table, num_vars=3)
+
+    @pytest.mark.parametrize("route", ["parsed", "built"])
+    def test_pickles_as_its_table(self, route):
+        formula = (
+            parse_dimacs(self.TEXT)
+            if route == "parsed"
+            else CNF([[3, -1, 1], [2, 2], [-4, -2]], num_vars=4)
+        )
+        formula.clauses  # a built Clause tuple is still not shipped
+        payload = pickle.dumps(formula)
+        names = {
+            arg
+            for op, arg, _pos in pickletools.genops(payload)
+            if isinstance(arg, str)
+        }
+        assert not names & {"Clause", "Lit"}, names
+        copy = pickle.loads(payload)
+        assert copy._clauses is None
+        assert copy == formula and copy.clauses == formula.clauses
+        assert fingerprint(copy) == fingerprint(formula)
+
+    def test_empty_formula(self):
+        for formula in (parse_dimacs("p cnf 0 0\n"), CNF([])):
+            assert formula.table.lits.shape == (0, 0)
+            assert (formula.num_clauses, formula.max_clause_size) == (0, 0)
+            assert formula.clauses == () and str(formula) == "⊤"
