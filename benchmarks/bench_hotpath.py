@@ -8,9 +8,14 @@ solver produces (a ~120-clause residual embedded on the C16 lattice):
    (``batch_reads=False``, the original reference dynamics) against
    the vectorised all-replica batch, for several
    ``num_reads x num_restarts`` shapes.
-2. **Frontend compile cache** — cold ``Frontend.prepare`` against a
+2. **Sweep kernel** — the batched sampler with its sweeps in the
+   native kernel (``annealer/sweep.c``) against the same sampler with
+   the kernel unloaded (the NumPy sweeps), at the hybrid solver's
+   shape (1 read, 1 restart) and at 8 and 16 replicas: reads must be
+   bit-identical and the kernel must load and not be slower.
+3. **Frontend compile cache** — cold ``Frontend.prepare`` against a
    cache hit for the identical (queue, trail) pair.
-3. **Full-solve acceptance** — a 100-variable random 3-SAT instance
+4. **Full-solve acceptance** — a 100-variable random 3-SAT instance
    solved cache-on and cache-off must agree in status (and model
    validity), and the cached run must actually hit.
 
@@ -20,7 +25,8 @@ Run with ``make bench`` or::
 
 Writes ``BENCH_hotpath.json`` (see ``--output``) and exits non-zero if
 the batched sampler is slower than the per-read baseline on any
-measured shape, or if the acceptance checks fail.  Timings are medians
+measured shape, if the sweep kernel did not load, changed a read or is
+slower than the NumPy sweeps, or if the acceptance checks fail.  Timings are medians
 over several rounds; sampled bits and solver outcomes are fully
 deterministic for a fixed ``--seed``.
 """
@@ -32,10 +38,12 @@ import json
 import sys
 import time
 from typing import Callable, Dict, List
+from unittest import mock
 
 import numpy as np
 
 from repro.annealer.device import AnnealerDevice
+from repro.cdcl import native
 from repro.annealer.sampler import SamplerConfig, SimulatedAnnealingSampler
 from repro.benchgen.random_ksat import random_3sat
 from repro.core.config import HyQSatConfig
@@ -47,6 +55,9 @@ from repro.topology.chimera import ChimeraGraph
 #: the acceptance floor for the 3x speedup criterion).
 SHAPES_QUICK = [(8, 1), (4, 4)]
 SHAPES_FULL = SHAPES_QUICK + [(8, 2), (8, 4)]
+
+#: Sweep-kernel shapes: the hybrid call (R = 1), then R = 8 and 16.
+KERNEL_SHAPES = [(1, 1), (8, 1), (4, 4)]
 
 
 def _median_seconds(fn: Callable[[], object], rounds: int, reps: int) -> float:
@@ -83,6 +94,55 @@ def bench_sampler(problem, shapes, rounds: int, reps: int, seed: int) -> List[Di
                 "per_read_sweeps_per_s": round(sweeps / timings[False]),
                 "batched_sweeps_per_s": round(sweeps / timings[True]),
                 "speedup": round(timings[False] / timings[True], 3),
+            }
+        )
+    return results
+
+
+def _numpy_sweeps():
+    """The sampler's no-compiler path: the sweep kernel unloaded."""
+    return mock.patch.object(native, "load_sweep_kernel", lambda: None)
+
+
+def bench_sweep_kernel(problem, shapes, rounds: int, reps: int, seed: int) -> List[Dict]:
+    """Native against NumPy sweeps, timed in alternating rounds."""
+    results = []
+    for num_reads, num_restarts in shapes:
+        sampler = SimulatedAnnealingSampler(
+            SamplerConfig(num_restarts=num_restarts), seed=seed
+        )
+
+        def run():
+            return sampler.sample(problem, num_reads=num_reads)
+
+        def timed():
+            start = time.perf_counter()
+            for _ in range(reps):
+                run()
+            return (time.perf_counter() - start) / reps
+
+        native_reads = run()
+        with _numpy_sweeps():
+            numpy_reads = run()
+        native_samples, numpy_samples = [], []
+        for _ in range(rounds):
+            native_samples.append(timed())
+            with _numpy_sweeps():
+                numpy_samples.append(timed())
+        native_s = float(np.median(native_samples))
+        numpy_s = float(np.median(numpy_samples))
+        replicas = num_reads * num_restarts
+        results.append(
+            {
+                "num_reads": num_reads,
+                "num_restarts": num_restarts,
+                "replicas": replicas,
+                "identical": all(
+                    np.array_equal(a, b) for a, b in zip(native_reads, numpy_reads)
+                ),
+                "native_ms": round(native_s * 1e3, 3),
+                "numpy_ms": round(numpy_s * 1e3, 3),
+                "speedup": round(numpy_s / native_s, 3),
             }
         )
     return results
@@ -165,6 +225,20 @@ def main(argv=None) -> int:
             "speedup {speedup}x".format(**row)
         )
 
+    kernel_loaded = native.load_sweep_kernel() is not None
+    kernel_rows = (
+        bench_sweep_kernel(problem, KERNEL_SHAPES, rounds, reps, args.seed)
+        if kernel_loaded
+        else []
+    )
+    print(f"sweep kernel loaded: {kernel_loaded}")
+    for row in kernel_rows:
+        print(
+            "sweep kernel reads={num_reads} restarts={num_restarts}: "
+            "numpy {numpy_ms} ms, native {native_ms} ms, "
+            "speedup {speedup}x, identical={identical}".format(**row)
+        )
+
     cache_row = bench_frontend_cache(formula, hardware, queue, rounds)
     print(
         "frontend cache: miss {miss_ms} ms, hit {hit_ms} ms, "
@@ -180,8 +254,13 @@ def main(argv=None) -> int:
 
     batched_never_slower = all(r["speedup"] >= 1.0 for r in sampler_rows)
     meets_3x = all(r["speedup"] >= 3.0 for r in sampler_rows)
+    kernel_identical = all(r["identical"] for r in kernel_rows)
+    kernel_never_slower = all(r["speedup"] >= 1.0 for r in kernel_rows)
     passed = (
         batched_never_slower
+        and kernel_loaded
+        and kernel_identical
+        and kernel_never_slower
         and solve_row["statuses_match"]
         and solve_row["model_valid"]
         and solve_row["cache_hits"] > 0
@@ -197,9 +276,13 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "seed": args.seed,
         "sampler": sampler_rows,
+        "sweep_kernel": kernel_rows,
         "frontend_cache": cache_row,
         "solve_acceptance": solve_row,
         "batched_never_slower": batched_never_slower,
+        "kernel_loaded": kernel_loaded,
+        "kernel_identical": kernel_identical,
+        "kernel_never_slower": kernel_never_slower,
         "meets_3x": meets_3x,
         "passed": passed,
     }

@@ -27,6 +27,10 @@ probability is *exactly* that of the per-read reference loop
 are statistically equivalent, but they consume the RNG stream in a
 different shape and are therefore not bit-identical with the per-read
 path.  Batched sampling remains fully deterministic for a fixed seed.
+Its sweeps run in a native kernel (``annealer/sweep.c``, built by
+:mod:`repro.cdcl.native` on the first anneal) when one can be built;
+the NumPy loop is the oracle and the fallback, and both give
+bit-identical reads.
 
 The sampler is deterministic given its seed, and the noise model hooks
 in at two points: coefficient perturbation before the run and readout
@@ -43,6 +47,25 @@ from scipy import sparse
 
 from repro.annealer.embedded import EmbeddedProblem, batch_energies
 from repro.annealer.noise import NoiseModel
+from repro.cdcl import native
+
+#: Uniforms drawn per chunk of sweeps (bounds the chunk's memory).
+_CHUNK_FLOATS = 16_000_000
+
+
+def _metropolis_flip(
+    m: np.ndarray, exponents: np.ndarray, doubled_u: np.ndarray
+) -> None:
+    """Flip the spins of ``m`` whose ``2u < exp(exponents)``, in place
+    (``exponents`` is overwritten).
+
+    Branch-free: ``m *= copysign(1, 2u - threshold)`` negates exactly
+    those spins (masked ufunc writes are an order of magnitude slower).
+    """
+    np.exp(exponents, out=exponents)
+    np.subtract(doubled_u, exponents, out=exponents)
+    np.copysign(np.float32(1.0), exponents, out=exponents)
+    m *= exponents
 
 
 @dataclass(frozen=True)
@@ -259,52 +282,109 @@ class SimulatedAnnealingSampler:
         The state is kept as a ±1 magnetisation matrix ``m = 1 - 2s``,
         under which the energy change of flipping spin ``i`` is
         ``delta_i = m_i * (c_i - (matrix @ m)_i / 2)`` with
-        ``c = linear + rowsum(matrix) / 2``.  Both the ``-1/2`` scale
-        and the constant field ``c`` are folded into an *augmented*
-        sparse matrix (one extra column holding ``c``, matched by an
-        all-ones row in the state), so the per-sweep work is one sparse
-        product for all replicas plus five fused in-place element
-        passes.  Acceptance and dilution merge into a single uniform
-        draw per spin — flip iff ``2u < exp(-beta * max(delta, 0))``,
-        exactly the per-read reference's
-        ``0.5 * min(1, exp(-beta * delta))`` flip probability — and the
-        uniforms for many sweeps are drawn (and pre-doubled) in bulk
-        chunks to amortise generator call overhead.
+        ``c = linear + rowsum(matrix) / 2``.  Acceptance and dilution
+        merge into a single uniform draw per spin — flip iff
+        ``2u < exp(-beta * max(delta, 0))``, exactly the per-read
+        reference's ``0.5 * min(1, exp(-beta * delta))`` flip
+        probability — and the uniforms for many sweeps are drawn (and
+        pre-doubled) in bulk chunks to amortise generator call overhead.
+
+        The sweeps run in the native kernel (``annealer/sweep.c``) when
+        it loads, and otherwise in :meth:`_sweeps_numpy`, the oracle;
+        both consume the same uniforms and give bit-identical states.
         """
         n, num_replicas = states.shape
-        zero = np.float32(0.0)
         c = linear + np.float32(0.5) * np.asarray(
             matrix.sum(axis=1), dtype=np.float32
         ).ravel()
-        augmented = sparse.hstack(
-            [np.float32(-0.5) * matrix, sparse.csr_matrix(c[:, None])],
-            format="csr",
-        ).astype(np.float32)
-        full = np.empty((n + 1, num_replicas), dtype=np.float32)
-        full[:n] = np.float32(1.0) - states - states  # ±1 magnetisation
-        full[n] = 1.0  # constant row feeding the c column
-        m = full[:n]  # writable view; row n stays 1
+        m = np.float32(1.0) - states - states  # ±1 magnetisation
+        neg_betas = (-betas).astype(np.float32)
+        kernel = native.load_sweep_kernel()
+        if kernel is None:
+            sweeps = self._sweeps_numpy(m, c, matrix)
+        else:
+            sweeps = self._sweeps_native(kernel, m, c, matrix)
         num_sweeps = len(betas)
-        chunk = max(1, int(16_000_000 // max(1, n * num_replicas)))
+        chunk = max(1, int(_CHUNK_FLOATS // max(1, n * num_replicas)))
         start = 0
         while start < num_sweeps:
             count = min(chunk, num_sweeps - start)
             doubled_u = rng.random((count, n, num_replicas), dtype=np.float32)
             doubled_u += doubled_u
-            for j in range(count):
-                delta = augmented @ full  # c - (matrix @ m)/2, all replicas
-                delta *= m
-                np.maximum(delta, zero, out=delta)
-                delta *= np.float32(-betas[start + j])
-                np.exp(delta, out=delta)  # 2 * flip threshold per spin
-                # Branch-free flip: m *= copysign(1, 2u - threshold)
-                # negates exactly the spins with 2u < threshold (masked
-                # ufunc writes are an order of magnitude slower here).
-                np.subtract(doubled_u[j], delta, out=delta)
-                np.copysign(np.float32(1.0), delta, out=delta)
-                m *= delta
+            sweeps(neg_betas[start : start + count], doubled_u)
             start += count
         return np.float32(0.5) * (np.float32(1.0) - m)  # back to 0/1
+
+    @staticmethod
+    def _sweeps_numpy(m, c, matrix):
+        """The NumPy sweep loop: ``sweeps(neg_betas, doubled_u)`` runs
+        one sweep per beta on ``m`` in place.
+
+        ``c`` and the ``-1/2`` scale are folded into an *augmented*
+        sparse matrix (one extra column holding ``c``, matched by an
+        all-ones row in the state), so each sweep is one sparse product
+        for all replicas plus five fused in-place element passes.
+        """
+        n, num_replicas = m.shape
+        zero = np.float32(0.0)
+        augmented = sparse.hstack(
+            [np.float32(-0.5) * matrix, sparse.csr_matrix(c[:, None])],
+            format="csr",
+        ).astype(np.float32)
+        full = np.empty((n + 1, num_replicas), dtype=np.float32)
+        full[n] = 1.0  # constant row feeding the c column
+
+        def sweeps(neg_betas, doubled_u):
+            full[:n] = m
+            for j, neg_beta in enumerate(neg_betas):
+                delta = augmented @ full  # c - (matrix @ m)/2, all replicas
+                delta *= full[:n]
+                np.maximum(delta, zero, out=delta)
+                delta *= neg_beta
+                _metropolis_flip(full[:n], delta, doubled_u[j])
+            m[...] = full[:n]
+
+        return sweeps
+
+    @staticmethod
+    def _sweeps_native(kernel, m, c, matrix):
+        """The kernel's sweep loop, same contract as
+        :meth:`_sweeps_numpy`: the kernel applies every sweep whose
+        flips it can decide, and hands a sweep with a spin inside its
+        exp guard band back here, where NumPy's own ``np.exp``
+        resolves it."""
+        n, num_replicas = m.shape
+        indptr = np.ascontiguousarray(matrix.indptr, dtype=np.int32)
+        indices = np.ascontiguousarray(matrix.indices, dtype=np.int32)
+        scaled = matrix.data * np.float32(-0.5)  # the oracle's scaled CSR
+        if not all(
+            a.dtype == np.float32 and a.flags.c_contiguous
+            for a in (m, c, scaled)
+        ) or c.shape != (n,):
+            raise TypeError("the sweep kernel takes C-contiguous float32 arrays")
+        exponents = np.empty_like(m)
+        signs = np.empty_like(m)
+
+        def sweeps(neg_betas, doubled_u):
+            # This closure holds every array whose address it passes.
+            inputs = (indptr, indices, scaled, c, neg_betas, doubled_u)
+            outputs = (m, exponents, signs)
+            count = len(neg_betas)
+            first = 0
+            while first < count:
+                first = kernel.sweep_run(
+                    n,
+                    num_replicas,
+                    *[a.ctypes.data for a in inputs],
+                    first,
+                    count,
+                    *[a.ctypes.data for a in outputs],
+                )
+                if first < count:
+                    _metropolis_flip(m, exponents, doubled_u[first])
+                    first += 1
+
+        return sweeps
 
     def _descend(
         self,

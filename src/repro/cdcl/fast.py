@@ -20,6 +20,12 @@ Two drive modes:
   steering surface, tracing events, and DRAT logging behave exactly
   like the reference engine.
 
+A solve starts in step mode and hands over to run mode at the top of
+the first iteration where run mode's conditions hold — at once for a
+plain solve, and for a hybrid solve once its hook reports
+``finished`` (the warm-up is over) and the forced decisions of the last
+QA call have drained.
+
 Both modes are gated **bit-identical** to the reference engine — same
 model, same conflict/iteration counts, same learned clauses, same
 per-clause counters for any (formula, config, seed); see
@@ -183,8 +189,6 @@ class FastCdclSolver:
         self._num_vars = n
         self._rng = np.random.default_rng(self.config.seed)
         self._forced_decisions: Deque[int] = deque()
-        self._trivially_unsat = False
-        self._root_units: List[int] = []
         self._push_stack: List[_FastPushMark] = []
         #: Step-loop locals mirrored for checkpointing (written just
         #: before each hook call) and the resume flag that makes the
@@ -192,23 +196,24 @@ class FastCdclSolver:
         self._loop_state: Optional[Tuple] = None
         self._resume_pending = False
 
-        # Parse the formula exactly like the reference constructor.
-        clause_lits: List[List[int]] = []
-        clause_orig: List[int] = []
-        for index, clause in enumerate(formula):
-            if clause.is_tautology:
-                continue
-            ilits = [_enc(lit) for lit in clause.lits]
-            if not ilits:
-                self._trivially_unsat = True
-                continue
-            if len(ilits) == 1:
-                self._root_units.append(ilits[0])
-            clause_lits.append(ilits)
-            clause_orig.append(index)
+        # Read the clause table exactly as the reference constructor
+        # reads Clause objects: input order, tautologies skipped, an
+        # empty clause making the formula trivially UNSAT, units kept
+        # as root assignments.
+        table = formula.table
+        sizes = np.count_nonzero(table.lits, axis=1)
+        self._trivially_unsat = bool((sizes == 0).any())
+        kept = ~table.tautological() & (sizes > 0)
+        rows = table.lits[kept]
+        lits = rows[rows != 0]  # row by row, in Clause order
+        flat = (2 * (np.abs(lits) - 1) + (lits < 0)).astype(np.int32)
+        sizes = sizes[kept].astype(np.int32)
+        starts = np.zeros(len(sizes), np.int32)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        self._root_units: List[int] = flat[starts[sizes == 1]].tolist()
 
-        n_orig = len(clause_lits)
-        orig_pool = sum(len(lits) for lits in clause_lits)
+        n_orig = len(sizes)
+        orig_pool = len(flat)
         pool_cap = orig_pool + max(1024, 8 * (n + 1))
         clause_cap = n_orig + max(256, n)
         node_cap = 2 * clause_cap
@@ -282,17 +287,10 @@ class FastCdclSolver:
         # Install the original clauses (watch attachment order matches
         # the reference constructor: input order, units unattached).
         if n_orig:
-            pool = self._arr["pool"]
-            sizes = np.fromiter(
-                (len(lits) for lits in clause_lits), np.int32, n_orig
-            )
-            starts = np.zeros(n_orig, np.int32)
-            np.cumsum(sizes[:-1], out=starts[1:])
-            flat = [l for lits in clause_lits for l in lits]
-            pool[:orig_pool] = flat
+            self._arr["pool"][:orig_pool] = flat
             self._arr["c_start"][:n_orig] = starts
             self._arr["c_size"][:n_orig] = sizes
-            self._arr["c_orig"][:n_orig] = clause_orig
+            self._arr["c_orig"][:n_orig] = np.flatnonzero(kept)
             s.pool_len = orig_pool
             s.n_clauses = n_orig
             attach = lib.kernel_attach_clause
@@ -731,25 +729,17 @@ class FastCdclSolver:
             s.resume_at_pick = 0
             s.pending_conflict = -1
 
-        run_mode = (
-            not resuming
-            and hook is None
-            and self._tracer is None
-            and self.proof is None
-            and self.config.random_decision_freq == 0.0
-            and not self._forced_decisions
-        )
-        if run_mode:
-            return self._solve_run(assumption_lits, assumptions)
         return self._solve_step(assumption_lits, assumptions, hook, resuming)
 
-    def _solve_run(self, assumption_lits, assumptions) -> SolverResult:
-        """Drive ``kernel_run``, servicing its exit events."""
+    def _solve_run(
+        self, assumption_lits, assumptions, restart_num, interval
+    ) -> SolverResult:
+        """Drive ``kernel_run`` from the top of an iteration, servicing
+        its exit events; ``restart_num`` and ``interval`` are the
+        restart schedule's position."""
         s = self._s
         lib = self._lib
         run = lib.kernel_run
-        restart_num = 0
-        interval = self._next_restart_interval(0)
         s.restart_limit = -1 if interval is None else interval
         while True:
             event = run(self._sp)
@@ -790,17 +780,30 @@ class FastCdclSolver:
     def _solve_step(
         self, assumption_lits, assumptions, hook, resuming=False
     ) -> SolverResult:
-        """Mirror the reference solve loop, one iteration per pass."""
+        """Mirror the reference solve loop, one iteration per pass, and
+        hand the search to :meth:`_solve_run` at the top of the first
+        pass where nothing needs Python: no hook (or a finished one),
+        tracer, DRAT proof, random decisions or queued forced
+        decisions.  ``kernel_run`` keeps this loop's pass order."""
         s = self._s
         lib = self._lib
         config = self.config
         tracer = self._tracer
+        native_ok = (
+            tracer is None
+            and self.proof is None
+            and config.random_decision_freq == 0.0
+        )
         if resuming:
             restart_num, interval = self._loop_state
         else:
             restart_num = 0
             interval = self._next_restart_interval(0)
         while True:
+            if hook is None and native_ok and not self._forced_decisions:
+                return self._solve_run(
+                    assumption_lits, assumptions, restart_num, interval
+                )
             if (
                 config.max_conflicts is not None
                 and s.conflicts >= config.max_conflicts
@@ -828,6 +831,8 @@ class FastCdclSolver:
                         return SolverResult(
                             SolverStatus.SAT, proposed, self.stats
                         )
+                    if getattr(hook, "finished", False):
+                        hook = None
 
                 conflict = lib.kernel_propagate(self._sp)
                 if tracer is not None:

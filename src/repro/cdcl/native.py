@@ -1,21 +1,25 @@
-"""Build and bind the native CDCL kernel (``kernel.c``).
+"""Build and bind the native kernels: CDCL (``kernel.c``) and anneal
+sweeps (``repro/annealer/sweep.c``).
 
-The kernel is compiled on demand with the system C compiler into a
+Each kernel is compiled on demand with the system C compiler into a
 shared library cached under ``build/cdcl-kernel/`` at the repository
 root (gitignored; override with ``HYQSAT_KERNEL_CACHE``).  The cache
-key is the SHA-256 of the C source, so editing ``kernel.c``
+key is the SHA-256 of the C source and its flags, so editing a source
 transparently rebuilds.  No third-party packaging machinery is
 involved — just ``cc -O2 -shared`` and :mod:`ctypes`.
 
-Float determinism: the kernel must reproduce CPython's IEEE-754
-double arithmetic bit for bit (the fast engine is gated bit-identical
-against the reference).  ``-ffp-contract=off`` keeps the compiler from
-fusing ``a*b+c`` into FMA, and we deliberately avoid ``-ffast-math``
-and ``-march=native``.
+Float determinism: both kernels must reproduce their Python twins'
+IEEE-754 arithmetic bit for bit (CPython doubles for the CDCL kernel,
+NumPy float32 for the sweeps).  ``-ffp-contract=off`` keeps the
+compiler from fusing ``a*b+c`` into FMA, and we deliberately avoid
+``-ffast-math`` and ``-march=native``.  The sweep kernel adds
+``-fno-trapping-math -fvect-cost-model=dynamic`` so GCC vectorises its
+decision loop; neither flag changes a result.
 
-:func:`load_kernel` returns the bound library (or ``None`` when no
-compiler is available); :func:`native_available` is the cheap
-feature probe the engine registry uses.
+:func:`load_kernel` and :func:`load_sweep_kernel` return the bound
+library (or ``None`` when no compiler is available or the cache is
+unusable); :func:`native_available` is the cheap feature probe the
+engine registry uses.
 """
 
 from __future__ import annotations
@@ -28,9 +32,13 @@ import shutil
 import subprocess
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional
 
 _SOURCE = Path(__file__).with_name("kernel.c")
+_SWEEP_SOURCE = Path(__file__).parents[1] / "annealer" / "sweep.c"
+
+_CFLAGS = ["-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared"]
+_SWEEP_CFLAGS = _CFLAGS + ["-fno-trapping-math", "-fvect-cost-model=dynamic"]
 
 #: ``kernel_run`` exit events (keep in sync with kernel.c).
 EV_SAT = 1
@@ -168,6 +176,19 @@ _SIGNATURES = [
     ("kernel_run", ctypes.c_int64, []),
 ]
 
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+
+#: The sweep kernel's exports: (name, restype, argtypes).
+_SWEEP_SIGNATURES = [
+    ("sweep_band", None, [_I64, _PTR, _PTR, _PTR]),
+    (
+        "sweep_run",
+        _I64,
+        [_I64, _I64] + [_PTR] * 6 + [_I64, _I64] + [_PTR] * 3,
+    ),
+]
+
 
 def _cache_dir() -> Path:
     override = os.environ.get("HYQSAT_KERNEL_CACHE")
@@ -185,29 +206,21 @@ def _compiler() -> Optional[str]:
     return None
 
 
-def _build_library() -> Optional[Path]:
-    """Compile kernel.c into the cache (no-op when already built)."""
-    source = _SOURCE.read_bytes()
-    key = hashlib.sha256(source).hexdigest()[:16]
+def _build_library(
+    source: Path = _SOURCE, flags: List[str] = _CFLAGS
+) -> Optional[Path]:
+    """Compile ``source`` into the cache (no-op when already built)."""
+    text = source.read_bytes()
+    key = hashlib.sha256(text + " ".join(flags).encode()).hexdigest()[:16]
     cache = _cache_dir()
-    lib_path = cache / f"kernel-{key}.so"
+    lib_path = cache / f"{source.stem}-{key}.so"
     if lib_path.exists():
         return lib_path
     compiler = _compiler()
     if compiler is None:
         return None
-    tmp_path = cache / f"kernel-{key}.{os.getpid()}.tmp.so"
-    cmd = [
-        compiler,
-        "-O2",
-        "-std=c99",
-        "-ffp-contract=off",
-        "-fPIC",
-        "-shared",
-        str(_SOURCE),
-        "-o",
-        str(tmp_path),
-    ]
+    tmp_path = cache / f"{source.stem}-{key}.{os.getpid()}.tmp.so"
+    cmd = [compiler, *flags, str(source), "-o", str(tmp_path)]
     try:
         # An unusable cache dir (read-only install, a path through a
         # regular file) is a failed build, not a crash.
@@ -223,15 +236,32 @@ def _build_library() -> Optional[Path]:
     return lib_path
 
 
+def _open(lib_path: Optional[Path], signatures) -> Optional[ctypes.CDLL]:
+    """Load a built library and declare its exports' C signatures."""
+    if lib_path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(str(lib_path))
+    except OSError:
+        return None
+    for name, restype, argtypes in signatures:
+        fn = getattr(lib, name)
+        fn.restype = restype
+        fn.argtypes = argtypes
+    return lib
+
+
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
-#: Held across the build, so a concurrent first caller waits for the
-#: library instead of seeing ``_load_attempted`` and getting None.
+_sweep_lib: Optional[ctypes.CDLL] = None
+_sweep_load_attempted = False
+#: Held across a build, so a concurrent first caller waits for the
+#: library instead of seeing it attempted and getting None.
 _load_lock = threading.Lock()
 
 
 def load_kernel() -> Optional[ctypes.CDLL]:
-    """The bound kernel library, building it on first use.
+    """The bound CDCL kernel library, building it on first use.
 
     Returns ``None`` (and remembers the failure) when no C compiler
     is available or the build fails; callers then fall back to the
@@ -239,22 +269,29 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     """
     global _lib, _load_attempted
     with _load_lock:
-        if _lib is not None or _load_attempted:
-            return _lib
-        _load_attempted = True
-        lib_path = _build_library()
-        if lib_path is None:
-            return None
-        try:
-            lib = ctypes.CDLL(str(lib_path))
-        except OSError:
-            return None
-        for name, restype, extra in _SIGNATURES:
-            fn = getattr(lib, name)
-            fn.restype = restype
-            fn.argtypes = [_SP] + extra
-        _lib = lib
+        if _lib is None and not _load_attempted:
+            _load_attempted = True
+            _lib = _open(
+                _build_library(),
+                [(name, restype, [_SP] + extra)
+                 for name, restype, extra in _SIGNATURES],
+            )
         return _lib
+
+
+def load_sweep_kernel() -> Optional[ctypes.CDLL]:
+    """The bound anneal-sweep library, building it on first use (the
+    first anneal, not import); ``None`` means the sampler runs its
+    NumPy sweeps."""
+    global _sweep_lib, _sweep_load_attempted
+    with _load_lock:
+        if _sweep_lib is None and not _sweep_load_attempted:
+            _sweep_load_attempted = True
+            _sweep_lib = _open(
+                _build_library(_SWEEP_SOURCE, _SWEEP_CFLAGS),
+                _SWEEP_SIGNATURES,
+            )
+        return _sweep_lib
 
 
 def native_available() -> bool:

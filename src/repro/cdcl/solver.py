@@ -89,6 +89,13 @@ class IterationHook(Protocol):
     Return a complete :class:`Assignment` to propose a model; the
     solver verifies it and terminates with SAT if it satisfies the
     formula (HyQSAT feedback strategy 1).  Return None to continue.
+
+    A hook may also carry a ``finished`` attribute.  Once it reads true
+    after a call, the hook promises that every later call in this
+    ``solve`` would return None and change nothing, so both engines
+    stop calling it (and the fast engine runs the rest of the search
+    in its native loop).  A hook without the attribute is called every
+    iteration.
     """
 
     def on_iteration(self, solver: "CdclSolver") -> Optional[Assignment]:
@@ -737,6 +744,8 @@ class CdclSolver:
                     proposed = hook.on_iteration(self)
                     if proposed is not None and proposed.satisfies(self.formula):
                         return SolverResult(SolverStatus.SAT, proposed, self.stats)
+                    if getattr(hook, "finished", False):
+                        hook = None
 
                 conflict = self._propagate()
                 if tracer is not None:

@@ -33,6 +33,11 @@ class ClauseQueueGenerator:
         self.top_k = top_k
         self._rng = np.random.default_rng(seed)
         self._clauses_of_var: Dict[int, List[int]] = formula.clause_index()
+        #: Each clause's variables in literal order, from the table.
+        self._vars_of_clause: List[List[int]] = [
+            [abs(lit) for lit in row if lit]
+            for row in formula.table.lits.tolist()
+        ]
 
     def generate(
         self,
@@ -73,9 +78,9 @@ class ClauseQueueGenerator:
         in_queue: Set[int] = {head}
         cursor = 0
         while cursor < len(queue) and len(queue) < capacity:
-            clause = self.formula.clauses[queue[cursor]]
+            variables = self._vars_of_clause[queue[cursor]]
             cursor += 1
-            for var in (lit.var for lit in clause.lits):
+            for var in variables:
                 for other in self._clauses_of_var.get(var, ()):
                     if other in in_queue or other not in allowed:
                         continue

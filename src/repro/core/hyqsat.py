@@ -221,14 +221,20 @@ class _HybridHook:
 
     def __init__(self, owner: "HyQSatSolver"):
         self._owner = owner
+        #: Set once the warm-up is over or QA is disabled (degraded to
+        #: pure CDCL), unless the solve checkpoints: every later call
+        #: would return None (see :class:`~repro.cdcl.solver.IterationHook`).
+        self.finished = False
 
     def on_iteration(self, solver: CdclSolver) -> Optional[Assignment]:
         owner = self._owner
         config = owner.config
         owner._maybe_checkpoint(solver)
-        if owner._qa_disabled:
-            return None  # degraded to pure CDCL; stay out of the way
-        if solver.stats.iterations > owner.hybrid_stats.warmup_iterations:
+        if (
+            owner._qa_disabled
+            or solver.stats.iterations > owner.hybrid_stats.warmup_iterations
+        ):
+            self.finished = not owner._checkpointing
             return None
         if (solver.stats.iterations - 1) % config.qa_period != 0:
             return None
@@ -577,6 +583,13 @@ class HyQSatSolver:
             hybrid.breaker_state = breaker.state.value
             hybrid.breaker_transitions = len(breaker.transitions)
 
+    @property
+    def _checkpointing(self) -> bool:
+        """Whether solves save checkpoints (``checkpoint_every`` > 0
+        and a path)."""
+        config = self.config
+        return config.checkpoint_every > 0 and config.checkpoint_path is not None
+
     def _maybe_checkpoint(self, solver: CdclSolver) -> None:
         """Snapshot the solve every ``checkpoint_every`` conflicts.
 
@@ -586,7 +599,7 @@ class HyQSatSolver:
         capturing, and a resumed run is bit-identical.
         """
         config = self.config
-        if config.checkpoint_every <= 0 or config.checkpoint_path is None:
+        if not self._checkpointing:
             return
         if solver.stats.iterations <= self.hybrid_stats.warmup_iterations:
             return

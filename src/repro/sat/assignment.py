@@ -74,8 +74,9 @@ class Assignment:
         return all(self.value_of(lit) is False for lit in clause)
 
     def satisfies(self, formula: CNF) -> bool:
-        """True if every clause of ``formula`` is satisfied."""
-        return all(self.satisfies_clause(c) for c in formula)
+        """True if every clause of ``formula`` is satisfied (read from
+        its clause table; no ``Clause`` object is built)."""
+        return formula.satisfied_by(self)
 
     def is_total(self, num_vars: int) -> bool:
         """True if variables ``1..num_vars`` are all assigned."""

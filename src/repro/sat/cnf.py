@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 from collections.abc import Sequence as SequenceABC
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -389,8 +390,24 @@ class CNF:
         return self.num_clauses / self._num_vars
 
     def satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
-        """Whether an assignment satisfies every clause."""
-        return all(c.satisfied_by(assignment) for c in self.clauses)
+        """Whether an assignment satisfies every clause: some literal of
+        each has its variable assigned and equal to its sign, as
+        :meth:`Clause.satisfied_by` decides one clause."""
+        lits = self.table.lits
+        variables = np.abs(lits)
+        size = int(variables.max(initial=0)) + 1
+        true_if_pos = np.zeros(size, bool)
+        true_if_neg = np.zeros(size, bool)
+        for var, value in assignment.items():
+            try:
+                var = operator.index(var)
+            except TypeError:
+                continue
+            if 0 < var < size:
+                true_if_pos[var] = value == True  # noqa: E712 (Lit's test)
+                true_if_neg[var] = value == False  # noqa: E712
+        true = np.where(lits > 0, true_if_pos[variables], true_if_neg[variables])
+        return bool(true.any(axis=1).all())
 
     def unsatisfied_clauses(self, assignment: Mapping[int, bool]) -> List[Clause]:
         """Clauses not satisfied by ``assignment`` (partial assignments allowed)."""
@@ -418,12 +435,25 @@ class CNF:
         return CNF(reduced, num_vars=self._num_vars)
 
     def clause_index(self) -> Dict[int, List[int]]:
-        """Map each variable to the list of clause indices mentioning it."""
-        index: Dict[int, List[int]] = {}
-        for i, clause in enumerate(self.clauses):
-            for var in clause.variables:
-                index.setdefault(var, []).append(i)
-        return index
+        """Map each variable to the ascending list of clause indices
+        mentioning it (each index once; keys in ascending order)."""
+        variables = np.abs(self.table.lits)
+        # Clause order puts a variable's literals side by side, so its
+        # first cell in a row is the one unlike its left neighbour.
+        first = variables != 0
+        first[:, 1:] &= variables[:, 1:] != variables[:, :-1]
+        rows, cols = np.nonzero(first)
+        keys = variables[rows, cols]
+        order = np.argsort(keys, kind="stable")  # rows stay ascending
+        keys, rows = keys[order], rows[order]
+        cuts = np.flatnonzero(np.diff(keys)) + 1
+        return {
+            int(group_keys[0]): group_rows.tolist()
+            for group_keys, group_rows in zip(
+                np.split(keys, cuts), np.split(rows, cuts)
+            )
+            if len(group_keys)
+        }
 
     def __len__(self) -> int:
         return self.num_clauses

@@ -153,3 +153,34 @@ class TestConfigVariants:
             CNF([[1], [-1, 2], [-2, 3]]),  # unit chain
         ):
             assert_identical(formula, SolverConfig())
+
+
+class TestClauseStore:
+    def test_table_store_matches_the_reference_constructor(self):
+        """The fast engine builds its clause store from the formula's
+        clause table, the reference from its ``Clause`` objects: same
+        clauses in the same order and slots, same original indices,
+        root units and trivial-UNSAT flag, tautologies skipped — and
+        a parsed formula never builds its ``Clause`` tuple."""
+        from repro.sat.dimacs import parse_dimacs
+        from tests.sat.test_table_keys import random_rows, raw_dimacs
+
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            rows, num_vars = random_rows(rng)
+            formula = parse_dimacs(raw_dimacs(rows, num_vars))
+            fast = FastCdclSolver(formula)
+            assert formula._clauses is None
+            ref = CdclSolver(CNF(rows, num_vars=num_vars))
+            assert fast._trivially_unsat == ref._trivially_unsat
+            assert fast._root_units == ref._root_units
+            arr = fast._arr
+            store = [
+                (
+                    arr["pool"][start : start + size].tolist(),
+                    int(arr["c_orig"][ci]),
+                )
+                for ci in fast._orig_cis
+                for start, size in [(arr["c_start"][ci], arr["c_size"][ci])]
+            ]
+            assert store == [(r.lits, r.orig_index) for r in ref._clauses]

@@ -1,14 +1,24 @@
-"""Engine selection, warm start, and CDCL-rate stats in the hybrid loop."""
+"""Engine selection, warm start, CDCL-rate stats and the native
+handover in the hybrid loop."""
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.annealer.device import AnnealerDevice
+from repro.benchgen.random_ksat import random_3sat
 from repro.cdcl.engine import DEFAULT_ENGINE
+from repro.cdcl.fast import FastCdclSolver
 from repro.cdcl.native import native_available
+from repro.cdcl.proof import DratProof
+from repro.cdcl.solver import CdclSolver
+from repro.core.backend import Strategy
 from repro.core.config import HyQSatConfig
 from repro.core.hyqsat import HyQSatSolver
+from repro.observability import Observability
+from repro.sat import to_dimacs
+from repro.sat.dimacs import parse_dimacs
 from repro.topology.chimera import ChimeraGraph
 
 from tests.conftest import make_random_3sat
@@ -154,3 +164,113 @@ class TestWarmStart:
         assert second.stats.iterations >= first.stats.iterations
         if second.is_sat:
             assert second.model.satisfies(formula)
+
+
+def parsed_random_3sat(num_vars, num_clauses, seed):
+    """A random 3-SAT formula as the service sees it: parsed DIMACS,
+    holding only its clause table."""
+    formula = random_3sat(num_vars, num_clauses, np.random.default_rng(seed))
+    return parse_dimacs(to_dimacs(formula))
+
+
+@pytest.fixture
+def native_entries(monkeypatch):
+    """(iteration, forced decisions pending) at each entry into the
+    fast engine's native loop."""
+    entries = []
+    real = FastCdclSolver._solve_run
+
+    def spy(self, *args):
+        entries.append((int(self._s.iterations), self.has_pending_decisions))
+        return real(self, *args)
+
+    monkeypatch.setattr(FastCdclSolver, "_solve_run", spy)
+    return entries
+
+
+class CountingHook:
+    """Calls itself finished after ``calls`` iterations."""
+
+    def __init__(self, calls):
+        self.calls = 0
+        self.limit = calls
+        self.finished = False
+
+    def on_iteration(self, solver):
+        self.calls += 1
+        self.finished = self.calls >= self.limit
+        return None
+
+
+@needs_native
+class TestHandover:
+    def test_native_loop_after_the_warmup(self, native_entries):
+        """A uf170 solve enters ``kernel_run`` once, after the warm-up,
+        once the last QA call's forced decisions have drained."""
+        formula = parsed_random_3sat(170, 724, 7)
+        result = HyQSatSolver(formula, config=HyQSatConfig(seed=7)).solve()
+        assert result.is_unsat and result.hybrid.qa_calls > 0
+        assert len(native_entries) == 1
+        iteration, pending = native_entries[0]
+        assert result.hybrid.warmup_iterations < iteration
+        assert iteration < result.stats.iterations
+        assert not pending
+
+    @pytest.mark.parametrize("attached", ["checkpoint", "tracer"])
+    def test_hybrid_solve_stays_in_step_mode(
+        self, attached, tmp_path, native_entries
+    ):
+        formula = make_random_3sat(50, 215, seed=4)
+        checkpoints = {
+            "checkpoint_every": 50,
+            "checkpoint_path": str(tmp_path / "ckpt.json"),
+        }
+        result = HyQSatSolver(
+            formula,
+            device=make_device(),
+            config=HyQSatConfig(
+                seed=4, **(checkpoints if attached == "checkpoint" else {})
+            ),
+            observability=Observability.tracing() if attached == "tracer" else None,
+        ).solve()
+        assert result.stats.iterations > result.hybrid.warmup_iterations
+        assert native_entries == []
+
+    def test_proof_keeps_step_mode(self, native_entries):
+        formula = make_random_3sat(30, 150, seed=2)
+        proof = DratProof()
+        result = FastCdclSolver(formula, proof=proof).solve(
+            hook=CountingHook(1)
+        )
+        assert result.stats.conflicts > 0 and len(proof.steps) > 0
+        assert native_entries == []
+
+    @pytest.mark.parametrize("engine", [CdclSolver, FastCdclSolver])
+    def test_finished_hook_is_not_called_again(self, engine, native_entries):
+        formula = make_random_3sat(30, 150, seed=2)
+        hook = CountingHook(5)
+        result = engine(formula).solve(hook=hook)
+        plain = engine(formula).solve()
+        assert result.stats.iterations > 5 and hook.calls == 5
+        assert result.stats.as_dict() == plain.stats.as_dict()
+        if engine is FastCdclSolver:
+            assert [entry[0] for entry in native_entries] == [5, 0]
+
+
+@needs_native
+class TestTableReads:
+    @pytest.mark.parametrize(
+        "num_vars,num_clauses,seed,accepts",
+        [(170, 724, 7, 0), (20, 80, 4, 1)],
+    )
+    def test_hybrid_solve_never_builds_clause_objects(
+        self, num_vars, num_clauses, seed, accepts
+    ):
+        """The engine's clause store, the clause queue and Strategy 1's
+        model check read the table."""
+        formula = parsed_random_3sat(num_vars, num_clauses, seed)
+        result = HyQSatSolver(formula, config=HyQSatConfig(seed=seed)).solve()
+        assert result.hybrid.qa_calls > 0
+        strategies = result.hybrid.strategy_counts
+        assert strategies[Strategy.ACCEPT_SOLUTION] == accepts
+        assert formula._clauses is None

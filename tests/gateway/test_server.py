@@ -22,6 +22,7 @@ import pytest
 
 from repro.benchgen.random_ksat import random_3sat
 from repro.cache import PersistentResultStore
+from repro.cdcl.native import native_available
 from repro.gateway import protocol
 from repro.gateway.client import GatewayClient, GatewayError, GatewayReject
 from repro.gateway.server import GatewayConfig, GatewayServer
@@ -274,12 +275,15 @@ class TestReadOnce:
     def test_exact_hit_builds_no_clause_objects(
         self, gateway_factory, tmp_path, clause_tuple_builds
     ):
-        """Parse, fingerprint, routing and an exact cache hit all read
-        the formula's clause table; only a solve needs Clause objects."""
+        """Parse, fingerprint, routing, the hybrid solve of a miss and
+        an exact cache hit all read the formula's clause table (only
+        the reference engine, the fallback without a C compiler, reads
+        Clause objects)."""
+        solve_builds = 0 if native_available() else 1
         server = gateway_factory(cache_db=str(tmp_path / "gw.sqlite"))
         with GatewayClient(port=server.port) as client:
             for job_id, kind, builds in (
-                ("miss", None, 1), ("hit", "exact", 0),
+                ("miss", None, solve_builds), ("hit", "exact", 0),
             ):
                 clause_tuple_builds.clear()
                 client.submit({"id": job_id, "dimacs": DIMACS, "seed": 5})

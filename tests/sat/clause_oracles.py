@@ -114,3 +114,23 @@ def counts(formula: CNF):
     """``(num_clauses, max_clause_size, is_3sat)`` over the clauses."""
     widest = max((len(c) for c in formula.clauses), default=0)
     return len(formula.clauses), widest, widest <= 3
+
+
+def satisfied_by(formula: CNF, assignment) -> bool:
+    """``CNF.satisfied_by`` and ``Assignment.satisfies`` as they were."""
+    return all(c.satisfied_by(assignment) for c in formula.clauses)
+
+
+def clause_index(formula: CNF):
+    """``CNF.clause_index`` as it was (its key order is not kept)."""
+    index = {}
+    for i, clause in enumerate(formula.clauses):
+        for var in clause.variables:
+            index.setdefault(var, []).append(i)
+    return index
+
+
+def clause_variables(formula: CNF):
+    """Each clause's variables in literal order (what the clause queue
+    walks)."""
+    return [[lit.var for lit in clause.lits] for clause in formula.clauses]

@@ -3,7 +3,8 @@
 ``fingerprint`` and ``clause_signatures`` are persisted (cache DB rows,
 dedup keys), so the table code must reproduce the old per-``Clause``
 loops byte for byte; ``model_satisfies`` and the counts must answer as
-they did.  Each formula is checked twice: built from ``Clause``
+they did, and so must ``satisfied_by``, ``Assignment.satisfies``,
+``clause_index`` and the clause queue's variable lists.  Each formula is checked twice: built from ``Clause``
 objects (its table derived) and parsed from DIMACS text (its clauses
 derived).
 """
@@ -19,6 +20,8 @@ from repro.cache.signature import (
     model_satisfies,
     pack_signatures,
 )
+from repro.core.clause_queue import ClauseQueueGenerator
+from repro.sat.assignment import Assignment
 from repro.sat.cnf import CNF, fingerprint
 from repro.sat.dimacs import parse_dimacs
 
@@ -68,6 +71,20 @@ def check(formula: CNF, reference: CNF, rng: np.random.Generator) -> None:
         assert model_satisfies(formula, model) == oracle.model_satisfies(
             reference, model
         )
+        assignment = Assignment.from_literals(model)
+        expected = oracle.satisfied_by(reference, assignment)
+        assert formula.satisfied_by(assignment) == expected
+        assert assignment.satisfies(formula) == expected
+        as_dict = dict(assignment.items())
+        assert formula.satisfied_by(as_dict) == expected
+
+
+def check_indexed(formula: CNF, reference: CNF) -> None:
+    """What reads clauses by index (``reference`` in the same order)."""
+    assert formula.clause_index() == oracle.clause_index(reference)
+    assert ClauseQueueGenerator(formula)._vars_of_clause == (
+        oracle.clause_variables(reference)
+    )
 
 
 def test_random_formulas_match_the_clause_oracles():
@@ -79,6 +96,8 @@ def test_random_formulas_match_the_clause_oracles():
         reference = CNF(rows, num_vars=num_vars)  # never table-read
         check(built, reference, rng)
         check(parsed, reference, rng)
+        check_indexed(built, reference)
+        check_indexed(parsed, reference)
         assert parsed == built
         assert parsed.clauses == reference.clauses
 
@@ -94,5 +113,6 @@ def test_benchgen_families_match_the_clause_oracles(family):
     parsed = parse_dimacs(raw_dimacs(shuffled, generated.num_vars))
     check(generated, reference, rng)
     check(parsed, reference, rng)
+    check_indexed(generated, reference)
     # Clause and literal order never reach the keys.
     assert fingerprint(parsed) == fingerprint(generated)
