@@ -13,7 +13,8 @@ ci:
 	$(PYTHON) tools/docs_lint.py
 
 # QA hot-path micro-benchmark (< 60 s); writes BENCH_hotpath.json and
-# fails if the batched sampler is slower than the per-read baseline.
+# fails if the native sweeps are slower than the NumPy sweeps, change a
+# read, or the frontend-cache acceptance solve fails.
 bench:
 	$(PYTHON) -m benchmarks.bench_hotpath --quick
 

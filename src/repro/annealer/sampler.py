@@ -1,36 +1,23 @@
 """Metropolis simulated-annealing sampler over an embedded problem.
 
 The stand-in for the QPU's anneal: starting from a random state, spins
-are flipped under a geometric inverse-temperature (beta) schedule.  Two
-sweep modes are provided:
+are flipped under a geometric inverse-temperature (beta) schedule by
+vectorised "diluted" parallel Metropolis: every spin computes its local
+field at once, and each spin flips with probability
+``0.5 * min(1, exp(-beta * delta))`` (acceptance times a one-half
+dilution, which breaks the two-cycle oscillations exact parallel
+updates suffer).
 
-- ``sequential`` — textbook single-spin Metropolis, exact but Python-
-  loop bound; used by the tests as the reference dynamics.
-- ``parallel`` — vectorised "diluted" parallel Metropolis: every spin
-  computes its local field at once, acceptance is decided per spin, and
-  a random half of the accepted flips is applied (the dilution breaks
-  the two-cycle oscillations exact parallel updates suffer).  This is
-  the default; it is orders of magnitude faster in numpy and settles to
-  the same low-energy states on the problem sizes HyQSAT embeds.
-
-On top of the parallel mode, **replica batching** (``batch_reads``, on
-by default) folds all ``num_reads × num_restarts`` independent anneal
-trajectories into one ``(n, R)`` float32 state matrix and runs a
-*single* vectorised schedule pass: per-sweep local fields are one
-sparse ``matrix @ states`` product, Metropolis acceptance and dilution
-merge into a single uniform draw per spin, greedy descent
-batches the same way, and each read is recovered as its best-energy
-restart via the batch-energy kernel
-(:func:`repro.annealer.embedded.batch_energies`).  The per-spin flip
-probability is *exactly* that of the per-read reference loop
-(``0.5 * min(1, exp(-beta * delta))``), so the batched trajectories
-are statistically equivalent, but they consume the RNG stream in a
-different shape and are therefore not bit-identical with the per-read
-path.  Batched sampling remains fully deterministic for a fixed seed.
-Its sweeps run in a native kernel (``annealer/sweep.c``, built by
-:mod:`repro.cdcl.native` on the first anneal) when one can be built;
-the NumPy loop is the oracle and the fallback, and both give
-bit-identical reads.
+All ``num_reads × num_restarts`` independent anneal trajectories run
+as one ``(n, R)`` float32 state matrix in a *single* schedule pass:
+per-sweep local fields are one sparse ``matrix @ states`` product,
+acceptance and dilution merge into a single uniform draw per spin,
+greedy descent batches the same way, and each read is recovered as its
+best-energy restart via the batch-energy kernel
+(:func:`repro.annealer.embedded.batch_energies`).  The sweeps run in a
+native kernel (``annealer/sweep.c``, built by :mod:`repro.cdcl.native`
+on the first anneal) when one can be built; the NumPy loop is the
+oracle and the fallback, and both give bit-identical reads.
 
 The sampler is deterministic given its seed, and the noise model hooks
 in at two points: coefficient perturbation before the run and readout
@@ -75,7 +62,6 @@ class SamplerConfig:
     num_sweeps: int = 256
     beta_min: float = 0.05
     beta_max: float = 5.0
-    sweep_mode: str = "parallel"  # "parallel" | "sequential"
     greedy_descent: bool = True
     max_descent_sweeps: int = 64
     #: Independent anneal restarts folded into each read (the best by
@@ -84,18 +70,12 @@ class SamplerConfig:
     #: is given enough attempts to reach the true ground state; higher
     #: restart counts emulate that regime.
     num_restarts: int = 1
-    #: Anneal all ``num_reads × num_restarts`` replicas at once as one
-    #: ``(R, n)`` state matrix (parallel mode only).  Off falls back to
-    #: the per-read reference loop.
-    batch_reads: bool = True
 
     def __post_init__(self) -> None:
         if self.num_sweeps < 1:
             raise ValueError("num_sweeps must be >= 1")
         if self.beta_min <= 0 or self.beta_max < self.beta_min:
             raise ValueError("need 0 < beta_min <= beta_max")
-        if self.sweep_mode not in ("parallel", "sequential"):
-            raise ValueError(f"unknown sweep_mode {self.sweep_mode!r}")
         if self.max_descent_sweeps < 0:
             raise ValueError("max_descent_sweeps must be non-negative")
         if self.num_restarts < 1:
@@ -128,59 +108,10 @@ class SimulatedAnnealingSampler:
 
         linear, matrix = self._programmed_arrays(problem, rng)
         betas = self._schedule()
-        if self.config.batch_reads and self.config.sweep_mode == "parallel":
-            return self._sample_batched(num_reads, linear, matrix, betas, rng)
-        reads: List[np.ndarray] = []
-        for _ in range(num_reads):
-            best_bits: Optional[np.ndarray] = None
-            best_energy = float("inf")
-            for _ in range(self.config.num_restarts):
-                bits = rng.integers(0, 2, size=n).astype(np.int8)
-                if self.config.sweep_mode == "parallel":
-                    bits = self._anneal_parallel(bits, linear, matrix, betas, rng)
-                else:
-                    bits = self._anneal_sequential(bits, linear, matrix, betas, rng)
-                if self.config.greedy_descent:
-                    bits = self._descend(bits, linear, matrix, rng)
-                if self.config.num_restarts == 1:
-                    best_bits = bits
-                    break
-                state = bits.astype(float)
-                energy = float(linear @ state + state @ (matrix @ state) / 2.0)
-                if energy < best_energy:
-                    best_energy, best_bits = energy, bits
-            bits = self.noise.flip_readout(best_bits, rng).astype(np.int8)
-            reads.append(bits)
-        return reads
-
-    # ------------------------------------------------------------------
-
-    def _sample_batched(
-        self,
-        num_reads: int,
-        linear: np.ndarray,
-        matrix: sparse.csr_matrix,
-        betas: np.ndarray,
-        rng: np.random.Generator,
-    ) -> List[np.ndarray]:
-        """One vectorised schedule pass over all replicas at once.
-
-        ``num_reads × num_restarts`` replicas anneal as a single state
-        matrix held in ``(n, R)`` column-major-replica layout (each
-        replica is a column, so the sparse ``matrix @ states`` product
-        feeds the dense element-wise updates without transposes); each
-        read then keeps its lowest-energy restart via the batch-energy
-        kernel — no Python loop over couplings.
-
-        The batch runs in float32 with a *merged* acceptance draw: one
-        uniform per spin decides accept-and-dilute at once (see
-        :meth:`_anneal_batch`), with exactly the per-spin flip
-        probability of the per-read path's two draws.  The dynamics are
-        therefore statistically equivalent to (but not bit-identical
-        with) the per-read reference loop, and remain fully
-        deterministic for a fixed seed.
-        """
-        n = linear.shape[0]
+        # All replicas anneal as one ``(n, R)`` state matrix (each
+        # replica a column, so ``matrix @ states`` feeds the dense
+        # element-wise updates without transposes); each read then
+        # keeps its lowest-energy restart.
         restarts = self.config.num_restarts
         replicas = num_reads * restarts
         linear32 = linear.astype(np.float32)
@@ -242,32 +173,6 @@ class SimulatedAnnealingSampler:
             beta_max = min(beta_max, self.noise.thermal_beta)
         return np.geomspace(self.config.beta_min, beta_max, self.config.num_sweeps)
 
-    def _anneal_parallel(
-        self,
-        bits: np.ndarray,
-        linear: np.ndarray,
-        matrix: sparse.csr_matrix,
-        betas: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Diluted parallel Metropolis on a single ``(n,)`` state.
-
-        ``matrix`` is the symmetric ``(n, n)`` CSR coupling matrix (both
-        coupler directions populated), so the local field is one
-        ``matrix @ state`` product.
-        """
-        state = bits.astype(float)
-        for beta in betas:
-            field = linear + matrix @ state
-            delta = (1.0 - 2.0 * state) * field  # energy change per flip
-            accept = (delta <= 0.0) | (
-                rng.random(state.shape) < np.exp(-beta * np.clip(delta, 0.0, 50.0))
-            )
-            dilution = rng.random(state.shape) < 0.5
-            flips = accept & dilution
-            state = np.where(flips, 1.0 - state, state)
-        return state.astype(np.int8)
-
     def _anneal_batch(
         self,
         states: np.ndarray,
@@ -284,10 +189,10 @@ class SimulatedAnnealingSampler:
         ``delta_i = m_i * (c_i - (matrix @ m)_i / 2)`` with
         ``c = linear + rowsum(matrix) / 2``.  Acceptance and dilution
         merge into a single uniform draw per spin — flip iff
-        ``2u < exp(-beta * max(delta, 0))``, exactly the per-read
-        reference's ``0.5 * min(1, exp(-beta * delta))`` flip
-        probability — and the uniforms for many sweeps are drawn (and
-        pre-doubled) in bulk chunks to amortise generator call overhead.
+        ``2u < exp(-beta * max(delta, 0))``, a flip probability of
+        ``0.5 * min(1, exp(-beta * delta))`` — and the uniforms for
+        many sweeps are drawn (and pre-doubled) in bulk chunks to
+        amortise generator call overhead.
 
         The sweeps run in the native kernel (``annealer/sweep.c``) when
         it loads, and otherwise in :meth:`_sweeps_numpy`, the oracle;
@@ -386,35 +291,6 @@ class SimulatedAnnealingSampler:
 
         return sweeps
 
-    def _descend(
-        self,
-        bits: np.ndarray,
-        linear: np.ndarray,
-        matrix: sparse.csr_matrix,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Zero-temperature greedy descent to the nearest local minimum.
-
-        The standard post-anneal calibration step (greedy descent,
-        Ayanzadeh et al. [6]): flips are only accepted when they
-        strictly lower the energy, applied with 0.5 dilution so the
-        vectorised update converges instead of oscillating.  ``matrix``
-        is the symmetric CSR coupling matrix, as in
-        :meth:`_anneal_parallel`.
-        """
-        state = bits.astype(float)
-        for _ in range(self.config.max_descent_sweeps):
-            field = linear + matrix @ state
-            delta = (1.0 - 2.0 * state) * field
-            improving = delta < -1e-12
-            if not improving.any():
-                break
-            flips = improving & (rng.random(state.shape) < 0.5)
-            if not flips.any():
-                continue
-            state = np.where(flips, 1.0 - state, state)
-        return state.astype(np.int8)
-
     def _descend_batch(
         self,
         states: np.ndarray,
@@ -444,28 +320,3 @@ class SimulatedAnnealingSampler:
                 continue
             states = np.where(flips, one - states, states)
         return states
-
-    def _anneal_sequential(
-        self,
-        bits: np.ndarray,
-        linear: np.ndarray,
-        matrix: sparse.csr_matrix,
-        betas: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Single-spin Metropolis reference dynamics on an ``(n,)``
-        state.  ``matrix`` is the symmetric CSR coupling matrix; its raw
-        ``indptr``/``indices``/``data`` arrays drive the per-spin field
-        lookups."""
-        state = bits.astype(float)
-        n = state.shape[0]
-        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-        for beta in betas:
-            order = rng.permutation(n)
-            for i in order:
-                lo, hi = indptr[i], indptr[i + 1]
-                field = linear[i] + data[lo:hi] @ state[indices[lo:hi]]
-                delta = (1.0 - 2.0 * state[i]) * field
-                if delta <= 0.0 or rng.random() < np.exp(-beta * min(delta, 50.0)):
-                    state[i] = 1.0 - state[i]
-        return state.astype(np.int8)

@@ -7,29 +7,24 @@ and executes the hot loops — propagation, conflict analysis, the
 decision heap, and the VSIDS/CHB heuristics — in the C kernel bound by
 :mod:`repro.cdcl.native`.
 
-Two drive modes:
+One search loop: ``kernel_run`` runs every solve from its first
+iteration to its end.  Python services the events the kernel cannot
+decide alone (restart scheduling, learned-DB reduction, buffer growth,
+and every decision that is not the heuristic's: assumptions, forced
+and random ones) and serves the observers.  Before each call it asks
+the kernel to stop only where an attached observer needs Python: at
+the top of each iteration for an
+:class:`~repro.cdcl.solver.IterationHook` (until it reports
+``finished``) or a tracer, after propagation for a tracer, and after
+conflict analysis for a tracer or a DRAT proof.  The steering surface,
+tracing events and DRAT logging therefore behave exactly like the
+reference engine's, and a plain solve, or a hybrid solve after its
+warm-up, never leaves the kernel except for those cold events.
 
-- **run mode** (no hook, no tracer, no proof, no random decisions, no
-  queued forced decisions): the entire search loop runs inside
-  ``kernel_run``; Python only services the events the kernel cannot
-  decide alone (restart scheduling, learned-DB reduction, assumption
-  decisions, buffer growth).
-- **step mode** (anything interactive attached): Python mirrors the
-  reference solve loop one iteration at a time, calling kernel
-  primitives, so the :class:`~repro.cdcl.solver.IterationHook`
-  steering surface, tracing events, and DRAT logging behave exactly
-  like the reference engine.
-
-A solve starts in step mode and hands over to run mode at the top of
-the first iteration where run mode's conditions hold — at once for a
-plain solve, and for a hybrid solve once its hook reports
-``finished`` (the warm-up is over) and the forced decisions of the last
-QA call have drained.
-
-Both modes are gated **bit-identical** to the reference engine — same
+The engine is gated **bit-identical** to the reference engine — same
 model, same conflict/iteration counts, same learned clauses, same
-per-clause counters for any (formula, config, seed); see
-``tests/cdcl/test_fast_identity.py``.
+per-clause counters, DRAT steps and trace records for any (formula,
+config, seed); see ``tests/cdcl/test_fast_identity.py``.
 
 The incremental API (:meth:`FastCdclSolver.add_clause` /
 :meth:`~FastCdclSolver.push` / :meth:`~FastCdclSolver.pop`, repeated
@@ -98,6 +93,12 @@ _ARRAY_DTYPES = {
 }
 
 _FIELD_TYPES = dict(native.CSolverStruct._fields_)
+
+#: ``exits`` bits: the stops ``kernel_run`` makes only when asked.
+_STOP_ITERATION = 1 << native.EV_ITERATION
+_STOP_PROPAGATED = 1 << native.EV_PROPAGATED
+_STOP_ANALYZED = 1 << native.EV_ANALYZED
+_STOP_DECISION = 1 << native.EV_NEED_DECISION
 
 
 class FastEngineError(RuntimeError):
@@ -190,7 +191,7 @@ class FastCdclSolver:
         self._rng = np.random.default_rng(self.config.seed)
         self._forced_decisions: Deque[int] = deque()
         self._push_stack: List[_FastPushMark] = []
-        #: Step-loop locals mirrored for checkpointing (written just
+        #: Run-loop locals mirrored for checkpointing (written just
         #: before each hook call) and the resume flag that makes the
         #: next ``solve`` continue instead of restarting.
         self._loop_state: Optional[Tuple] = None
@@ -600,11 +601,11 @@ class FastCdclSolver:
     def capture_search_state(self) -> dict:
         """Snapshot the complete search state as a JSON-able dict.
 
-        Must be called from inside an :class:`IterationHook` in step
-        mode (the only point where the step loop's restart counters are
-        mirrored).  The snapshot covers every kernel buffer and struct
-        scalar plus the Python-side state, taken *as of the top of the
-        current iteration* — a solver restored from it re-executes that
+        Must be called from inside an :class:`IterationHook` (the only
+        point where the run loop's restart counters are mirrored).  The
+        snapshot covers every kernel buffer and struct scalar plus the
+        Python-side state, taken *as of the top of the current
+        iteration* — a solver restored from it re-executes that
         iteration and continues bit-identically.  Open :meth:`push`
         groups cannot be checkpointed.
         """
@@ -657,7 +658,9 @@ class FastCdclSolver:
             arr = np.array(state["arrays"][field], dtype=_ARRAY_DTYPES[field])
             self._bind(field, arr)
         for name, value in scalars.items():
-            setattr(self._s, name, value)
+            if name in _FIELD_TYPES:  # older states hold resume_at_pick (0)
+                setattr(self._s, name, value)
+        self._s.resume_at = 0  # every snapshot is at an iteration's top
         self._counters_len = state["counters_len"]
         self._refresh_counter_views()
         self._rng = np.random.default_rng()
@@ -726,178 +729,129 @@ class FastCdclSolver:
         s.n_assumptions = len(assumption_lits)
         if not resuming:
             s.conflicts_in_window = 0
-            s.resume_at_pick = 0
+            s.resume_at = 0
             s.pending_conflict = -1
 
-        return self._solve_step(assumption_lits, assumptions, hook, resuming)
+        return self._solve_run(assumption_lits, assumptions, hook, resuming)
 
     def _solve_run(
-        self, assumption_lits, assumptions, restart_num, interval
+        self, assumption_lits, assumptions, hook, resuming
     ) -> SolverResult:
-        """Drive ``kernel_run`` from the top of an iteration, servicing
-        its exit events; ``restart_num`` and ``interval`` are the
-        restart schedule's position."""
+        """Drive ``kernel_run`` to the end of the search, servicing its
+        events and stopping it only where an observer needs Python; the
+        events arrive in the reference loop's pass order."""
         s = self._s
         lib = self._lib
         run = lib.kernel_run
-        s.restart_limit = -1 if interval is None else interval
-        while True:
-            event = run(self._sp)
-            if event == native.EV_GROW:
-                self._grow()
-                continue
-            if event == native.EV_RESTART_DUE:
-                restart_num += 1
-                s.conflicts_in_window = 0
-                s.restart_limit = self._next_restart_interval(restart_num)
-                s.restarts += 1
-                lib.kernel_backtrack(self._sp, 0)
-                continue
-            if event == native.EV_REDUCE_DUE:
-                self._reduce_learned_db()
-                s.max_learned = s.max_learned * self.config.learntsize_inc
-                continue
-            if event == native.EV_NEED_DECISION:
-                ilit = assumption_lits[int(s.n_levels)]
-                value = self._lit_value(ilit)
-                if value == 0:  # assumption conflict
-                    self._sync_stats()
-                    return SolverResult(SolverStatus.UNSAT, None, self.stats)
-                if value == _UNASSIGNED:
-                    lib.kernel_decide(self._sp, ilit)
-                    s.resume_at_pick = 0
-                else:
-                    lib.kernel_new_level(self._sp)  # silently satisfied
-                continue
-            self._sync_stats()
-            if event == native.EV_SAT:
-                return SolverResult(SolverStatus.SAT, self._model(), self.stats)
-            if event == native.EV_ROOT_CONFLICT:
-                self._record_refutation(assumptions)
-                return SolverResult(SolverStatus.UNSAT, None, self.stats)
-            return SolverResult(SolverStatus.UNKNOWN, None, self.stats)
-
-    def _solve_step(
-        self, assumption_lits, assumptions, hook, resuming=False
-    ) -> SolverResult:
-        """Mirror the reference solve loop, one iteration per pass, and
-        hand the search to :meth:`_solve_run` at the top of the first
-        pass where nothing needs Python: no hook (or a finished one),
-        tracer, DRAT proof, random decisions or queued forced
-        decisions.  ``kernel_run`` keeps this loop's pass order."""
-        s = self._s
-        lib = self._lib
         config = self.config
         tracer = self._tracer
-        native_ok = (
-            tracer is None
-            and self.proof is None
-            and config.random_decision_freq == 0.0
-        )
+        proof = self.proof
         if resuming:
             restart_num, interval = self._loop_state
         else:
             restart_num = 0
             interval = self._next_restart_interval(0)
-        while True:
-            if hook is None and native_ok and not self._forced_decisions:
-                return self._solve_run(
-                    assumption_lits, assumptions, restart_num, interval
+        s.restart_limit = -1 if interval is None else interval
+        # Stops for the whole search; the hook's and the forced
+        # decisions' are added per call while they are needed.
+        stops = 0
+        if tracer is not None:
+            stops |= _STOP_ITERATION | _STOP_PROPAGATED | _STOP_ANALYZED
+        if proof is not None:
+            stops |= _STOP_ANALYZED
+        if config.random_decision_freq > 0.0:
+            stops |= _STOP_DECISION
+        span = None
+        try:
+            while True:
+                s.exits = (
+                    stops
+                    | (_STOP_ITERATION if hook is not None else 0)
+                    | (_STOP_DECISION if self._forced_decisions else 0)
                 )
-            if (
-                config.max_conflicts is not None
-                and s.conflicts >= config.max_conflicts
-            ) or (
-                config.max_iterations is not None
-                and s.iterations >= config.max_iterations
-            ):
-                self._sync_stats()
-                return SolverResult(SolverStatus.UNKNOWN, None, self.stats)
-
-            s.iterations += 1
-            span = (
-                tracer.start_span("iteration", index=int(s.iterations))
-                if tracer is not None
-                else None
-            )
-            try:
-                if hook is not None:
-                    self._sync_stats()
-                    # Mirror the loop-locals so a hook can checkpoint
-                    # this exact iteration (capture_search_state).
-                    self._loop_state = (restart_num, interval)
-                    proposed = hook.on_iteration(self)
-                    if proposed is not None and proposed.satisfies(self.formula):
-                        return SolverResult(
-                            SolverStatus.SAT, proposed, self.stats
+                event = run(self._sp)
+                if event == native.EV_ITERATION:
+                    if tracer is not None:
+                        if span is not None:
+                            span.end()
+                        span = tracer.start_span(
+                            "iteration", index=int(s.iterations)
                         )
-                    if getattr(hook, "finished", False):
-                        hook = None
-
-                conflict = lib.kernel_propagate(self._sp)
-                if tracer is not None:
+                    if hook is not None:
+                        self._sync_stats()
+                        # Mirror the loop-locals so a hook can checkpoint
+                        # this exact iteration (capture_search_state).
+                        self._loop_state = (restart_num, interval)
+                        proposed = hook.on_iteration(self)
+                        if proposed is not None and proposed.satisfies(
+                            self.formula
+                        ):
+                            return SolverResult(
+                                SolverStatus.SAT, proposed, self.stats
+                            )
+                        if getattr(hook, "finished", False):
+                            hook = None
+                    continue
+                if event == native.EV_PROPAGATED:
                     tracer.event(
                         "cdcl.propagate",
                         trail=int(s.trail_len),
                         level=int(s.n_levels),
                     )
-                if conflict >= 0:
-                    s.conflicts += 1
-                    s.conflicts_in_window += 1
-                    if s.n_levels == 0:
-                        self._record_refutation(assumptions)
-                        self._sync_stats()
-                        return SolverResult(
-                            SolverStatus.UNSAT, None, self.stats
-                        )
-                    conflict_level = int(s.n_levels)
-                    self._grow()
-                    lib.kernel_analyze(self._sp, conflict)
-                    if self.proof is not None:
+                    continue
+                if event == native.EV_ANALYZED:
+                    if proof is not None:
                         out = self._arr["out_learned"][: s.out_learned_len]
-                        self.proof.add_clause(_dec(int(l)).value for l in out)
-                    backjump = int(s.out_backjump)
-                    learned_size = int(s.out_learned_len)
-                    lib.kernel_learn(self._sp)
+                        proof.add_clause(_dec(int(l)).value for l in out)
                     if tracer is not None:
                         tracer.event(
                             "cdcl.conflict",
-                            level=conflict_level,
-                            backjump=backjump,
-                            learned_size=learned_size,
+                            level=int(s.n_levels),
+                            backjump=int(s.out_backjump),
+                            learned_size=int(s.out_learned_len),
                         )
                     continue
-
-                if (
-                    interval is not None
-                    and s.conflicts_in_window >= interval
-                ):
+                if event == native.EV_GROW:
+                    self._grow()
+                    continue
+                if event == native.EV_RESTART_DUE:
                     restart_num += 1
                     s.conflicts_in_window = 0
                     interval = self._next_restart_interval(restart_num)
+                    s.restart_limit = -1 if interval is None else interval
                     s.restarts += 1
                     lib.kernel_backtrack(self._sp, 0)
                     if tracer is not None:
                         tracer.event("cdcl.restart", number=restart_num)
                     continue
-
-                if s.n_learned >= s.max_learned + s.trail_len:
+                if event == native.EV_REDUCE_DUE:
                     self._reduce_learned_db()
                     s.max_learned = s.max_learned * config.learntsize_inc
-
-                next_lit = self._pick_branch(assumption_lits)
-                if next_lit is None:
-                    self._sync_stats()
+                    continue
+                if event == native.EV_NEED_DECISION:
+                    next_lit = self._pick_branch(assumption_lits)
+                    if next_lit is None:
+                        event = native.EV_SAT
+                    elif next_lit == -1:  # assumption conflict
+                        self._sync_stats()
+                        return SolverResult(
+                            SolverStatus.UNSAT, None, self.stats
+                        )
+                    else:
+                        lib.kernel_decide(self._sp, next_lit)
+                        continue
+                self._sync_stats()
+                if event == native.EV_SAT:
                     return SolverResult(
                         SolverStatus.SAT, self._model(), self.stats
                     )
-                if next_lit == -1:  # assumption conflict
-                    self._sync_stats()
+                if event == native.EV_ROOT_CONFLICT:
+                    self._record_refutation(assumptions)
                     return SolverResult(SolverStatus.UNSAT, None, self.stats)
-                lib.kernel_decide(self._sp, next_lit)
-            finally:
-                if span is not None:
-                    span.end()
+                return SolverResult(SolverStatus.UNKNOWN, None, self.stats)
+        finally:
+            if span is not None:
+                span.end()
 
     # ------------------------------------------------------------------
     # Cold-path helpers
@@ -910,7 +864,10 @@ class FastCdclSolver:
         return val ^ (ilit & 1)
 
     def _pick_branch(self, assumption_lits: List[int]) -> Optional[int]:
-        """Step-mode decision pick (mirror of the reference)."""
+        """The next decision at an ``EV_NEED_DECISION`` stop (mirror of
+        the reference): a forced decision, then an assumption, then a
+        random or the heuristic's pick.  None means every variable is
+        assigned, -1 a refuted assumption."""
         s = self._s
         while self._forced_decisions:
             ilit = self._forced_decisions.popleft()

@@ -28,11 +28,13 @@
  *   sequence, which makes them bit-identical under IEEE-754 doubles
  *   (build without -ffast-math; see native.py).
  *
- * The Python wrapper (repro/cdcl/fast.py) drives either one
- * iteration at a time (hook/trace/proof mode) or the budgeted
- * kernel_run loop (no-hook mode), and owns everything cold: restart
- * scheduling, clause-DB reduction policy, assumptions, forced
- * decisions, and the incremental push/pop bookkeeping.
+ * kernel_run is the one search loop.  The Python wrapper
+ * (repro/cdcl/fast.py) owns everything cold: restart scheduling,
+ * clause-DB reduction policy, every decision that is not the
+ * heuristic's (assumptions, forced and random decisions), the
+ * incremental push/pop bookkeeping, and the observers (iteration
+ * hook, tracer, DRAT proof), which it serves at the stops it selects
+ * in ``exits`` before each call.
  */
 
 #include <stdint.h>
@@ -41,7 +43,10 @@
 #define NO_REASON (-1)
 #define NIL (-1)
 
-/* kernel_run exit events (mirrored in repro/cdcl/native.py). */
+/* kernel_run exit events (mirrored in repro/cdcl/native.py).  The
+ * last three, and EV_NEED_DECISION beyond the assumptions, are stops:
+ * kernel_run returns one only when its bit (1 << event) is set in
+ * ``exits``. */
 #define EV_SAT 1
 #define EV_ROOT_CONFLICT 2
 #define EV_BUDGET 3
@@ -49,6 +54,9 @@
 #define EV_REDUCE_DUE 5
 #define EV_NEED_DECISION 6
 #define EV_GROW 7
+#define EV_ITERATION 8  /* top of an iteration, after the increment */
+#define EV_PROPAGATED 9 /* after propagation */
+#define EV_ANALYZED 10  /* after analysis, before the clause is learned */
 
 #define HEUR_VSIDS 0
 #define HEUR_CHB 1
@@ -130,8 +138,9 @@ typedef struct {
     int64_t out_learned_len;
     int64_t out_backjump;
     /* run-loop control */
-    int64_t resume_at_pick;
-    int64_t pending_conflict; /* conflict stashed across EV_GROW */
+    int64_t exits;            /* bit e set: return stop event e */
+    int64_t resume_at;        /* last event returned: resume after it */
+    int64_t pending_conflict; /* conflict stashed across a return */
     int64_t max_conflicts;   /* -1 = unlimited */
     int64_t max_iterations;  /* -1 = unlimited */
     int64_t restart_limit;   /* conflicts in window before restart; -1 = never */
@@ -395,8 +404,8 @@ void kernel_attach_clause(CSolver *s, int64_t ci) {
 
 /* Register clause metadata written by Python into the flat arrays
  * and attach its watches when it has >= 2 literals. */
-void kernel_add_clause(CSolver *s, int64_t start, int64_t size,
-                       int64_t orig_index, int64_t learned) {
+static void kernel_add_clause(CSolver *s, int64_t start, int64_t size,
+                              int64_t orig_index, int64_t learned) {
     int64_t ci = s->n_clauses++;
     s->c_start[ci] = (int32_t)start;
     s->c_size[ci] = (int32_t)size;
@@ -448,7 +457,7 @@ void kernel_detach_clauses(CSolver *s, const uint8_t *remove) {
 /* Propagation (mirror of _propagate)                                 */
 /* ------------------------------------------------------------------ */
 
-int64_t kernel_propagate(CSolver *s) {
+static int64_t kernel_propagate(CSolver *s) {
     while (s->prop_head < s->trail_len) {
         int32_t ilit = s->trail[s->prop_head++];
         int32_t false_lit = ilit ^ 1;
@@ -534,9 +543,9 @@ static void bump_clause(CSolver *s, int64_t ci) {
 
 /* First-UIP analysis.  Fills out_learned / out_backjump, leaving the
  * learned clause uninstalled — kernel_learn completes the conflict
- * handling (the Python wrapper logs the DRAT proof in between when
- * one is attached). */
-void kernel_analyze(CSolver *s, int64_t conflict_ci) {
+ * handling (at an EV_ANALYZED stop the Python wrapper logs the DRAT
+ * proof in between). */
+static void kernel_analyze(CSolver *s, int64_t conflict_ci) {
     int32_t *learned = s->out_learned;
     int64_t learned_len = 1; /* slot 0: asserting literal placeholder */
     uint8_t *seen = s->seen;
@@ -639,16 +648,14 @@ void kernel_analyze(CSolver *s, int64_t conflict_ci) {
 /* Install the analysis result: backtrack, store/attach the learned
  * clause (or assign the learned unit), then decay clause activity
  * and run the heuristic's after-conflict step.  Mirrors the conflict
- * branch of the reference solve loop; returns the new clause index
- * or -1 for a unit. */
-int64_t kernel_learn(CSolver *s) {
+ * branch of the reference solve loop. */
+static void kernel_learn(CSolver *s) {
     kernel_backtrack(s, s->out_backjump);
     s->learned_total += 1;
-    int64_t ci = -1;
     if (s->out_learned_len == 1) {
         assign(s, s->out_learned[0], NO_REASON);
     } else {
-        ci = s->n_clauses;
+        int64_t ci = s->n_clauses;
         int64_t start = s->pool_len;
         for (int64_t i = 0; i < s->out_learned_len; i++)
             s->pool[s->pool_len++] = s->out_learned[i];
@@ -659,7 +666,6 @@ int64_t kernel_learn(CSolver *s) {
     }
     s->clause_bump /= s->clause_decay;
     heur_after_conflict(s);
-    return ci;
 }
 
 /* ------------------------------------------------------------------ */
@@ -676,7 +682,7 @@ int64_t kernel_pick(CSolver *s) {
 }
 
 /* ------------------------------------------------------------------ */
-/* The budgeted search loop (no-hook fast path)                       */
+/* The search loop (mirror of the reference solve loop)               */
 /* ------------------------------------------------------------------ */
 
 static int grow_needed(const CSolver *s) {
@@ -685,53 +691,71 @@ static int grow_needed(const CSolver *s) {
            s->node_len + 2 > s->node_cap;
 }
 
+#define WANTS(s, event) ((s)->exits & ((int64_t)1 << (event)))
+
+static int64_t stop(CSolver *s, int64_t event) {
+    s->resume_at = event;
+    return event;
+}
+
+/* Runs the search from where the last call stopped until it ends or
+ * needs Python: a budget, a restart or reduction that is due, buffer
+ * growth, a decision it may not take itself (an assumption, or any
+ * decision while EV_NEED_DECISION is wanted), or a stop selected in
+ * ``exits``.  Python answers EV_NEED_DECISION with the decision, so
+ * the next call starts a new iteration. */
 int64_t kernel_run(CSolver *s) {
+    int64_t conflict = s->pending_conflict;
+    switch (s->resume_at) {
+    case EV_ITERATION: goto propagate;
+    case EV_PROPAGATED: goto propagated;
+    case EV_GROW: goto analyze;
+    case EV_ANALYZED: goto learn;
+    case EV_REDUCE_DUE: goto pick;
+    default: break; /* the top of an iteration */
+    }
     for (;;) {
-        if (s->pending_conflict >= 0) {
-            /* Re-entry after EV_GROW: finish the stashed conflict. */
-            int64_t conflict = s->pending_conflict;
-            s->pending_conflict = NO_REASON;
+        if ((s->max_conflicts >= 0 && s->conflicts >= s->max_conflicts) ||
+            (s->max_iterations >= 0 && s->iterations >= s->max_iterations))
+            return stop(s, EV_BUDGET);
+        s->iterations += 1;
+        if (WANTS(s, EV_ITERATION))
+            return stop(s, EV_ITERATION);
+    propagate:
+        conflict = kernel_propagate(s);
+        if (WANTS(s, EV_PROPAGATED)) {
+            s->pending_conflict = conflict;
+            return stop(s, EV_PROPAGATED);
+        }
+    propagated:
+        if (conflict >= 0) {
+            s->conflicts += 1;
+            s->conflicts_in_window += 1;
+            if (s->n_levels == 0)
+                return stop(s, EV_ROOT_CONFLICT);
+            if (grow_needed(s)) {
+                s->pending_conflict = conflict;
+                return stop(s, EV_GROW);
+            }
+        analyze:
             kernel_analyze(s, conflict);
+            if (WANTS(s, EV_ANALYZED))
+                return stop(s, EV_ANALYZED);
+        learn:
             kernel_learn(s);
             continue;
         }
-        if (!s->resume_at_pick) {
-            if ((s->max_conflicts >= 0 && s->conflicts >= s->max_conflicts) ||
-                (s->max_iterations >= 0 && s->iterations >= s->max_iterations))
-                return EV_BUDGET;
-            s->iterations += 1;
-            int64_t conflict = kernel_propagate(s);
-            if (conflict >= 0) {
-                s->conflicts += 1;
-                s->conflicts_in_window += 1;
-                if (s->n_levels == 0)
-                    return EV_ROOT_CONFLICT;
-                if (grow_needed(s)) {
-                    s->pending_conflict = conflict;
-                    return EV_GROW;
-                }
-                kernel_analyze(s, conflict);
-                kernel_learn(s);
-                continue;
-            }
-            if (s->restart_limit >= 0 &&
-                s->conflicts_in_window >= s->restart_limit)
-                return EV_RESTART_DUE;
-            if ((double)s->n_learned >=
-                s->max_learned + (double)s->trail_len) {
-                s->resume_at_pick = 1;
-                return EV_REDUCE_DUE;
-            }
-        } else {
-            s->resume_at_pick = 0;
-        }
-        if (s->n_levels < s->n_assumptions) {
-            s->resume_at_pick = 1;
-            return EV_NEED_DECISION;
-        }
+        if (s->restart_limit >= 0 &&
+            s->conflicts_in_window >= s->restart_limit)
+            return stop(s, EV_RESTART_DUE);
+        if ((double)s->n_learned >= s->max_learned + (double)s->trail_len)
+            return stop(s, EV_REDUCE_DUE);
+    pick:
+        if (s->n_levels < s->n_assumptions || WANTS(s, EV_NEED_DECISION))
+            return stop(s, EV_NEED_DECISION);
         int64_t lit = kernel_pick(s);
         if (lit == -2)
-            return EV_SAT;
+            return stop(s, EV_SAT);
         kernel_decide(s, lit);
     }
 }

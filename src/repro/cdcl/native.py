@@ -40,7 +40,9 @@ _SWEEP_SOURCE = Path(__file__).parents[1] / "annealer" / "sweep.c"
 _CFLAGS = ["-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared"]
 _SWEEP_CFLAGS = _CFLAGS + ["-fno-trapping-math", "-fvect-cost-model=dynamic"]
 
-#: ``kernel_run`` exit events (keep in sync with kernel.c).
+#: ``kernel_run`` exit events (keep in sync with kernel.c).  The last
+#: three, and ``EV_NEED_DECISION`` beyond the assumptions, are stops
+#: returned only when their bit is set in the struct's ``exits``.
 EV_SAT = 1
 EV_ROOT_CONFLICT = 2
 EV_BUDGET = 3
@@ -48,6 +50,9 @@ EV_RESTART_DUE = 4
 EV_REDUCE_DUE = 5
 EV_NEED_DECISION = 6
 EV_GROW = 7
+EV_ITERATION = 8
+EV_PROPAGATED = 9
+EV_ANALYZED = 10
 
 #: Heuristic kinds (keep in sync with kernel.c).
 HEUR_VSIDS = 0
@@ -141,7 +146,8 @@ class CSolverStruct(ctypes.Structure):
         ("out_learned_len", ctypes.c_int64),
         ("out_backjump", ctypes.c_int64),
         # run-loop control
-        ("resume_at_pick", ctypes.c_int64),
+        ("exits", ctypes.c_int64),
+        ("resume_at", ctypes.c_int64),
         ("pending_conflict", ctypes.c_int64),
         ("max_conflicts", ctypes.c_int64),
         ("max_iterations", ctypes.c_int64),
@@ -163,15 +169,7 @@ _SIGNATURES = [
     ("kernel_backtrack", None, [ctypes.c_int64]),
     ("kernel_truncate_root", None, [ctypes.c_int64]),
     ("kernel_attach_clause", None, [ctypes.c_int64]),
-    (
-        "kernel_add_clause",
-        None,
-        [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64],
-    ),
     ("kernel_detach_clauses", None, [_u8p]),
-    ("kernel_propagate", ctypes.c_int64, []),
-    ("kernel_analyze", None, [ctypes.c_int64]),
-    ("kernel_learn", ctypes.c_int64, []),
     ("kernel_pick", ctypes.c_int64, []),
     ("kernel_run", ctypes.c_int64, []),
 ]

@@ -93,9 +93,9 @@ class IterationHook(Protocol):
     A hook may also carry a ``finished`` attribute.  Once it reads true
     after a call, the hook promises that every later call in this
     ``solve`` would return None and change nothing, so both engines
-    stop calling it (and the fast engine runs the rest of the search
-    in its native loop).  A hook without the attribute is called every
-    iteration.
+    stop calling it (and the fast engine's kernel no longer stops at
+    the top of each iteration for it).  A hook without the attribute
+    is called every iteration.
     """
 
     def on_iteration(self, solver: "CdclSolver") -> Optional[Assignment]:

@@ -121,13 +121,6 @@ class HyQSatConfig:
     #: CDCL absorb errors.
     num_reads: int = 1
 
-    #: Anneal all ``num_reads × num_restarts`` replicas of a QA call as
-    #: one batched state matrix (the vectorised hot path).  Only
-    #: applied when the solver constructs its own default device; a
-    #: user-supplied :class:`~repro.annealer.device.AnnealerDevice`
-    #: keeps its own sampler configuration.
-    batch_reads: bool = True
-
     #: LRU bound (entries) of the frontend compilation cache, which
     #: memoises encode → embed → normalise → compile per
     #: (clause-queue fingerprint, trail restriction).  0 disables it.

@@ -277,13 +277,7 @@ class HyQSatSolver:
         self.formula = formula
         self._ksat_reduction = None
         self.config = config or HyQSatConfig()
-        if device is None:
-            from repro.annealer.sampler import SamplerConfig as _SamplerConfig
-
-            device = AnnealerDevice(
-                sampler_config=_SamplerConfig(batch_reads=self.config.batch_reads)
-            )
-        self.device = device
+        self.device = device if device is not None else AnnealerDevice()
         self.solver_config = solver_config or SolverConfig()
         #: Tracing/metrics bundle shared with the frontend, the device,
         #: and the CDCL engine so every layer's spans nest under one

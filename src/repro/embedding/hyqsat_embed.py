@@ -214,17 +214,19 @@ class HyQSatEmbedder:
                     [q for _, h, c1, c2 in owned for q in horizontal[h][c1 : c2 + 1]],
                 )
 
-        elapsed = time.perf_counter() - start
         edge_couplers = {
             edge: tuple(couplers) for edge, couplers in realized.items()
         }
+        embedded_clauses = tuple(embedded)
+        unembedded_clauses = tuple(sorted(unembedded))
+        # The clock stops once every part of the result is built.
         return HyQSatEmbeddingResult(
             embedding=embedding,
             success=len(embedded) == len(clause_rows),
-            elapsed_seconds=elapsed,
+            elapsed_seconds=time.perf_counter() - start,
             edge_couplers=edge_couplers,
-            embedded_clauses=tuple(embedded),
-            unembedded_clauses=tuple(sorted(unembedded)),
+            embedded_clauses=embedded_clauses,
+            unembedded_clauses=unembedded_clauses,
         )
 
     def _span(

@@ -22,10 +22,16 @@ replayable bit-identically as ``hyqsat solve --topology T --grid N``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.service.scheduler import QpuScheduler
+
+#: Probe results a router keeps, one per (fingerprint, device); past
+#: it the oldest is evicted.  Far above a workload's working set: a
+#: 30 s ``gateway-zipf`` run routes 41 distinct instances on 3 devices.
+PROBE_CACHE_ENTRIES = 4096
 
 #: Fleet-spec grammar: comma-separated ``topology:grid`` atoms, e.g.
 #: ``chimera:8,chimera:16,pegasus:8``.
@@ -107,7 +113,8 @@ class FleetRouter:
 
     Capacity probes run the real HyQSAT line embedder per (formula,
     device) and are memoised by the fingerprint the caller passes, so
-    a stream of identical instances costs one probe per device.  Each
+    a stream of identical instances costs one probe per device; the
+    memo keeps the newest :data:`PROBE_CACHE_ENTRIES` probes.  Each
     member owns a :class:`QpuScheduler`, giving the gateway m
     independent anneal arbiters (vs the service's single shared QPU).
     """
@@ -130,11 +137,14 @@ class FleetRouter:
             key=lambda q: (q.num_qubits, 0 if q.topology == "pegasus" else 1),
         )
         self._probe_cache: Dict[Tuple[str, str], Tuple[int, int]] = {}
+        # The gateway routes on more than one executor thread.
+        self._probe_lock = threading.Lock()
 
     def _probe(self, formula, fp: str, qpu: GatewayQpu) -> Tuple[int, int]:
         """(embedded, total) clauses of one formula on one device."""
         key = (fp, qpu.name)
-        cached = self._probe_cache.get(key)
+        with self._probe_lock:
+            cached = self._probe_cache.get(key)
         if cached is not None:
             return cached
         from repro.embedding import HyQSatEmbedder
@@ -151,7 +161,10 @@ class FleetRouter:
         hardware = build_hardware(qpu.topology, qpu.grid)
         embedded = HyQSatEmbedder(hardware).embed(encoding)
         placed = (embedded.num_embedded, len(encoding.clauses))
-        self._probe_cache[key] = placed
+        with self._probe_lock:
+            self._probe_cache[key] = placed
+            while len(self._probe_cache) > PROBE_CACHE_ENTRIES:
+                del self._probe_cache[next(iter(self._probe_cache))]
         return placed
 
     def route(self, formula, fp: str) -> RoutingDecision:

@@ -6,6 +6,7 @@ import pytest
 from repro.annealer.embedded import EmbeddedProblem
 from repro.annealer.noise import NoiseModel
 from repro.annealer.sampler import SamplerConfig, SimulatedAnnealingSampler
+from repro.cdcl import native
 
 
 def _problem(linear, couplings, offset=0.0):
@@ -29,11 +30,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             SamplerConfig(beta_min=2, beta_max=1)
         with pytest.raises(ValueError):
-            SamplerConfig(sweep_mode="magic")
-        with pytest.raises(ValueError):
             SamplerConfig(num_restarts=0)
         with pytest.raises(ValueError):
             SamplerConfig(max_descent_sweeps=-1)
+
+
+def _reads(problem, config, seed, num_reads, mode):
+    """``num_reads`` reads annealed together as the columns of one
+    replica matrix (``parallel``) or one ``sample`` call at a time
+    (``sequential``, a one-column matrix per read)."""
+    if mode == "parallel":
+        return SimulatedAnnealingSampler(config, seed=seed).sample(problem, num_reads)
+    return [
+        SimulatedAnnealingSampler(config, seed=seed + k).sample(problem)[0]
+        for k in range(num_reads)
+    ]
 
 
 class TestGroundStates:
@@ -41,20 +52,14 @@ class TestGroundStates:
     def test_independent_biases(self, mode):
         # H = -x0 + x1: minimum at (1, 0).
         problem = _problem([-1.0, 1.0], [])
-        sampler = SimulatedAnnealingSampler(
-            SamplerConfig(num_sweeps=64, sweep_mode=mode), seed=0
-        )
-        bits = sampler.sample(problem, num_reads=1)[0]
-        assert list(bits) == [1, 0]
+        for bits in _reads(problem, SamplerConfig(num_sweeps=64), 0, 3, mode):
+            assert list(bits) == [1, 0]
 
     @pytest.mark.parametrize("mode", ["parallel", "sequential"])
     def test_ferromagnetic_pair(self, mode):
         # H = x0 + x1 - 2 x0 x1 : minima at (0,0) and (1,1).
         problem = _problem([1.0, 1.0], [(0, 1, -2.0)])
-        sampler = SimulatedAnnealingSampler(
-            SamplerConfig(num_sweeps=64, sweep_mode=mode), seed=1
-        )
-        for bits in sampler.sample(problem, num_reads=5):
+        for bits in _reads(problem, SamplerConfig(num_sweeps=64), 1, 5, mode):
             assert bits[0] == bits[1]
 
     def test_frustrated_triangle_reaches_optimum(self):
@@ -134,11 +139,11 @@ def _embedded_random_3sat(hardware, num_vars=8, num_clauses=24, seed=9):
 
 
 class TestBatchedReplicas:
-    """The vectorised all-replica hot path (``batch_reads=True``)."""
+    """Reads and restarts annealed as one replica matrix."""
 
     def test_deterministic_given_seed(self, small_hardware):
         problem = _embedded_random_3sat(small_hardware)
-        config = SamplerConfig(num_restarts=3, batch_reads=True)
+        config = SamplerConfig(num_restarts=3)
         a = SimulatedAnnealingSampler(config, seed=13).sample(problem, num_reads=4)
         b = SimulatedAnnealingSampler(config, seed=13).sample(problem, num_reads=4)
         assert all((x == y).all() for x, y in zip(a, b))
@@ -147,73 +152,50 @@ class TestBatchedReplicas:
 
     def test_reads_are_valid_bit_vectors(self, small_hardware):
         problem = _embedded_random_3sat(small_hardware)
-        config = SamplerConfig(num_restarts=2, batch_reads=True)
+        config = SamplerConfig(num_restarts=2)
         reads = SimulatedAnnealingSampler(config, seed=0).sample(problem, num_reads=5)
         assert len(reads) == 5
         for bits in reads:
             assert bits.shape == (problem.num_qubits,)
             assert set(np.unique(bits)) <= {0, 1}
 
-    def test_energy_distribution_matches_per_read(self, small_hardware):
-        # The merged acceptance draw has exactly the per-read flip
-        # probability, so the final-energy distributions must agree
-        # (they are not bit-identical: the RNG stream shape differs).
-        problem = _embedded_random_3sat(small_hardware)
-        per_read = SamplerConfig(batch_reads=False)
-        batched = SamplerConfig(batch_reads=True)
-        e_ref = [
-            problem.energy(b)
-            for b in SimulatedAnnealingSampler(per_read, seed=21).sample(
-                problem, num_reads=40
-            )
-        ]
-        e_new = [
-            problem.energy(b)
-            for b in SimulatedAnnealingSampler(batched, seed=21).sample(
-                problem, num_reads=40
-            )
-        ]
-        spread = max(np.std(e_ref), np.std(e_new), 1e-6)
-        assert abs(np.mean(e_new) - np.mean(e_ref)) < spread
-
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_ground_state_simple_problems(self, batch):
-        problem = _problem([-1.0, 1.0], [])
-        config = SamplerConfig(num_sweeps=64, batch_reads=batch)
-        bits = SimulatedAnnealingSampler(config, seed=0).sample(problem)[0]
+    @pytest.mark.parametrize("native_sweeps", [False, True])
+    def test_ground_state_simple_problems(self, native_sweeps, monkeypatch):
+        # Both sweep loops (the native kernel and the NumPy oracle it
+        # falls back to) settle simple problems in their ground state.
+        if not native_sweeps:
+            monkeypatch.setattr(native, "load_sweep_kernel", lambda: None)
+        config = SamplerConfig(num_sweeps=64)
+        biases = _problem([-1.0, 1.0], [])
+        bits = SimulatedAnnealingSampler(config, seed=0).sample(biases)[0]
         assert list(bits) == [1, 0]
+        pair = _problem([1.0, 1.0], [(0, 1, -2.0)])
+        for bits in SimulatedAnnealingSampler(config, seed=1).sample(pair, 5):
+            assert bits[0] == bits[1]
 
     def test_batched_restarts_never_worse(self):
         couplings = [(i, j, 1.0) for i in range(8) for j in range(i + 1, 8)]
         problem = _problem([-1.0] * 8, couplings)
         single = SimulatedAnnealingSampler(
-            SamplerConfig(num_sweeps=4, num_restarts=1, batch_reads=True), seed=5
+            SamplerConfig(num_sweeps=4, num_restarts=1), seed=5
         )
         multi = SimulatedAnnealingSampler(
-            SamplerConfig(num_sweeps=4, num_restarts=12, batch_reads=True), seed=5
+            SamplerConfig(num_sweeps=4, num_restarts=12), seed=5
         )
         e_single = problem.energy(single.sample(problem)[0])
         e_multi = problem.energy(multi.sample(problem)[0])
         assert e_multi <= e_single + 1e-9
 
-    def test_sequential_mode_ignores_batch_flag(self):
-        problem = _problem([0.5, -0.5, 0.2], [(0, 1, -1.0), (1, 2, 0.5)])
-        on = SamplerConfig(sweep_mode="sequential", num_sweeps=16, batch_reads=True)
-        off = SamplerConfig(sweep_mode="sequential", num_sweeps=16, batch_reads=False)
-        a = SimulatedAnnealingSampler(on, seed=3).sample(problem, num_reads=2)
-        b = SimulatedAnnealingSampler(off, seed=3).sample(problem, num_reads=2)
-        assert all((x == y).all() for x, y in zip(a, b))
-
     def test_batched_readout_noise_applied(self):
         problem = _problem([-5.0], [])  # strongly wants 1
         noisy = SimulatedAnnealingSampler(
-            SamplerConfig(batch_reads=True), noise=NoiseModel.bit_flip(1.0), seed=0
+            noise=NoiseModel.bit_flip(1.0), seed=0
         )
         assert noisy.sample(problem)[0][0] == 0
 
     def test_batched_descent_reaches_local_minimum(self, small_hardware):
         problem = _embedded_random_3sat(small_hardware)
-        config = SamplerConfig(num_sweeps=2, greedy_descent=True, batch_reads=True)
+        config = SamplerConfig(num_sweeps=2, greedy_descent=True)
         sampler = SimulatedAnnealingSampler(config, seed=3)
         for bits in sampler.sample(problem, num_reads=3):
             state = bits.astype(float)

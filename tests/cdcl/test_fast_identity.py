@@ -14,7 +14,9 @@ from repro.benchgen.random_ksat import random_3sat
 from repro.cdcl.fast import FastCdclSolver
 from repro.cdcl.heuristics import ChbHeuristic, VsidsHeuristic
 from repro.cdcl.native import native_available
+from repro.cdcl.proof import DratProof
 from repro.cdcl.solver import CdclSolver, SolverConfig
+from repro.observability import Observability
 from repro.sat.cnf import CNF, Clause, Lit
 
 pytestmark = pytest.mark.skipif(
@@ -184,3 +186,134 @@ class TestClauseStore:
                 for start, size in [(arr["c_start"][ci], arr["c_size"][ci])]
             ]
             assert store == [(r.lits, r.orig_index) for r in ref._clauses]
+
+
+class SteeringHook:
+    """Steers the search the way the hybrid hook does: every third
+    call it bumps a variable and forces two decisions (the first on an
+    assigned variable whenever one exists, so it is skipped); it reports
+    itself finished after ``calls`` calls."""
+
+    def __init__(self, calls=40):
+        self.calls = 0
+        self.limit = calls
+        self.finished = False
+
+    def on_iteration(self, solver):
+        self.calls += 1
+        if self.calls % 3 == 0:
+            n = solver.num_vars
+            var = (7 * self.calls) % n + 1
+            solver.bump_variable(var, 2.0)
+            order = sorted(
+                range(1, n + 1), key=lambda v: solver.value_of_var(v) is None
+            )
+            for v in (order[0], order[-1]):
+                solver.enqueue_decision(Lit(v if self.calls % 2 else -v))
+        self.finished = self.calls >= self.limit
+        return None
+
+
+#: The four kinds of solve whose DRAT proofs must match:
+#: (SolverConfig overrides, assumptions, hook factory).
+SOLVE_KINDS = {
+    "plain": ({}, (), None),
+    "random-decisions": ({"random_decision_freq": 0.2}, (), None),
+    "assumptions": ({}, (Lit(1), Lit(-3), Lit(7)), None),
+    "hooked": ({}, (), SteeringHook),
+}
+
+
+def assert_same_proof(formula, config, assumptions=(), hook_factory=None):
+    """Both engines log the same DRAT steps and reach the same result."""
+    outcomes = []
+    for engine in (CdclSolver, FastCdclSolver):
+        proof = DratProof()
+        hook = hook_factory() if hook_factory is not None else None
+        result = engine(formula, config=config, proof=proof).solve(
+            assumptions=assumptions, hook=hook
+        )
+        outcomes.append(
+            (result.status, result.stats.as_dict(), proof.steps,
+             hook.calls if hook is not None else None)
+        )
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0][2]
+
+
+def untimed(records):
+    """Trace records without their wall-clock fields."""
+    return [
+        {k: v for k, v in r.items() if k not in ("t_wall_s", "wall_dur_s")}
+        for r in records
+    ]
+
+
+class TestProofIdentity:
+    """DRAT step identity: every added, deleted and empty clause."""
+
+    @pytest.mark.parametrize("kind", sorted(SOLVE_KINDS))
+    @pytest.mark.parametrize("heuristic", [VsidsHeuristic, ChbHeuristic])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_proof_steps_match(self, kind, heuristic, seed):
+        overrides, assumptions, hook_factory = SOLVE_KINDS[kind]
+        config = SolverConfig(heuristic_factory=heuristic, seed=seed, **overrides)
+        steps = 0
+        for num_vars, num_clauses in SIZES:
+            formula = random_3sat(
+                num_vars, num_clauses, np.random.default_rng(100 * seed + 7)
+            )
+            steps += len(
+                assert_same_proof(formula, config, assumptions, hook_factory)
+            )
+        assert steps > 0
+
+    @pytest.mark.parametrize("kind", sorted(SOLVE_KINDS))
+    def test_proof_with_deletions_matches(self, kind):
+        """A longer UNSAT search reduces its learned-clause database,
+        so the proof carries deletion steps too."""
+        overrides, assumptions, hook_factory = SOLVE_KINDS[kind]
+        formula = random_3sat(80, 344, np.random.default_rng(4))
+        steps = assert_same_proof(
+            formula,
+            SolverConfig(seed=1, **overrides),
+            assumptions[:1],  # three refute this formula too soon
+            hook_factory,
+        )
+        assert any(step.is_deletion for step in steps)
+
+
+class TestTraceIdentity:
+    """Both engines emit the same trace records, wall clock aside."""
+
+    @pytest.mark.parametrize("heuristic", [VsidsHeuristic, ChbHeuristic])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cdcl_trace_matches(self, heuristic, seed):
+        formula = random_3sat(24, 103, np.random.default_rng(100 * seed))
+        config = SolverConfig(heuristic_factory=heuristic, seed=seed)
+        traces = []
+        for engine in (CdclSolver, FastCdclSolver):
+            observability = Observability.tracing()
+            engine(formula, config=config, observability=observability).solve()
+            traces.append(untimed(observability.tracer.records))
+        assert traces[0] == traces[1]
+        assert any(r.get("name") == "cdcl.conflict" for r in traces[0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hybrid_trace_matches(self, seed):
+        from repro.core.config import HyQSatConfig
+        from repro.core.hyqsat import HyQSatSolver
+
+        formula = random_3sat(50, 218, np.random.default_rng(seed))
+        traces = []
+        for engine in ("reference", "fast"):
+            observability = Observability.tracing()
+            HyQSatSolver(
+                formula,
+                config=HyQSatConfig(seed=seed, engine=engine),
+                observability=observability,
+            ).solve()
+            traces.append(untimed(observability.tracer.records))
+        assert traces[0] == traces[1]
+        names = {r.get("name") for r in traces[0]}
+        assert {"iteration", "cdcl.conflict", "anneal"} <= names

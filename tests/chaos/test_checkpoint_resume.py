@@ -10,6 +10,7 @@ before the interruption — as an uninterrupted solve.
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -94,6 +95,28 @@ def test_resume_is_bit_identical(formula, engine, tmp_path):
         ), f"{name} diverged across resume"
     # A completed resume cleans up after itself.
     assert not os.path.exists(path)
+
+
+def test_resumes_a_checkpoint_from_the_two_mode_fast_engine(formula, tmp_path):
+    """``data/uf90_fast_cut60.ckpt`` was written by the fast engine
+    whose kernel still drove hybrid solves one primitive at a time (its
+    state holds ``resume_at_pick``, not ``resume_at``): this module's
+    fast solve cut at 60 conflicts.  It resumes to the uninterrupted
+    solve's answer and counters."""
+    _, reference = _solve(formula, "fast", str(tmp_path / "ref.ckpt"))
+    path = str(tmp_path / "old.ckpt")
+    data = os.path.join(os.path.dirname(__file__), "data")
+    shutil.copy(os.path.join(data, "uf90_fast_cut60.ckpt"), path)
+    resumed_solver, resumed = _solve(formula, "fast", path)
+    assert resumed_solver._resumed_from_checkpoint
+    assert resumed.status == reference.status
+    assert resumed.stats.as_dict() == reference.stats.as_dict()
+    assert (resumed.stats.conflicts, resumed.stats.iterations) == (102, 271)
+    for name in HYBRID_STATS:
+        assert getattr(resumed.hybrid, name) == getattr(
+            reference.hybrid, name
+        ), f"{name} diverged across resume"
+    assert resumed.hybrid.qa_calls == 29
 
 
 def test_corrupt_checkpoint_falls_back_to_fresh_solve(formula, tmp_path):

@@ -37,7 +37,6 @@ def test_warmup_override():
 
 def test_hot_path_defaults():
     config = HyQSatConfig()
-    assert config.batch_reads is True
     assert config.frontend_cache_size == 64
     assert config.reuse_queue_between_conflicts is True
 

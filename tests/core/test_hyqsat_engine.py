@@ -8,11 +8,12 @@ import pytest
 
 from repro.annealer.device import AnnealerDevice
 from repro.benchgen.random_ksat import random_3sat
+from repro.cdcl import native
 from repro.cdcl.engine import DEFAULT_ENGINE
 from repro.cdcl.fast import FastCdclSolver
 from repro.cdcl.native import native_available
 from repro.cdcl.proof import DratProof
-from repro.cdcl.solver import CdclSolver
+from repro.cdcl.solver import CdclSolver, SolverConfig
 from repro.core.backend import Strategy
 from repro.core.config import HyQSatConfig
 from repro.core.hyqsat import HyQSatSolver
@@ -188,6 +189,31 @@ def native_entries(monkeypatch):
     return entries
 
 
+class StopRecorder:
+    """The kernel library with, for each ``kernel_run`` call, the
+    iteration it starts from and the stops it is asked for."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def kernel_run(self, sp):
+        self.calls.append((int(sp._obj.iterations), int(sp._obj.exits)))
+        return self._lib.kernel_run(sp)
+
+
+@pytest.fixture
+def kernel_stops(monkeypatch):
+    """Every fast engine built during the test records its
+    ``kernel_run`` calls in the returned :class:`StopRecorder`."""
+    recorder = StopRecorder(native.load_kernel())
+    monkeypatch.setattr(native, "load_kernel", lambda: recorder)
+    return recorder
+
+
 class CountingHook:
     """Calls itself finished after ``calls`` iterations."""
 
@@ -202,48 +228,80 @@ class CountingHook:
         return None
 
 
+def _hybrid(
+    formula, tmp_path, checkpoint_every=0, observability=None, max_conflicts=None
+):
+    """A hybrid solver on the test device that checkpoints every
+    ``checkpoint_every`` conflicts when that is positive."""
+    checkpoints = {}
+    if checkpoint_every:
+        checkpoints = {
+            "checkpoint_every": checkpoint_every,
+            "checkpoint_path": str(tmp_path / "ckpt.json"),
+        }
+    return HyQSatSolver(
+        formula,
+        device=make_device(),
+        config=HyQSatConfig(seed=4, **checkpoints),
+        solver_config=SolverConfig(seed=4, max_conflicts=max_conflicts),
+        observability=observability,
+    )
+
+
 @needs_native
 class TestHandover:
-    def test_native_loop_after_the_warmup(self, native_entries):
-        """A uf170 solve enters ``kernel_run`` once, after the warm-up,
-        once the last QA call's forced decisions have drained."""
+    def test_native_loop_after_the_warmup(self, native_entries, kernel_stops):
+        """A uf170 solve enters the native loop once, at its start;
+        once the warm-up is over and the last QA call's forced
+        decisions have drained, ``kernel_run`` is asked for no stop."""
         formula = parsed_random_3sat(170, 724, 7)
         result = HyQSatSolver(formula, config=HyQSatConfig(seed=7)).solve()
         assert result.is_unsat and result.hybrid.qa_calls > 0
-        assert len(native_entries) == 1
-        iteration, pending = native_entries[0]
+        assert native_entries == [(0, False)]
+        stops = [exits for _iteration, exits in kernel_stops.calls]
+        free = stops.index(0)
+        assert set(stops[free:]) == {0}
+        iteration = kernel_stops.calls[free][0]
         assert result.hybrid.warmup_iterations < iteration
         assert iteration < result.stats.iterations
-        assert not pending
+        # After that, kernel_run returns only for restarts, learned-DB
+        # reductions, buffer growth and the end of the search.
+        assert len(stops) - free <= result.stats.restarts + 64
 
-    @pytest.mark.parametrize("attached", ["checkpoint", "tracer"])
-    def test_hybrid_solve_stays_in_step_mode(
-        self, attached, tmp_path, native_entries
+    @pytest.mark.parametrize(
+        "observed",
+        ["plain", "hooked", "traced", "drat", "checkpointed", "resumed"],
+    )
+    def test_each_solve_enters_the_native_loop_once(
+        self, observed, tmp_path, native_entries
     ):
-        formula = make_random_3sat(50, 215, seed=4)
-        checkpoints = {
-            "checkpoint_every": 50,
-            "checkpoint_path": str(tmp_path / "ckpt.json"),
-        }
-        result = HyQSatSolver(
-            formula,
-            device=make_device(),
-            config=HyQSatConfig(
-                seed=4, **(checkpoints if attached == "checkpoint" else {})
-            ),
-            observability=Observability.tracing() if attached == "tracer" else None,
-        ).solve()
-        assert result.stats.iterations > result.hybrid.warmup_iterations
-        assert native_entries == []
-
-    def test_proof_keeps_step_mode(self, native_entries):
-        formula = make_random_3sat(30, 150, seed=2)
-        proof = DratProof()
-        result = FastCdclSolver(formula, proof=proof).solve(
-            hook=CountingHook(1)
-        )
-        assert result.stats.conflicts > 0 and len(proof.steps) > 0
-        assert native_entries == []
+        if observed in ("plain", "hooked", "drat"):
+            formula = make_random_3sat(30, 150, seed=2)
+            proof = DratProof() if observed == "drat" else None
+            hook = None if observed == "plain" else CountingHook(5)
+            result = FastCdclSolver(formula, proof=proof).solve(hook=hook)
+            assert result.stats.conflicts > 0
+            if proof is not None:
+                assert proof.ends_with_empty_clause
+        elif observed == "resumed":
+            formula = random_3sat(90, 387, np.random.default_rng(1))
+            _hybrid(formula, tmp_path, 20, max_conflicts=60).solve()
+            native_entries.clear()
+            solver = _hybrid(formula, tmp_path, 20)
+            result = solver.solve()
+            assert solver._resumed_from_checkpoint
+        else:
+            formula = make_random_3sat(50, 215, seed=4)
+            result = _hybrid(
+                formula,
+                tmp_path,
+                checkpoint_every=50 if observed == "checkpointed" else 0,
+                observability=(
+                    Observability.tracing() if observed == "traced" else None
+                ),
+            ).solve()
+            assert result.stats.iterations > result.hybrid.warmup_iterations
+        assert len(native_entries) == 1
 
     @pytest.mark.parametrize("engine", [CdclSolver, FastCdclSolver])
     def test_finished_hook_is_not_called_again(self, engine, native_entries):
@@ -254,7 +312,7 @@ class TestHandover:
         assert result.stats.iterations > 5 and hook.calls == 5
         assert result.stats.as_dict() == plain.stats.as_dict()
         if engine is FastCdclSolver:
-            assert [entry[0] for entry in native_entries] == [5, 0]
+            assert native_entries == [(0, False), (0, False)]
 
 
 @needs_native

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,60 @@ class TestRouting:
         # The second route added no probe: every (fingerprint, device)
         # pair it needed was already memoised.
         assert router._probe_cache == probes
+
+    def test_probe_cache_keeps_the_newest_probes(self, monkeypatch):
+        import repro.gateway.fleet as fleet
+
+        monkeypatch.setattr(fleet, "PROBE_CACHE_ENTRIES", 4)
+        router = FleetRouter(parse_fleet_spec("chimera:4"))
+        formulas = [
+            random_3sat(6, 12, np.random.default_rng(seed)) for seed in range(10)
+        ]
+        decisions = [route(router, formula) for formula in formulas]
+        assert len(router._probe_cache) == 4
+        assert list(router._probe_cache) == [
+            (fingerprint(formula), "chimera4") for formula in formulas[-4:]
+        ]
+        probes = dict(router._probe_cache)
+        assert route(router, formulas[-1]) == decisions[-1]
+        assert router._probe_cache == probes  # no probe added
+
+    def test_probe_cache_is_shared_safely_by_threads(self, monkeypatch):
+        """The gateway routes on several executor threads: under a
+        short switch interval none fails, the memo keeps its bound and
+        every decision equals a lone router's."""
+        import repro.gateway.fleet as fleet
+
+        monkeypatch.setattr(fleet, "PROBE_CACHE_ENTRIES", 3)
+        formulas = [
+            random_3sat(6, 12, np.random.default_rng(seed)) for seed in range(12)
+        ]
+        alone = FleetRouter(parse_fleet_spec("chimera:4"))
+        expected = [route(alone, formula) for formula in formulas]
+        router = FleetRouter(parse_fleet_spec("chimera:4"))
+        errors, decisions = [], []
+
+        def work():
+            try:
+                for _ in range(10):
+                    decisions.append([route(router, f) for f in formulas])
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert decisions == [expected] * 40
+        assert len(router._probe_cache) <= 3
 
     def test_probes_are_keyed_on_the_given_fingerprint(self):
         router = FleetRouter(parse_fleet_spec("chimera:4"))
