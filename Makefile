@@ -13,8 +13,9 @@ ci:
 	$(PYTHON) tools/docs_lint.py
 
 # QA hot-path micro-benchmark (< 60 s); writes BENCH_hotpath.json and
-# fails if the native sweeps are slower than the NumPy sweeps, change a
-# read, or the frontend-cache acceptance solve fails.
+# fails if AnnealerDevice.run with the native read-out is slower than
+# with the NumPy/Python one or returns a different result, or the
+# frontend-cache acceptance solve fails.
 bench:
 	$(PYTHON) -m benchmarks.bench_hotpath --quick
 

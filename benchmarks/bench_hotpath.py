@@ -1,14 +1,16 @@
-"""QA hot-path benchmark: native anneal sweeps + frontend cache.
+"""QA hot-path benchmark: the native read-out + frontend cache.
 
 Measures the hot path's legs against their reference implementations,
 on the same workload shape the hybrid solver produces (a ~120-clause
 residual embedded on the C16 lattice):
 
-1. **Sweep kernel** — the batched sampler with its sweeps in the
-   native kernel (``annealer/sweep.c``) against the same sampler with
-   the kernel unloaded (the NumPy sweeps), at the hybrid solver's
-   shape (1 read, 1 restart) and at 8 and 16 replicas: reads must be
-   bit-identical and the kernel must load and not be slower.
+1. **Native read-out** — one ``AnnealerDevice.run`` call (anneal,
+   greedy descent, chain vote, logical correction) with the native
+   library loaded (``annealer/sweep.c``) against the same call with it
+   blocked (the NumPy/Python read-out), at the hybrid solver's shape
+   (1 read, 1 restart) and at 8 and 16 replicas: whole
+   ``AnnealResult``s must be identical (energies by ``float.hex``), and
+   the library must load and not be slower.
 2. **Frontend compile cache** — cold ``Frontend.prepare`` against a
    cache hit for the identical (queue, trail) pair.
 3. **Full-solve acceptance** — a 100-variable random 3-SAT instance
@@ -20,15 +22,16 @@ Run with ``make bench`` or::
     PYTHONPATH=src python -m benchmarks.bench_hotpath --quick
 
 Writes ``BENCH_hotpath.json`` (see ``--output``) and exits non-zero if
-the sweep kernel did not load, changed a read or is slower than the
-NumPy sweeps, or if the acceptance checks fail.  Timings are medians
-over several rounds; sampled bits and solver outcomes are fully
+the library did not load, changed a result or is slower than the
+NumPy/Python read-out, or if the acceptance checks fail.  Timings are
+medians over several rounds; results and solver outcomes are fully
 deterministic for a fixed ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -37,8 +40,8 @@ from unittest import mock
 
 import numpy as np
 
-from repro.annealer.device import AnnealerDevice
-from repro.annealer.sampler import SamplerConfig, SimulatedAnnealingSampler
+from repro.annealer.device import AnnealerDevice, AnnealResult
+from repro.annealer.sampler import SamplerConfig
 from repro.benchgen.random_ksat import random_3sat
 from repro.cdcl import native
 from repro.core.config import HyQSatConfig
@@ -46,51 +49,76 @@ from repro.core.frontend import Frontend
 from repro.core.hyqsat import HyQSatSolver
 from repro.topology.chimera import ChimeraGraph
 
-#: Sweep-kernel shapes: the hybrid call (R = 1), then R = 8 and 16.
+#: Read-out shapes: the hybrid call (R = 1), then R = 8 and 16.
 KERNEL_SHAPES = [(1, 1), (8, 1), (4, 4)]
 
+#: The frontend's precompile strength, so the device runs the
+#: precompiled problem.
+CHAIN_STRENGTH = 2.0
 
-def _numpy_sweeps():
-    """The sampler's no-compiler path: the sweep kernel unloaded."""
+
+def _numpy_readout():
+    """The device's no-compiler path: the native library blocked."""
     return mock.patch.object(native, "load_sweep_kernel", lambda: None)
 
 
-def bench_sweep_kernel(problem, shapes, rounds: int, reps: int, seed: int) -> List[Dict]:
-    """Native against NumPy sweeps, timed in alternating rounds."""
+def _result_view(result: AnnealResult):
+    """Everything an ``AnnealResult`` holds, floats by ``float.hex``."""
+    return (
+        [
+            (
+                tuple(sample.assignment.items()),
+                float(sample.energy).hex(),
+                float(sample.chain_break_fraction).hex(),
+            )
+            for sample in result.samples
+        ],
+        float(result.qpu_time_us).hex(),
+        result.dropped_reads,
+    )
+
+
+def bench_readout(
+    request, hardware, shapes, rounds: int, reps: int, seed: int
+) -> List[Dict]:
+    """Native against NumPy/Python read-out, ``AnnealerDevice.run``
+    timed in alternating rounds."""
     results = []
     for num_reads, num_restarts in shapes:
-        sampler = SimulatedAnnealingSampler(
-            SamplerConfig(num_restarts=num_restarts), seed=seed
-        )
+        shaped = dataclasses.replace(request, num_reads=num_reads)
 
-        def run():
-            return sampler.sample(problem, num_reads=num_reads)
+        def device():
+            return AnnealerDevice(
+                hardware,
+                sampler_config=SamplerConfig(num_restarts=num_restarts),
+                chain_strength=CHAIN_STRENGTH,
+                seed=seed,
+            )
 
         def timed():
+            runner = device()
             start = time.perf_counter()
             for _ in range(reps):
-                run()
+                runner.run(shaped)
             return (time.perf_counter() - start) / reps
 
-        native_reads = run()
-        with _numpy_sweeps():
-            numpy_reads = run()
+        native_result = device().run(shaped)
+        with _numpy_readout():
+            numpy_result = device().run(shaped)
         native_samples, numpy_samples = [], []
         for _ in range(rounds):
             native_samples.append(timed())
-            with _numpy_sweeps():
+            with _numpy_readout():
                 numpy_samples.append(timed())
         native_s = float(np.median(native_samples))
         numpy_s = float(np.median(numpy_samples))
-        replicas = num_reads * num_restarts
         results.append(
             {
                 "num_reads": num_reads,
                 "num_restarts": num_restarts,
-                "replicas": replicas,
-                "identical": all(
-                    np.array_equal(a, b) for a, b in zip(native_reads, numpy_reads)
-                ),
+                "replicas": num_reads * num_restarts,
+                "identical": _result_view(native_result)
+                == _result_view(numpy_result),
                 "native_ms": round(native_s * 1e3, 3),
                 "numpy_ms": round(numpy_s * 1e3, 3),
                 "speedup": round(numpy_s / native_s, 3),
@@ -162,21 +190,23 @@ def main(argv=None) -> int:
     formula = random_3sat(60, 250, np.random.default_rng(7))
     hardware = ChimeraGraph(16, 16, 4)
     queue = list(range(120))
-    problem = Frontend(formula, hardware, chain_strength=2.0).prepare(queue)
-    problem = problem.request.compiled
+    request = Frontend(
+        formula, hardware, chain_strength=CHAIN_STRENGTH
+    ).prepare(queue).request
+    problem = request.compiled
     print(f"workload: 60 vars / 250 clauses, queue 120, {problem.num_qubits} qubits")
 
     rounds, reps = (3, 2) if args.quick else (5, 3)
     kernel_loaded = native.load_sweep_kernel() is not None
     kernel_rows = (
-        bench_sweep_kernel(problem, KERNEL_SHAPES, rounds, reps, args.seed)
+        bench_readout(request, hardware, KERNEL_SHAPES, rounds, reps, args.seed)
         if kernel_loaded
         else []
     )
-    print(f"sweep kernel loaded: {kernel_loaded}")
+    print(f"native read-out loaded: {kernel_loaded}")
     for row in kernel_rows:
         print(
-            "sweep kernel reads={num_reads} restarts={num_restarts}: "
+            "device.run reads={num_reads} restarts={num_restarts}: "
             "numpy {numpy_ms} ms, native {native_ms} ms, "
             "speedup {speedup}x, identical={identical}".format(**row)
         )
@@ -214,7 +244,7 @@ def main(argv=None) -> int:
         },
         "quick": args.quick,
         "seed": args.seed,
-        "sweep_kernel": kernel_rows,
+        "readout": kernel_rows,
         "frontend_cache": cache_row,
         "solve_acceptance": solve_row,
         "kernel_loaded": kernel_loaded,

@@ -16,7 +16,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.annealer.embedded import EmbeddedProblem, build_embedded_problem
+from repro.annealer.embedded import (
+    EmbeddedProblem,
+    LogicalArrays,
+    build_embedded_problem,
+)
 from repro.annealer.faults import (
     CalibrationDrift,
     FaultInjector,
@@ -28,7 +32,7 @@ from repro.annealer.noise import NoiseModel
 from repro.annealer.postprocess import LogicalDescender
 from repro.annealer.sampler import SamplerConfig, SimulatedAnnealingSampler
 from repro.annealer.timing import QpuTimingModel
-from repro.annealer.unembed import majority_vote_unembed
+from repro.annealer.unembed import chain_vote
 from repro.embedding.base import Edge, Embedding
 from repro.qubo.ising import QuadraticObjective
 from repro.sat.assignment import Assignment
@@ -242,26 +246,28 @@ class AnnealerDevice:
         )
         rng = np.random.default_rng(call_seed + 1)
 
-        # The descender's dense logical arrays are built once per
-        # request and shared across every read of this call.
+        # Each read: the chain vote, the logical correction and the
+        # energy, on the objective's compiled terms (a hand-built
+        # problem has none; they come from the request's objective).
+        logical = problem.logical
+        if logical is None:
+            logical = LogicalArrays.from_objective(request.objective)
+        positions = np.searchsorted(problem.chain_variables, logical.variables)
         descender = (
-            LogicalDescender(request.objective)
-            if self.multi_qubit_correction
-            else None
+            LogicalDescender(logical) if self.multi_qubit_correction else None
         )
+        variables = problem.chain_variables.tolist()
         samples: List[AnnealSample] = []
         for bits in sampler.sample(problem, num_reads=request.num_reads):
-            assignment, break_fraction = majority_vote_unembed(problem, bits, rng)
+            values, break_fraction = chain_vote(problem, bits, rng)
+            state = values[positions].astype(float)
             if descender is not None:
-                assignment, logical_energy = descender.descend(assignment, rng)
-            else:
-                logical_energy = request.objective.energy(
-                    {v: int(assignment[v]) for v in request.objective.variables}
-                )
+                descender.descend_state(state, rng)
+                values[positions] = state != 0
             samples.append(
                 AnnealSample(
-                    assignment=assignment,
-                    energy=logical_energy * request.energy_scale,
+                    assignment=Assignment(dict(zip(variables, values.tolist()))),
+                    energy=logical.energy(state) * request.energy_scale,
                     chain_break_fraction=break_fraction,
                 )
             )

@@ -12,14 +12,21 @@ physical problem is built the way a D-Wave front-end does:
   which is zero when the chain agrees and positive when it breaks.
 
 The result is a compact indexed problem over only the *used* qubits,
-ready for the vectorised sampler.
+held as the arrays the read-out works on: the symmetric coupling CSR in
+scipy's layout (the sweeps sum each row in its order), the float32
+forms the sweep library reads, one contiguous index run per chain for
+the vote, and the logical objective's terms for the correction and the
+energy.  A frontend cache hit reuses all of them.  The tuple views
+(``qubits``, ``couplings``, ``chain_edges``, ``chain_of_index``) are
+built only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +34,165 @@ from scipy import sparse
 from repro.embedding.base import Edge, Embedding
 from repro.qubo.ising import QuadraticObjective
 from repro.topology.chimera import ChimeraGraph
+
+
+def _sort_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative int64 keys
+    below ``2**62 / len(keys)``, taken from one value sort: each key
+    carries its index in its low bits (NumPy's value sort is
+    vectorised, its argsort is not)."""
+    shift = len(keys).bit_length()
+    packed = np.sort((keys << shift) | np.arange(len(keys)))
+    return packed & ((1 << shift) - 1)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    starts = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int64 array, through one value sort."""
+    values = np.sort(values)
+    return values[_run_starts(values)]
+
+
+def symmetric_csr(
+    n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of the symmetric matrix with
+    ``weights[k]`` at ``(rows[k], cols[k])`` and its mirror.
+
+    The pairs must be distinct with ``rows[k] < cols[k] < n``.  The
+    layout is the one ``coo_matrix(...).tocsr()`` builds (int32
+    indices, rows in order, columns ascending within a row), so every
+    row product sums in scipy's order.
+    """
+    both_rows = np.concatenate([rows, cols])
+    both_cols = np.concatenate([cols, rows])
+    order = _sort_order(both_rows * n + both_cols)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(both_rows, minlength=n))
+    data = np.concatenate([weights, weights])[order]
+    return indptr, both_cols[order].astype(np.int32), data
+
+
+class ProgrammedArrays(NamedTuple):
+    """What one anneal reads: the biases and the symmetric coupling CSR
+    as programmed (float64), and their float32 forms."""
+
+    linear: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    linear32: np.ndarray
+    data32: np.ndarray
+    #: ``-0.5 * data32``, the sweeps' couplings.
+    scaled: np.ndarray
+    #: ``linear32 + rowsum(data32) / 2``, each row summed as scipy's
+    #: ``matrix.sum(axis=1)`` sums it.
+    c: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        linear: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
+    ) -> "ProgrammedArrays":
+        linear32 = linear.astype(np.float32)
+        data32 = data.astype(np.float32)
+        rowsum = np.zeros(len(linear), dtype=np.float32)
+        rows = np.flatnonzero(np.diff(indptr))
+        if rows.size:
+            rowsum[rows] = np.add.reduceat(data32, indptr[rows])
+        return cls(
+            linear,
+            indptr,
+            indices,
+            data,
+            linear32,
+            data32,
+            data32 * np.float32(-0.5),
+            linear32 + np.float32(0.5) * rowsum,
+        )
+
+    def csr(self, data: np.ndarray) -> sparse.csr_matrix:
+        """The scipy matrix over these indices with ``data`` (the
+        float64 or float32 couplings)."""
+        n = len(self.linear)
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+@dataclass(frozen=True)
+class LogicalArrays:
+    """A logical objective's terms as arrays, in its dict order.
+
+    ``variables`` are the objective's variables in ascending order, and
+    the term arrays index into them.  :meth:`energy` adds the terms in
+    dict order, so it equals :meth:`QuadraticObjective.energy` bit for
+    bit.
+    """
+
+    variables: np.ndarray
+    linear_index: np.ndarray
+    linear: np.ndarray
+    quadratic_rows: np.ndarray
+    quadratic_cols: np.ndarray
+    quadratic: np.ndarray
+    offset: float
+
+    @classmethod
+    def from_objective(cls, objective: QuadraticObjective) -> "LogicalArrays":
+        linear_vars = np.fromiter(objective.linear, np.int64, len(objective.linear))
+        pairs = np.fromiter(
+            chain.from_iterable(objective.quadratic),
+            np.int64,
+            2 * len(objective.quadratic),
+        ).reshape(-1, 2)
+        variables = _unique(np.concatenate([linear_vars, pairs.ravel()]))
+        return cls(
+            variables=variables,
+            linear_index=np.searchsorted(variables, linear_vars),
+            linear=np.fromiter(objective.linear.values(), float, len(linear_vars)),
+            quadratic_rows=np.searchsorted(variables, pairs[:, 0]),
+            quadratic_cols=np.searchsorted(variables, pairs[:, 1]),
+            quadratic=np.fromiter(
+                objective.quadratic.values(), float, len(pairs)
+            ),
+            offset=objective.offset,
+        )
+
+    def bias(self) -> np.ndarray:
+        """Dense bias vector over :attr:`variables`."""
+        out = np.zeros(len(self.variables))
+        out[self.linear_index] = self.linear
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """Dense symmetric coupling matrix over :attr:`variables`."""
+        n = len(self.variables)
+        out = np.zeros((n, n))
+        out[self.quadratic_rows, self.quadratic_cols] = self.quadratic
+        out[self.quadratic_cols, self.quadratic_rows] = self.quadratic
+        return out
+
+    def energy(self, state: np.ndarray) -> float:
+        """The objective at a 0/1 state over :attr:`variables`: the
+        offset plus each term whose variables are all 1, added one at a
+        time in dict order (``np.add.accumulate`` is sequential)."""
+        on = np.asarray(state) != 0
+        terms = np.concatenate(
+            (
+                [self.offset],
+                self.linear[on[self.linear_index]],
+                self.quadratic[on[self.quadratic_rows] & on[self.quadratic_cols]],
+            )
+        )
+        return float(np.add.accumulate(terms)[-1])
 
 
 def batch_energies(
@@ -53,20 +219,25 @@ def batch_energies(
 class EmbeddedProblem:
     """A physical QUBO over the used qubits, in dense-index form.
 
+    Index ``i`` is the physical qubit ``qubit_ids[i]``; each chain is one
+    contiguous run of indices, the chains in ascending variable order.
+
     Attributes
     ----------
-    qubits:
-        The used physical qubit ids; index ``i`` in the arrays refers
-        to ``qubits[i]``.
+    qubit_ids:
+        The used physical qubit ids, in index order.
     linear:
-        Per-qubit bias vector (length ``len(qubits)``).
-    couplings:
-        ``(i, j, weight)`` rows over dense indices, including both
-        problem couplers and chain couplers.
-    chain_edges:
-        The subset of coupling index pairs that are intra-chain.
-    chain_of_index:
-        Dense index -> logical variable.
+        Per-qubit bias vector (float64).
+    indptr, indices, data:
+        The symmetric coupling matrix in CSR form, problem and chain
+        couplers together, laid out as :func:`symmetric_csr` lays it out.
+    chain_variables:
+        The logical variable of each chain, in index order.
+    chain_starts:
+        The first index of each chain.
+    chain_couplers:
+        ``(m, 2)`` index pairs ``i < j`` of the intra-chain couplers,
+        sorted.
     offset:
         Constant term of the logical objective (carried through so
         physical energies are comparable).
@@ -74,55 +245,118 @@ class EmbeddedProblem:
         The chain penalty this problem was compiled with (``None`` for
         hand-built problems); lets a device recognise a precompiled
         problem as matching its own setting.
+    logical:
+        The compiled objective's terms (:class:`LogicalArrays`) for the
+        read-out's correction and energy; ``None`` for hand-built
+        problems, whose device takes them from the request's objective.
     """
 
-    qubits: Tuple[int, ...]
+    qubit_ids: np.ndarray
     linear: np.ndarray
-    couplings: Tuple[Tuple[int, int, float], ...]
-    chain_edges: Tuple[Tuple[int, int], ...]
-    chain_of_index: Tuple[int, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    chain_variables: np.ndarray
+    chain_starts: np.ndarray
+    chain_couplers: np.ndarray
     offset: float
     chain_strength: Optional[float] = None
+    logical: Optional[LogicalArrays] = field(default=None, repr=False)
+
+    @classmethod
+    def from_couplings(
+        cls,
+        qubits: Sequence[int],
+        linear: Sequence[float],
+        couplings: Sequence[Tuple[int, int, float]],
+        chain_of_index: Sequence[int],
+        offset: float = 0.0,
+        chain_edges: Sequence[Tuple[int, int]] = (),
+        chain_strength: Optional[float] = None,
+    ) -> "EmbeddedProblem":
+        """A hand-built problem: ``(i, j, weight)`` couplings over
+        distinct index pairs, and ``chain_of_index`` giving each index's
+        variable, each chain one contiguous run, in ascending variable
+        order."""
+        n = len(qubits)
+        table = np.array(couplings, dtype=float).reshape(-1, 3)
+        ends = table[:, :2].astype(np.int64)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        order = np.lexsort((hi, lo))
+        owners = np.asarray(chain_of_index, dtype=np.int64)
+        starts = np.flatnonzero(np.diff(owners, prepend=owners[:1] - 1))
+        if (np.diff(owners[starts]) <= 0).any():
+            raise ValueError(
+                "chains must be contiguous index runs in ascending variable order"
+            )
+        return cls(
+            np.asarray(qubits, dtype=np.int64),
+            np.asarray(linear, dtype=float),
+            *symmetric_csr(n, lo[order], hi[order], table[order, 2]),
+            chain_variables=owners[starts],
+            chain_starts=starts,
+            chain_couplers=np.array(chain_edges, dtype=np.int64).reshape(-1, 2),
+            offset=offset,
+            chain_strength=chain_strength,
+        )
 
     @property
     def num_qubits(self) -> int:
         """Number of physical qubits in play."""
-        return len(self.qubits)
+        return len(self.qubit_ids)
+
+    @cached_property
+    def chain_sizes(self) -> np.ndarray:
+        """Qubits per chain."""
+        return np.diff(self.chain_starts, append=self.num_qubits)
+
+    @cached_property
+    def programmed(self) -> ProgrammedArrays:
+        """The arrays a noiseless anneal reads, computed once."""
+        return ProgrammedArrays.build(self.linear, self.indptr, self.indices, self.data)
 
     @cached_property
     def coupling_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows_i, rows_j, weights)`` of the couplings, computed once.
+        """``(rows_i, rows_j, weights)``: one row per physical coupler
+        (``i < j``), in index order — the layout the sampler's
+        programming-noise channel draws over."""
+        rows = np.repeat(np.arange(self.num_qubits), np.diff(self.indptr))
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper].astype(np.int64), self.data[upper]
 
-        One row per physical coupler (``i < j`` direction only) — the
-        layout the sampler's programming-noise channel draws over.
-        """
-        if not self.couplings:
-            empty = np.zeros(0)
-            return empty.astype(int), empty.astype(int), empty
-        rows_i = np.array([c[0] for c in self.couplings])
-        rows_j = np.array([c[1] for c in self.couplings])
-        weights = np.array([c[2] for c in self.couplings])
-        return rows_i, rows_j, weights
+    @cached_property
+    def qubits(self) -> Tuple[int, ...]:
+        """The used physical qubit ids, as a tuple."""
+        return tuple(self.qubit_ids.tolist())
+
+    @cached_property
+    def couplings(self) -> Tuple[Tuple[int, int, float], ...]:
+        """``(i, j, weight)`` rows over dense indices, problem and chain
+        couplers together."""
+        rows_i, rows_j, weights = self.coupling_arrays
+        return tuple(zip(rows_i.tolist(), rows_j.tolist(), weights.tolist()))
+
+    @cached_property
+    def chain_edges(self) -> Tuple[Tuple[int, int], ...]:
+        """The intra-chain coupler index pairs."""
+        return tuple(map(tuple, self.chain_couplers.tolist()))
+
+    @cached_property
+    def chain_of_index(self) -> Tuple[int, ...]:
+        """Dense index -> logical variable."""
+        return tuple(np.repeat(self.chain_variables, self.chain_sizes).tolist())
 
     @cached_property
     def couplings_csr(self) -> sparse.csr_matrix:
-        """Symmetric CSR coupling matrix, computed once and cached.
+        """The symmetric coupling matrix as a scipy CSR over the
+        problem's own arrays.
 
         Both ``(i, j)`` and ``(j, i)`` carry the coupler weight, so
         local fields are one ``matrix @ states`` product and energies
         use the ``x @ C @ x / 2`` convention of :func:`batch_energies`.
         """
         n = self.num_qubits
-        rows_i, rows_j, weights = self.coupling_arrays
-        if weights.size == 0:
-            return sparse.csr_matrix((n, n))
-        return sparse.coo_matrix(
-            (
-                np.concatenate([weights, weights]),
-                (np.concatenate([rows_i, rows_j]), np.concatenate([rows_j, rows_i])),
-            ),
-            shape=(n, n),
-        ).tocsr()
+        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
 
     def energy(self, bits: np.ndarray) -> float:
         """Physical energy (including chain penalties) of a 0/1 vector."""
@@ -150,21 +384,24 @@ def build_embedded_problem(
     ``np.bincount`` over those indices, in the order per-qubit and
     per-coupler adds would take.  Chain couplers are the hardware's
     :attr:`~repro.topology.chimera.ChimeraGraph.coupler_array` rows with
-    both ends in one chain.
+    both ends in one chain.  The couplings go straight into the
+    symmetric CSR, and the objective's terms into :class:`LogicalArrays`.
 
     Raises ``ValueError`` if the objective mentions an unembedded
     variable or a quadratic term has no realising coupler.
     """
     if chain_strength <= 0:
         raise ValueError(f"chain_strength must be positive, got {chain_strength}")
-    missing = [v for v in objective.variables if v not in embedding]
+    logical = LogicalArrays.from_objective(objective)
+    missing = [v for v in logical.variables.tolist() if v not in embedding]
     if missing:
         raise ValueError(f"objective variables not embedded: {missing[:5]}")
 
-    variables = embedding.variables
-    chains = [embedding.chain_of(var) for var in variables]
-    sizes = np.array([len(chain) for chain in chains], dtype=np.int64)
-    qubits = np.array([q for chain in chains for q in chain], dtype=np.int64)
+    names = embedding.variables
+    variables = np.array(names, dtype=np.int64)
+    chains = [embedding.chain_of(var) for var in names]
+    sizes = np.fromiter(map(len, chains), np.int64, len(chains))
+    qubits = np.fromiter(chain.from_iterable(chains), np.int64, sizes.sum())
     n = len(qubits)
     first = np.cumsum(sizes) - sizes
     index_of = np.full(hardware.num_qubits, -1, dtype=np.int64)
@@ -173,29 +410,32 @@ def build_embedded_problem(
     owner[qubits] = np.repeat(np.arange(len(variables)), sizes)
 
     # Linear biases spread uniformly over chains.
-    biased = np.searchsorted(variables, list(objective.linear)).astype(np.int64)
+    biased = np.searchsorted(variables, logical.variables[logical.linear_index])
     counts = sizes[biased]
-    shares = np.array(list(objective.linear.values()), dtype=float) / counts
+    shares = logical.linear / counts
     bias_index = np.arange(counts.sum()) + np.repeat(
         first[biased] - (np.cumsum(counts) - counts), counts
     )
 
     # Problem couplings spread over realising couplers.
-    ends: List[Tuple[int, int]] = []
-    weights: List[float] = []
-    for (u, v), weight in objective.quadratic.items():
-        key: Edge = (u, v) if u < v else (v, u)
-        couplers = edge_couplers.get(key, ())
-        if not couplers:
-            raise ValueError(f"no hardware coupler realises problem edge {key}")
-        ends.extend(couplers)
-        weights.extend([weight / len(couplers)] * len(couplers))
-    pairs = index_of[np.array(ends, dtype=np.int64).reshape(-1, 2)]
+    realising = [edge_couplers.get(key, ()) for key in objective.quadratic]
+    spread = np.fromiter(map(len, realising), np.int64, len(realising))
+    if not spread.all():
+        key = list(objective.quadratic)[int(np.argmin(spread))]
+        raise ValueError(f"no hardware coupler realises problem edge {key}")
+    ends = np.fromiter(
+        chain.from_iterable(chain.from_iterable(realising)),
+        np.int64,
+        2 * spread.sum(),
+    )
+    pairs = index_of[ends.reshape(-1, 2)]
+    weights = np.repeat(logical.quadratic / spread, spread)
 
     # Chain equality penalties on every intra-chain hardware coupler:
     # cs·(x_a + x_b − 2 x_a x_b).
     a, b = hardware.coupler_array
-    inside = (owner[a] >= 0) & (owner[a] == owner[b])
+    owner_a = owner[a]
+    inside = (owner_a >= 0) & (owner_a == owner[b])
     chain_i, chain_j = index_of[a[inside]], index_of[b[inside]]
     linear = np.bincount(
         np.concatenate([bias_index, chain_i, chain_j]),
@@ -206,7 +446,14 @@ def build_embedded_problem(
     )
     lo = np.concatenate([pairs.min(axis=1), np.minimum(chain_i, chain_j)])
     hi = np.concatenate([pairs.max(axis=1), np.maximum(chain_i, chain_j)])
-    codes, term = np.unique(lo * n + hi, return_inverse=True)
+    # Sum the weights per coupler (np.unique's codes and inverse).
+    keys = lo * n + hi
+    order = _sort_order(keys)
+    ranked = keys[order]
+    fresh = _run_starts(ranked)
+    term = np.empty(len(keys), dtype=np.int64)
+    term[order] = np.cumsum(fresh) - 1
+    codes = ranked[fresh]
     summed = np.bincount(
         term,
         weights=np.concatenate(
@@ -215,21 +462,17 @@ def build_embedded_problem(
         minlength=len(codes),
     )
     kept = summed != 0.0
-    chain_edges = np.unique(lo[len(pairs):] * n + hi[len(pairs):])
+    codes = codes[kept]
+    # Hardware couplers are distinct, so these pairs are too.
+    chain_codes = np.sort(keys[len(pairs):])
     return EmbeddedProblem(
-        qubits=tuple(qubits.tolist()),
-        linear=linear,
-        couplings=tuple(
-            zip(
-                (codes[kept] // n).tolist(),
-                (codes[kept] % n).tolist(),
-                summed[kept].tolist(),
-            )
-        ),
-        chain_edges=tuple(
-            zip((chain_edges // n).tolist(), (chain_edges % n).tolist())
-        ),
-        chain_of_index=tuple(np.repeat(variables, sizes).tolist()),
+        qubits,
+        linear,
+        *symmetric_csr(n, codes // n, codes % n, summed[kept]),
+        chain_variables=variables,
+        chain_starts=first,
+        chain_couplers=np.stack([chain_codes // n, chain_codes % n], axis=1),
         offset=objective.offset,
         chain_strength=chain_strength,
+        logical=logical,
     )

@@ -11,21 +11,46 @@ The descent is exact first-improvement local search on the logical
 objective, visiting variables in a seeded random order until a local
 minimum is reached (or the sweep cap hits).
 
-:class:`LogicalDescender` precompiles the objective's dense arrays once
-so a device processing many reads of the same request pays the
-objective → matrix conversion a single time; the
+:class:`LogicalDescender` builds the objective's dense arrays once, from
+the compiled :class:`~repro.annealer.embedded.LogicalArrays` (or from
+an objective), so a device pays that conversion once per call, not per
+read.  Each sweep's order is NumPy's ``rng.permutation`` and the first
+field NumPy's ``matrix @ state`` (BLAS fixes its summation order); the
+first-improvement pass runs in the native read-out library
+(``annealer/sweep.c``) when it loads and in :func:`_first_improvement`
+otherwise, bit for bit alike.  The
 :func:`logical_greedy_descent` function remains as the one-shot
 wrapper.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
+from repro.annealer.embedded import LogicalArrays
+from repro.cdcl import native
 from repro.qubo.ising import QuadraticObjective
 from repro.sat.assignment import Assignment
+
+
+def _first_improvement(
+    matrix: np.ndarray, order: np.ndarray, state: np.ndarray, field: np.ndarray
+) -> bool:
+    """One pass over ``order``, flipping every variable whose flip
+    lowers the energy (the no-compiler path; the native pass's
+    oracle)."""
+    improved = False
+    for i in order:
+        delta = (1.0 - 2.0 * state[i]) * field[i]
+        if delta < -1e-12:
+            sign = 1.0 - 2.0 * state[i]
+            state[i] = 1.0 - state[i]
+            field += sign * matrix[i]
+            improved = True
+    return improved
 
 
 class LogicalDescender:
@@ -38,19 +63,19 @@ class LogicalDescender:
     instead of re-deriving the arrays for every read.
     """
 
-    def __init__(self, objective: QuadraticObjective):
-        self.objective = objective
-        self.order: List[int] = sorted(objective.variables)
-        self.index: Dict[int, int] = {var: i for i, var in enumerate(self.order)}
-        n = len(self.order)
-        self.num_variables = n
-        self.bias = np.zeros(n)
-        self.matrix = np.zeros((n, n))
-        for var, coeff in objective.linear.items():
-            self.bias[self.index[var]] = coeff
-        for (u, v), coeff in objective.quadratic.items():
-            self.matrix[self.index[u], self.index[v]] += coeff
-            self.matrix[self.index[v], self.index[u]] += coeff
+    def __init__(self, objective: Union[QuadraticObjective, LogicalArrays]):
+        if not isinstance(objective, LogicalArrays):
+            objective = LogicalArrays.from_objective(objective)
+        self.terms = objective
+        self.order: List[int] = objective.variables.tolist()
+        self.num_variables = len(self.order)
+        self.bias = objective.bias()
+        self.matrix = objective.matrix()
+
+    @cached_property
+    def index(self) -> Dict[int, int]:
+        """Variable -> position in :attr:`order`."""
+        return {var: i for i, var in enumerate(self.order)}
 
     def state_of(self, assignment: Assignment) -> np.ndarray:
         """Dense 0/1 state of ``assignment`` over this objective's
@@ -64,7 +89,7 @@ class LogicalDescender:
     def energy_of(self, state: np.ndarray) -> float:
         """Objective energy of a dense 0/1 state."""
         return float(
-            self.objective.offset
+            self.terms.offset
             + state @ self.bias
             + state @ (self.matrix @ state) / 2.0
         )
@@ -73,7 +98,33 @@ class LogicalDescender:
         """Objective energies of an ``(R, n)`` batch of dense states."""
         states = np.asarray(states, dtype=float)
         quad = np.einsum("ij,ij->i", states, states @ self.matrix)
-        return self.objective.offset + states @ self.bias + 0.5 * quad
+        return self.terms.offset + states @ self.bias + 0.5 * quad
+
+    def descend_state(
+        self, state: np.ndarray, rng: np.random.Generator, max_sweeps: int = 32
+    ) -> None:
+        """Descend the dense float64 0/1 ``state`` to a local minimum,
+        in place."""
+        n = self.num_variables
+        if n == 0:
+            return
+        if state.dtype != np.float64 or not state.flags.c_contiguous:
+            raise TypeError("the descent takes a C-contiguous float64 state")
+        # Incremental local fields: flipping i changes every field by a
+        # column of the coupling matrix, so a full sweep is O(n^2) worst
+        # case instead of O(n^2) *per variable*.
+        field = self.bias + self.matrix @ state
+        kernel = native.load_sweep_kernel()
+        for _ in range(max_sweeps):
+            order = rng.permutation(n)
+            if kernel is None:
+                improved = _first_improvement(self.matrix, order, state, field)
+            else:
+                improved = kernel.logical_pass(
+                    n, *[a.ctypes.data for a in (self.matrix, order, state, field)]
+                )
+            if not improved:
+                break
 
     def descend(
         self,
@@ -86,34 +137,14 @@ class LogicalDescender:
         Returns ``(improved_assignment, energy)``; the input assignment
         is not mutated.
         """
-        n = self.num_variables
-        if n == 0:
-            return assignment.copy(), self.objective.offset
-
+        if self.num_variables == 0:
+            return assignment.copy(), self.terms.offset
         state = self.state_of(assignment)
-        # Incremental local fields: flipping i changes every field by a
-        # column of the coupling matrix, so a full sweep is O(n^2) worst
-        # case instead of O(n^2) *per variable*.
-        field = self.bias + self.matrix @ state
-        for _ in range(max_sweeps):
-            improved = False
-            for i in rng.permutation(n):
-                delta = (1.0 - 2.0 * state[i]) * field[i]
-                if delta < -1e-12:
-                    sign = 1.0 - 2.0 * state[i]
-                    state[i] = 1.0 - state[i]
-                    field += sign * self.matrix[i]
-                    improved = True
-            if not improved:
-                break
-
+        self.descend_state(state, rng, max_sweeps)
         out = assignment.copy()
-        for var, i in self.index.items():
-            out.assign(var, bool(state[i]))
-        energy = self.objective.energy(
-            {var: int(state[self.index[var]]) for var in self.order}
-        )
-        return out, energy
+        for var, value in zip(self.order, (state != 0).tolist()):
+            out.assign(var, value)
+        return out, self.terms.energy(state)
 
 
 def logical_greedy_descent(

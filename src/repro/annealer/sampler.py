@@ -14,10 +14,16 @@ per-sweep local fields are one sparse ``matrix @ states`` product,
 acceptance and dilution merge into a single uniform draw per spin,
 greedy descent batches the same way, and each read is recovered as its
 best-energy restart via the batch-energy kernel
-(:func:`repro.annealer.embedded.batch_energies`).  The sweeps run in a
-native kernel (``annealer/sweep.c``, built by :mod:`repro.cdcl.native`
-on the first anneal) when one can be built; the NumPy loop is the
-oracle and the fallback, and both give bit-identical reads.
+(:func:`repro.annealer.embedded.batch_energies`).
+
+The sweeps and the greedy descent run in the native read-out library
+(``annealer/sweep.c``, built by :mod:`repro.cdcl.native` on the first
+anneal) when one can be built, on the problem's own CSR arrays
+(:attr:`~repro.annealer.embedded.EmbeddedProblem.programmed`); the
+NumPy loops are the oracle and the fallback, and both give
+bit-identical reads.  The library draws its uniforms from the
+sampler's own generator, the values ``rng.random(dtype=np.float32)``
+returns, and leaves the generator where NumPy's draws would.
 
 The sampler is deterministic given its seed, and the noise model hooks
 in at two points: coefficient perturbation before the run and readout
@@ -26,18 +32,63 @@ flips after it.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional
 
 import numpy as np
 from scipy import sparse
 
-from repro.annealer.embedded import EmbeddedProblem, batch_energies
+from repro.annealer.embedded import (
+    EmbeddedProblem,
+    ProgrammedArrays,
+    batch_energies,
+    symmetric_csr,
+)
 from repro.annealer.noise import NoiseModel
 from repro.cdcl import native
 
-#: Uniforms drawn per chunk of sweeps (bounds the chunk's memory).
+#: Uniforms the NumPy sweeps draw per chunk (bounds the chunk's memory).
 _CHUNK_FLOATS = 16_000_000
+
+#: A spin improves in the greedy descent when its energy change is
+#: below this (float32).
+_DESCENT_EPS = np.float32(-1e-6)
+
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+@lru_cache(maxsize=64)
+def _geometric_betas(beta_min: float, beta_max: float, num_sweeps: int) -> np.ndarray:
+    """The beta ladder, computed once per schedule (read-only)."""
+    betas = np.geomspace(beta_min, beta_max, num_sweeps)
+    betas.flags.writeable = False
+    return betas
+
+
+class _Draws:
+    """The native read-out's access to the sampler's generator: its
+    ``bitgen_t`` and the uint32 half PCG64 holds back (``has_uint32``
+    and ``uinteger``), which the library draws through and
+    :meth:`close` hands back, leaving the generator where NumPy's own
+    draws would have left it."""
+
+    def __init__(self, kernel, rng: np.random.Generator):
+        self.kernel = kernel
+        self.generator = rng.bit_generator
+        state = self.generator.state
+        self.bitgen = _capsule_pointer(self.generator.capsule, b"BitGenerator")
+        self.carry = np.array(
+            [state["has_uint32"], state["uinteger"]], dtype=np.int64
+        )
+
+    def close(self) -> None:
+        state = self.generator.state
+        state["has_uint32"], state["uinteger"] = self.carry.tolist()
+        self.generator.state = state
 
 
 def _metropolis_flip(
@@ -106,7 +157,7 @@ class SimulatedAnnealingSampler:
         if n == 0:
             return [np.zeros(0, dtype=np.int8) for _ in range(num_reads)]
 
-        linear, matrix = self._programmed_arrays(problem, rng)
+        arrays = self._programmed(problem, rng)
         betas = self._schedule()
         # All replicas anneal as one ``(n, R)`` state matrix (each
         # replica a column, so ``matrix @ states`` feeds the dense
@@ -114,17 +165,19 @@ class SimulatedAnnealingSampler:
         # keeps its lowest-energy restart.
         restarts = self.config.num_restarts
         replicas = num_reads * restarts
-        linear32 = linear.astype(np.float32)
-        matrix32 = matrix.astype(np.float32)
+        kernel = native.load_sweep_kernel()
         states = rng.integers(0, 2, size=(n, replicas)).astype(np.float32)
-        states = self._anneal_batch(states, linear32, matrix32, betas, rng)
+        draws = None if kernel is None else _Draws(kernel, rng)
+        states = self._anneal_batch(states, arrays, betas, rng, draws)
         if self.config.greedy_descent:
-            states = self._descend_batch(states, linear32, matrix32, rng)
+            states = self._descend_batch(states, arrays, rng, draws)
+        if draws is not None:
+            draws.close()
         final = states.T.astype(float)  # (R, n), float64 for selection
         if restarts == 1:
             chosen = final
         else:
-            energies = batch_energies(linear, matrix, final)
+            energies = batch_energies(arrays.linear, arrays.csr(arrays.data), final)
             grouped = energies.reshape(num_reads, restarts)
             picks = grouped.argmin(axis=1) + np.arange(num_reads) * restarts
             chosen = final[picks]
@@ -134,52 +187,40 @@ class SimulatedAnnealingSampler:
             reads.append(self.noise.flip_readout(bits, rng).astype(np.int8))
         return reads
 
-    def _programmed_arrays(
+    def _programmed(
         self, problem: EmbeddedProblem, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, sparse.csr_matrix]:
-        """Bias vector and symmetric sparse coupling matrix with
-        programming noise applied (the pre-anneal channel).
+    ) -> ProgrammedArrays:
+        """The arrays the anneal reads, with programming noise applied
+        (the pre-anneal channel).
 
-        Noiseless programming reuses the problem's cached CSR directly;
-        otherwise one noise draw per physical coupler is applied
-        symmetrically to a fresh matrix.
+        Noiseless programming reuses the problem's own arrays, computed
+        once per compiled problem; otherwise one noise draw per qubit
+        and one per physical coupler, applied symmetrically.
         """
-        n = problem.num_qubits
         if self.noise.coefficient_std == 0.0:
-            return problem.linear.astype(float), problem.couplings_csr
-        linear = problem.linear.astype(float)
-        linear = self.noise.perturb_coefficients(linear, rng)
+            return problem.programmed
+        linear = self.noise.perturb_coefficients(problem.linear.astype(float), rng)
         rows_i, rows_j, weights = problem.coupling_arrays
         if weights.size:
             weights = self.noise.perturb_coefficients(weights, rng)
-            matrix = sparse.coo_matrix(
-                (
-                    np.concatenate([weights, weights]),
-                    (
-                        np.concatenate([rows_i, rows_j]),
-                        np.concatenate([rows_j, rows_i]),
-                    ),
-                ),
-                shape=(n, n),
-            ).tocsr()
-        else:
-            matrix = sparse.csr_matrix((n, n))
-        return linear, matrix
+        return ProgrammedArrays.build(
+            linear, *symmetric_csr(problem.num_qubits, rows_i, rows_j, weights)
+        )
 
     def _schedule(self) -> np.ndarray:
         """Geometric beta ladder; thermal noise caps the final beta."""
         beta_max = self.config.beta_max
         if self.noise.thermal_beta is not None:
             beta_max = min(beta_max, self.noise.thermal_beta)
-        return np.geomspace(self.config.beta_min, beta_max, self.config.num_sweeps)
+        return _geometric_betas(self.config.beta_min, beta_max, self.config.num_sweeps)
 
     def _anneal_batch(
         self,
         states: np.ndarray,
-        linear: np.ndarray,
-        matrix: sparse.csr_matrix,
+        arrays: ProgrammedArrays,
         betas: np.ndarray,
         rng: np.random.Generator,
+        draws: Optional[_Draws],
     ) -> np.ndarray:
         """Diluted parallel Metropolis on an ``(n, R)`` replica matrix
         (float32; replicas are columns).
@@ -190,25 +231,21 @@ class SimulatedAnnealingSampler:
         ``c = linear + rowsum(matrix) / 2``.  Acceptance and dilution
         merge into a single uniform draw per spin — flip iff
         ``2u < exp(-beta * max(delta, 0))``, a flip probability of
-        ``0.5 * min(1, exp(-beta * delta))`` — and the uniforms for
-        many sweeps are drawn (and pre-doubled) in bulk chunks to
-        amortise generator call overhead.
+        ``0.5 * min(1, exp(-beta * delta))``.
 
-        The sweeps run in the native kernel (``annealer/sweep.c``) when
-        it loads, and otherwise in :meth:`_sweeps_numpy`, the oracle;
-        both consume the same uniforms and give bit-identical states.
+        With ``draws`` the sweeps run in the native library, which
+        draws each sweep's uniforms itself; otherwise
+        :meth:`_sweeps_numpy`, the oracle, runs on uniforms drawn (and
+        pre-doubled) in bulk chunks.  Both see the same uniforms and
+        give bit-identical states.
         """
         n, num_replicas = states.shape
-        c = linear + np.float32(0.5) * np.asarray(
-            matrix.sum(axis=1), dtype=np.float32
-        ).ravel()
         m = np.float32(1.0) - states - states  # ±1 magnetisation
         neg_betas = (-betas).astype(np.float32)
-        kernel = native.load_sweep_kernel()
-        if kernel is None:
-            sweeps = self._sweeps_numpy(m, c, matrix)
-        else:
-            sweeps = self._sweeps_native(kernel, m, c, matrix)
+        if draws is not None:
+            self._sweeps_native(m, arrays, neg_betas, draws)
+            return np.float32(0.5) * (np.float32(1.0) - m)  # back to 0/1
+        sweeps = self._sweeps_numpy(m, arrays.c, arrays.csr(arrays.data32))
         num_sweeps = len(betas)
         chunk = max(1, int(_CHUNK_FLOATS // max(1, n * num_replicas)))
         start = 0
@@ -252,65 +289,80 @@ class SimulatedAnnealingSampler:
         return sweeps
 
     @staticmethod
-    def _sweeps_native(kernel, m, c, matrix):
-        """The kernel's sweep loop, same contract as
-        :meth:`_sweeps_numpy`: the kernel applies every sweep whose
-        flips it can decide, and hands a sweep with a spin inside its
-        exp guard band back here, where NumPy's own ``np.exp``
-        resolves it."""
+    def _sweeps_native(m, arrays, neg_betas, draws):
+        """The library's sweep loop on ``m`` in place, one sweep per
+        beta: it applies every sweep whose flips it can decide, and
+        hands a sweep with a spin inside its exp guard band back here,
+        with that sweep's doubled uniforms, for NumPy's own ``np.exp``
+        to resolve."""
         n, num_replicas = m.shape
-        indptr = np.ascontiguousarray(matrix.indptr, dtype=np.int32)
-        indices = np.ascontiguousarray(matrix.indices, dtype=np.int32)
-        scaled = matrix.data * np.float32(-0.5)  # the oracle's scaled CSR
-        if not all(
-            a.dtype == np.float32 and a.flags.c_contiguous
-            for a in (m, c, scaled)
-        ) or c.shape != (n,):
-            raise TypeError("the sweep kernel takes C-contiguous float32 arrays")
-        exponents = np.empty_like(m)
-        signs = np.empty_like(m)
-
-        def sweeps(neg_betas, doubled_u):
-            # This closure holds every array whose address it passes.
-            inputs = (indptr, indices, scaled, c, neg_betas, doubled_u)
-            outputs = (m, exponents, signs)
-            count = len(neg_betas)
-            first = 0
-            while first < count:
-                first = kernel.sweep_run(
-                    n,
-                    num_replicas,
-                    *[a.ctypes.data for a in inputs],
-                    first,
-                    count,
-                    *[a.ctypes.data for a in outputs],
-                )
-                if first < count:
-                    _metropolis_flip(m, exponents, doubled_u[first])
-                    first += 1
-
-        return sweeps
+        if m.dtype != np.float32 or not m.flags.c_contiguous:
+            raise TypeError("the sweep kernel takes a C-contiguous float32 state")
+        exponents, doubled_u, signs = (np.empty_like(m) for _ in range(3))
+        inputs = (arrays.indptr, arrays.indices, arrays.scaled, arrays.c, neg_betas)
+        # The library's scratch: each row's first two couplers.
+        outputs = (m, exponents, doubled_u, signs, np.empty(5 * n, np.int32))
+        count = len(neg_betas)
+        first = 0
+        while first < count:
+            first = draws.kernel.sweep_run(
+                n,
+                num_replicas,
+                *[a.ctypes.data for a in inputs],
+                draws.bitgen,
+                draws.carry.ctypes.data,
+                first,
+                count,
+                *[a.ctypes.data for a in outputs],
+            )
+            if first < count:
+                _metropolis_flip(m, exponents, doubled_u)
+                first += 1
 
     def _descend_batch(
         self,
         states: np.ndarray,
-        linear: np.ndarray,
-        matrix: sparse.csr_matrix,
+        arrays: ProgrammedArrays,
         rng: np.random.Generator,
+        draws: Optional[_Draws],
     ) -> np.ndarray:
         """Batched greedy descent on an ``(n, R)`` replica matrix
         (float32; replicas are columns).
 
         Converged replicas simply stop producing improving flips; the
         sweep loop ends when no replica can improve (or the cap hits).
+        A sweep with an improving spin draws one uniform per spin, and
+        an improving spin flips when its uniform is below one half.
+        With ``draws`` the native library runs the same sweeps on
+        ``states`` in place; otherwise this NumPy loop, the oracle.
         """
+        if draws is not None:
+            inputs = (arrays.indptr, arrays.indices, arrays.data32, arrays.linear32)
+            scratch = (
+                np.empty_like(states),
+                np.empty_like(states),
+                np.empty(states.shape, dtype=np.uint8),
+                np.empty(5 * states.shape[0], dtype=np.int32),
+            )
+            draws.kernel.descent_run(
+                *states.shape,
+                *[a.ctypes.data for a in inputs],
+                float(_DESCENT_EPS),
+                self.config.max_descent_sweeps,
+                draws.bitgen,
+                draws.carry.ctypes.data,
+                states.ctypes.data,
+                *[a.ctypes.data for a in scratch],
+            )
+            return states
         one = np.float32(1.0)
         half = np.float32(0.5)
-        eps = np.float32(-1e-6)
+        linear = arrays.linear32
+        matrix = arrays.csr(arrays.data32)
         for _ in range(self.config.max_descent_sweeps):
             fields = linear[:, None] + matrix @ states
             delta = (one - states - states) * fields
-            improving = delta < eps
+            improving = delta < _DESCENT_EPS
             if not improving.any():
                 break
             flips = improving & (

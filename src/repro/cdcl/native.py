@@ -1,5 +1,5 @@
-"""Build and bind the native kernels: CDCL (``kernel.c``) and anneal
-sweeps (``repro/annealer/sweep.c``).
+"""Build and bind the native kernels: CDCL (``kernel.c``) and the
+anneal read-out (``repro/annealer/sweep.c``).
 
 Each kernel is compiled on demand with the system C compiler into a
 shared library cached under ``build/cdcl-kernel/`` at the repository
@@ -10,7 +10,8 @@ involved — just ``cc -O2 -shared`` and :mod:`ctypes`.
 
 Float determinism: both kernels must reproduce their Python twins'
 IEEE-754 arithmetic bit for bit (CPython doubles for the CDCL kernel,
-NumPy float32 for the sweeps).  ``-ffp-contract=off`` keeps the
+NumPy float32 for the sweeps and descent, float64 for the logical
+pass).  ``-ffp-contract=off`` keeps the
 compiler from fusing ``a*b+c`` into FMA, and we deliberately avoid
 ``-ffast-math`` and ``-march=native``.  The sweep kernel adds
 ``-fno-trapping-math -fvect-cost-model=dynamic`` so GCC vectorises its
@@ -177,14 +178,21 @@ _SIGNATURES = [
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 
-#: The sweep kernel's exports: (name, restype, argtypes).
+#: The read-out library's exports: (name, restype, argtypes).
 _SWEEP_SIGNATURES = [
     ("sweep_band", None, [_I64, _PTR, _PTR, _PTR]),
     (
         "sweep_run",
         _I64,
-        [_I64, _I64] + [_PTR] * 6 + [_I64, _I64] + [_PTR] * 3,
+        [_I64, _I64] + [_PTR] * 7 + [_I64, _I64] + [_PTR] * 5,
     ),
+    (
+        "descent_run",
+        None,
+        [_I64, _I64] + [_PTR] * 4 + [ctypes.c_float, _I64] + [_PTR] * 7,
+    ),
+    ("draw_uniforms", None, [_PTR, _PTR, _I64, ctypes.c_float, _PTR]),
+    ("logical_pass", _I64, [_I64] + [_PTR] * 4),
 ]
 
 
@@ -278,9 +286,9 @@ def load_kernel() -> Optional[ctypes.CDLL]:
 
 
 def load_sweep_kernel() -> Optional[ctypes.CDLL]:
-    """The bound anneal-sweep library, building it on first use (the
-    first anneal, not import); ``None`` means the sampler runs its
-    NumPy sweeps."""
+    """The bound anneal read-out library, building it on first use (the
+    first anneal, not import); ``None`` means the sampler and the
+    logical descent run their NumPy/Python loops."""
     global _sweep_lib, _sweep_load_attempted
     with _load_lock:
         if _sweep_lib is None and not _sweep_load_attempted:

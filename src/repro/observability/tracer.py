@@ -79,8 +79,11 @@ class JsonlSink:
         if self._handle is None:
             self._handle = open(self._path, "w", encoding="utf-8")
             self._owns_handle = True
-        json.dump(record, self._handle, separators=(",", ":"), sort_keys=True)
-        self._handle.write("\n")
+        # One dumps call: json's C encoder, one write per record
+        # (json.dump takes the pure-Python encoder, a write per token).
+        self._handle.write(
+            json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+        )
 
     def close(self) -> None:
         """Flush and (for path-opened files) close the output."""

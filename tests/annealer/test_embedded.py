@@ -174,3 +174,123 @@ def test_property_energy_equivalence_random(seed, ):
     logical = {v: int(rng.integers(0, 2)) for v in variables}
     physical = np.array([logical[v] for v in problem.chain_of_index], dtype=float)
     assert problem.energy(physical) == pytest.approx(norm_obj.energy(logical), abs=1e-9)
+
+
+class TestCompiledArrays:
+    """The arrays the read-out uses, against the constructions they
+    replace."""
+
+    @staticmethod
+    def _problems():
+        from tests.annealer.test_sweep_kernel import HARDWARE
+
+        from repro.benchgen.random_ksat import random_3sat
+        from repro.core.frontend import Frontend
+
+        formula = random_3sat(60, 250, np.random.default_rng(7))
+        for name, make in sorted(HARDWARE.items()):
+            prepared = Frontend(formula, make(), chain_strength=2.0).prepare(
+                list(range(120))
+            )
+            yield name, prepared.request
+
+    @staticmethod
+    def _scipy_csr(n, rows, cols, weights):
+        from scipy import sparse
+
+        return sparse.coo_matrix(
+            (
+                np.concatenate([weights, weights]),
+                (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
+            ),
+            shape=(n, n),
+        ).tocsr()
+
+    def test_symmetric_csr_is_scipys_with_noisy_weights(self):
+        from repro.annealer.embedded import symmetric_csr
+
+        noise = np.random.default_rng(0)
+        for _, request in self._problems():
+            problem = request.compiled
+            rows, cols, weights = problem.coupling_arrays
+            weights = weights + noise.normal(0.0, 0.05, weights.shape)
+            indptr, indices, data = symmetric_csr(
+                problem.num_qubits, rows, cols, weights
+            )
+            expected = self._scipy_csr(problem.num_qubits, rows, cols, weights)
+            assert indptr.dtype == expected.indptr.dtype
+            assert indices.dtype == expected.indices.dtype
+            assert np.array_equal(indptr, expected.indptr)
+            assert np.array_equal(indices, expected.indices)
+            assert data.tobytes() == expected.data.tobytes()
+
+    def test_sweep_arrays_are_the_scipy_sums(self):
+        """``c`` and ``scaled`` as the sampler computed them from its
+        float32 scipy matrix, bit for bit, on compiled problems and on a
+        complete graph whose rows hold 11 couplers."""
+        from repro.annealer.embedded import EmbeddedProblem
+
+        rng = np.random.default_rng(2)
+        dense = EmbeddedProblem.from_couplings(
+            qubits=tuple(range(12)),
+            linear=rng.normal(size=12),
+            couplings=[
+                (i, j, float(rng.normal())) for i in range(12) for j in range(i + 1, 12)
+            ],
+            chain_of_index=tuple(range(12)),
+        )
+        problems = [(name, r.compiled) for name, r in self._problems()]
+        for name, problem in problems + [("dense", dense)]:
+            arrays = problem.programmed
+            matrix = problem.couplings_csr.astype(np.float32)
+            linear = problem.linear.astype(np.float32)
+            c = linear + np.float32(0.5) * np.asarray(
+                matrix.sum(axis=1), dtype=np.float32
+            ).ravel()
+            assert arrays.c.tobytes() == c.tobytes(), name
+            assert arrays.scaled.tobytes() == (
+                matrix.data * np.float32(-0.5)
+            ).tobytes(), name
+
+    def test_logical_terms_give_the_objective(self):
+        """Dense bias and matrix as the dict objective fills them, and
+        energies equal ``QuadraticObjective.energy`` by ``float.hex``."""
+        rng = np.random.default_rng(1)
+        for _, request in self._problems():
+            objective = request.objective
+            logical = request.compiled.logical
+            order = sorted(objective.variables)
+            assert logical.variables.tolist() == order
+            index = {var: i for i, var in enumerate(order)}
+            bias = np.zeros(len(order))
+            matrix = np.zeros((len(order), len(order)))
+            for var, coeff in objective.linear.items():
+                bias[index[var]] = coeff
+            for (u, v), coeff in objective.quadratic.items():
+                matrix[index[u], index[v]] += coeff
+                matrix[index[v], index[u]] += coeff
+            assert logical.bias().tobytes() == bias.tobytes()
+            assert logical.matrix().tobytes() == matrix.tobytes()
+            for _ in range(20):
+                state = rng.integers(0, 2, len(order)).astype(float)
+                expected = objective.energy(
+                    {var: int(state[i]) for var, i in index.items()}
+                )
+                assert logical.energy(state).hex() == expected.hex()
+
+    def test_hand_built_chains_are_ordered_runs(self):
+        from repro.annealer.embedded import EmbeddedProblem
+
+        problem = EmbeddedProblem.from_couplings(
+            qubits=(5, 6, 7), linear=[0.0, 1.0, 0.0],
+            couplings=[(1, 2, 1.0), (0, 1, -1.0)], chain_of_index=(4, 4, 9),
+        )
+        assert problem.couplings == ((0, 1, -1.0), (1, 2, 1.0))
+        assert problem.chain_of_index == (4, 4, 9)
+        assert problem.chain_sizes.tolist() == [2, 1]
+        for owners in [(1, 2, 1), (2, 2, 1)]:
+            with pytest.raises(ValueError, match="ascending variable order"):
+                EmbeddedProblem.from_couplings(
+                    qubits=(0, 1, 2), linear=[0.0] * 3, couplings=(),
+                    chain_of_index=owners,
+                )

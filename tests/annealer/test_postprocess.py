@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.annealer.postprocess import LogicalDescender, logical_greedy_descent
+from repro.cdcl import native
 from repro.qubo.ising import QuadraticObjective
 from repro.sat.assignment import Assignment
 
@@ -89,6 +90,34 @@ class TestLogicalDescender:
         out_b, e_b = logical_greedy_descent(obj, start, np.random.default_rng(9))
         assert e_a == pytest.approx(e_b)
         assert all(out_a[v] == out_b[v] for v in range(1, 7))
+
+
+@pytest.mark.skipif(
+    native.load_sweep_kernel() is None, reason="no C compiler for the read-out library"
+)
+def test_native_pass_equals_the_python_pass(monkeypatch):
+    """Descents with the read-out library loaded and blocked: equal
+    assignments (key order included), energies by ``float.hex`` and
+    generator states."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        obj = _random_objective(rng, n)
+        start = Assignment({v: bool(rng.integers(0, 2)) for v in range(1, n + 1)})
+        outcomes = []
+        for blocked in (False, True):
+            with monkeypatch.context() as patch:
+                if blocked:
+                    patch.setattr(native, "load_sweep_kernel", lambda: None)
+                draws = np.random.default_rng(100 + seed)
+                out, energy = LogicalDescender(obj).descend(start, draws)
+            outcomes.append(
+                (list(out.items()), energy.hex(), draws.bit_generator.state)
+            )
+        assert outcomes[0] == outcomes[1]
+        # The energy is the objective's own sum, in its dict order.
+        values = {v: int(outcomes[0][0][v - 1][1]) for v in range(1, n + 1)}
+        assert outcomes[0][1] == obj.energy(values).hex()
 
 
 @settings(max_examples=30, deadline=None)

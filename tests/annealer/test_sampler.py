@@ -11,11 +11,10 @@ from repro.cdcl import native
 
 def _problem(linear, couplings, offset=0.0):
     n = len(linear)
-    return EmbeddedProblem(
+    return EmbeddedProblem.from_couplings(
         qubits=tuple(range(n)),
         linear=np.array(linear, dtype=float),
         couplings=tuple(couplings),
-        chain_edges=(),
         chain_of_index=tuple(range(n)),
         offset=offset,
     )
@@ -173,35 +172,13 @@ class TestBatchedReplicas:
         for bits in SimulatedAnnealingSampler(config, seed=1).sample(pair, 5):
             assert bits[0] == bits[1]
 
-    def test_batched_restarts_never_worse(self):
-        couplings = [(i, j, 1.0) for i in range(8) for j in range(i + 1, 8)]
-        problem = _problem([-1.0] * 8, couplings)
-        single = SimulatedAnnealingSampler(
-            SamplerConfig(num_sweeps=4, num_restarts=1), seed=5
-        )
-        multi = SimulatedAnnealingSampler(
-            SamplerConfig(num_sweeps=4, num_restarts=12), seed=5
-        )
-        e_single = problem.energy(single.sample(problem)[0])
-        e_multi = problem.energy(multi.sample(problem)[0])
-        assert e_multi <= e_single + 1e-9
-
-    def test_batched_readout_noise_applied(self):
-        problem = _problem([-5.0], [])  # strongly wants 1
-        noisy = SimulatedAnnealingSampler(
-            noise=NoiseModel.bit_flip(1.0), seed=0
-        )
-        assert noisy.sample(problem)[0][0] == 0
-
     def test_batched_descent_reaches_local_minimum(self, small_hardware):
         problem = _embedded_random_3sat(small_hardware)
         config = SamplerConfig(num_sweeps=2, greedy_descent=True)
         sampler = SimulatedAnnealingSampler(config, seed=3)
         for bits in sampler.sample(problem, num_reads=3):
             state = bits.astype(float)
-            linear, matrix = sampler._programmed_arrays(
-                problem, np.random.default_rng(0)
-            )
+            linear, matrix = problem.linear, problem.couplings_csr
             field = linear + matrix @ state
             delta = (1.0 - 2.0 * state) * field
             # float32 descent: minimal up to single-precision resolution
@@ -217,19 +194,26 @@ class TestDescentAndRestarts:
         )
         bits = sampler.sample(problem)[0]
         state = bits.astype(float)
-        linear, matrix = sampler._programmed_arrays(problem, np.random.default_rng(0))
+        linear, matrix = problem.linear, problem.couplings_csr
         field = linear + matrix @ state
         delta = (1.0 - 2.0 * state) * field
         assert (delta >= -1e-9).all()
 
-    def test_restarts_never_worse(self):
+    @pytest.mark.parametrize("greedy_descent", [False, True])
+    def test_restarts_never_worse(self, greedy_descent):
         couplings = [(i, j, 1.0) for i in range(8) for j in range(i + 1, 8)]
         problem = _problem([-1.0] * 8, couplings)
         single = SimulatedAnnealingSampler(
-            SamplerConfig(num_sweeps=4, num_restarts=1, greedy_descent=False), seed=5
+            SamplerConfig(
+                num_sweeps=4, num_restarts=1, greedy_descent=greedy_descent
+            ),
+            seed=5,
         )
         multi = SimulatedAnnealingSampler(
-            SamplerConfig(num_sweeps=4, num_restarts=12, greedy_descent=False), seed=5
+            SamplerConfig(
+                num_sweeps=4, num_restarts=12, greedy_descent=greedy_descent
+            ),
+            seed=5,
         )
         e_single = problem.energy(single.sample(problem)[0])
         e_multi = problem.energy(multi.sample(problem)[0])

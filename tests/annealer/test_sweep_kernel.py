@@ -10,6 +10,8 @@ around its own exp estimate and hands any other sweep back to NumPy's
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -117,18 +119,69 @@ class _Uniforms:
         return draw.copy()
 
 
+_NEXT_UINT64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+
+
+class _BitGenT(ctypes.Structure):
+    """numpy/random/bitgen.h's ``bitgen_t``."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", _NEXT_UINT64),
+        ("next_uint32", ctypes.c_void_p),
+        ("next_double", ctypes.c_void_p),
+        ("next_raw", ctypes.c_void_p),
+    ]
+
+
+_new_capsule = ctypes.PYFUNCTYPE(
+    ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p
+)(("PyCapsule_New", ctypes.pythonapi))
+
+
+class _ReplayGenerator:
+    """A bit generator the native library draws fixed uint32 words
+    from, two per ``next_uint64`` (low half first, as PCG64 pairs
+    them): its uniforms are ``(word >> 8) * 2**-24``."""
+
+    def __init__(self, words):
+        self._words = iter(np.asarray(words, dtype=np.uint64).tolist())
+        self._next = _NEXT_UINT64(self._next_uint64)
+        self._struct = _BitGenT(None, self._next, None, None, None)
+        self.capsule = _new_capsule(
+            ctypes.addressof(self._struct), b"BitGenerator", None
+        )
+        self.state = {"has_uint32": 0, "uinteger": 0}
+
+    def _next_uint64(self, _state):
+        low = next(self._words)
+        return low | (next(self._words) << 32)
+
+
+class _Replay:
+    bit_generator: _ReplayGenerator
+
+    def __init__(self, words):
+        self.bit_generator = _ReplayGenerator(words)
+
+
 @needs_sweep_kernel
 def test_threshold_sweep_is_resolved_by_numpy(problems, monkeypatch):
     """A spin whose 2u equals np.exp(y) exactly (NumPy: no flip) lies
-    inside the band, so the kernel hands its sweep to NumPy."""
+    inside the band, so the kernel hands its sweep to NumPy, with that
+    sweep's doubled uniforms."""
     problem = problems["chimera8"]
     sampler = SimulatedAnnealingSampler()
-    linear = problem.linear.astype(np.float32)
-    matrix = problem.couplings_csr.astype(np.float32)
-    n = len(linear)
+    arrays = problem.programmed
+    n = problem.num_qubits
     betas = sampler._schedule()[:8]
     states = np.random.default_rng(3).integers(0, 2, (n, 1)).astype(np.float32)
-    uniforms = np.random.default_rng(4).random((len(betas), n, 1), np.float32)
+    words = np.random.default_rng(4).integers(
+        0, 2**32, (len(betas), n, 1), dtype=np.uint64
+    )
+
+    def uniforms():
+        return ((words >> 8) * 2.0**-24).astype(np.float32)
 
     resolved = []
     real_flip = sampler_module._metropolis_flip
@@ -138,33 +191,53 @@ def test_threshold_sweep_is_resolved_by_numpy(problems, monkeypatch):
         real_flip(m, exponents, doubled_u)
 
     monkeypatch.setattr(sampler_module, "_metropolis_flip", spy)
-    with monkeypatch.context() as patch:
-        numpy_only(patch)
-        sampler._anneal_batch(
-            states, linear, matrix, betas, _Uniforms([uniforms])
-        )
+    sampler._anneal_batch(states, arrays, betas, _Uniforms([uniforms()]), None)
     first_exponents = resolved[0][0]
     flat = first_exponents.ravel()
-    spin = int(np.flatnonzero((flat < -0.1) & (flat > -5.0))[0])
-    threshold = np.exp(flat[spin])
-    assert 0 < threshold < 1
-    uniforms[0].ravel()[spin] = threshold / np.float32(2.0)  # 2u == exp(y)
+    # 2u is a multiple of 2**-23, so pick a spin whose exp(y) is one.
+    thresholds = np.exp(flat).astype(np.float64) * 2.0**23
+    spin = int(
+        np.flatnonzero(
+            (flat < -0.01) & (flat > -0.6) & (thresholds == np.floor(thresholds))
+        )[0]
+    )
+    words[0].ravel()[spin] = int(thresholds[spin]) << 8  # 2u == exp(y)
+    assert uniforms()[0].ravel()[spin] * 2 == np.exp(flat[spin])
 
     resolved.clear()
-    with monkeypatch.context() as patch:
-        numpy_only(patch)
-        expected = sampler._anneal_batch(
-            states, linear, matrix, betas, _Uniforms([uniforms])
-        )
+    expected = sampler._anneal_batch(
+        states, arrays, betas, _Uniforms([uniforms()]), None
+    )
     assert np.array_equal(resolved[0][0], first_exponents)
     resolved.clear()
-    got = sampler._anneal_batch(
-        states, linear, matrix, betas, _Uniforms([uniforms])
+    draws = sampler_module._Draws(
+        native.load_sweep_kernel(), _Replay(words.ravel())
     )
+    got = sampler._anneal_batch(states, arrays, betas, None, draws)
     assert np.array_equal(got, expected)
     # The kernel returned sweep 0 unapplied, with NumPy's exponents.
     assert resolved and np.array_equal(resolved[0][0], first_exponents)
-    assert np.array_equal(resolved[0][1], uniforms[0] + uniforms[0])
+    assert np.array_equal(resolved[0][1], uniforms()[0] + uniforms()[0])
+
+
+@needs_sweep_kernel
+@pytest.mark.parametrize("held", [0, 1])
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 1000])
+def test_native_draws_are_numpy_draws(held, size):
+    """The library's float32 uniforms are ``rng.random``'s, whether or
+    not PCG64 holds a uint32 half back, and the generator is left where
+    NumPy's own draws leave it."""
+    ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+    for rng in (ours, theirs):
+        rng.integers(0, 2, size=held)  # one uint32 draw holds a half back
+    draws = sampler_module._Draws(native.load_sweep_kernel(), ours)
+    got = np.empty(size, dtype=np.float32)
+    draws.kernel.draw_uniforms(
+        draws.bitgen, draws.carry.ctypes.data, size, 1.0, got.ctypes.data
+    )
+    draws.close()
+    assert np.array_equal(got, theirs.random(size, dtype=np.float32))
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @needs_sweep_kernel
@@ -219,34 +292,31 @@ def test_exponents_equal_numpy_exponents(problems, noise, replicas, monkeypatch)
 
     monkeypatch.setattr(sampler_module, "_metropolis_flip", spy)
     for hardware in sorted(HARDWARE):
-        linear, matrix = sampler._programmed_arrays(
-            problems[hardware], np.random.default_rng(2)
-        )
-        linear, matrix = linear.astype(np.float32), matrix.astype(np.float32)
-        n = len(linear)
-        c = linear + np.float32(0.5) * np.asarray(
-            matrix.sum(axis=1), dtype=np.float32
-        ).ravel()
+        arrays = sampler._programmed(problems[hardware], np.random.default_rng(2))
+        n = len(arrays.linear)
+        c = arrays.c
         states = np.random.default_rng(3).integers(0, 2, (n, replicas))
         m = np.float32(1.0) - 2 * states.astype(np.float32)
         never = np.full((len(neg_betas), n, replicas), 4.0, np.float32)
         captured.clear()
+        matrix = arrays.csr(arrays.data32)
         sampler._sweeps_numpy(m.copy(), c, matrix)(neg_betas, never)
         for k, neg_beta in enumerate(neg_betas):
-            inputs = (
-                np.ascontiguousarray(matrix.indptr, dtype=np.int32),
-                np.ascontiguousarray(matrix.indices, dtype=np.int32),
-                matrix.data * np.float32(-0.5),
-                c,
-                neg_betas[k : k + 1],
-                never,
+            inputs = (arrays.indptr, arrays.indices, arrays.scaled, c, neg_betas[k : k + 1])
+            outputs = (
+                m.copy(), *(np.empty_like(m) for _ in range(3)),
+                np.empty(5 * n, np.int32),
             )
-            outputs = (m.copy(), np.empty_like(m), np.empty_like(m))
+            # Every word all ones: 2u = 2 - 2**-23 > exp(y) for every spin.
+            draws = sampler_module._Draws(
+                kernel, _Replay(np.full(n * replicas + 1, 2**32 - 1))
+            )
             done = kernel.sweep_run(
-                n, replicas, *[a.ctypes.data for a in inputs], 0, 1,
+                n, replicas, *[a.ctypes.data for a in inputs],
+                draws.bitgen, draws.carry.ctypes.data, 0, 1,
                 *[a.ctypes.data for a in outputs],
             )
-            assert done == 1  # 2u = 8 > exp(y): every spin decided
+            assert done == 1  # every spin decided: no flip
             assert np.array_equal(outputs[1], captured[k]), hardware
 
 

@@ -8,11 +8,10 @@ from repro.annealer.unembed import majority_vote_unembed
 
 def _problem(chain_of_index):
     n = len(chain_of_index)
-    return EmbeddedProblem(
+    return EmbeddedProblem.from_couplings(
         qubits=tuple(range(n)),
         linear=np.zeros(n),
         couplings=(),
-        chain_edges=(),
         chain_of_index=tuple(chain_of_index),
         offset=0.0,
     )

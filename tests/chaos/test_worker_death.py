@@ -72,8 +72,9 @@ def test_killed_workers_are_respawned_and_jobs_retried(tmp_path):
         target=lambda: outcomes.extend(service.run(specs)), daemon=True
     )
     runner.start()
-    # Give the coordinator time to dispatch, then murder the workers.
-    time.sleep(1.0)
+    # Murder the workers as soon as they exist: the pool starts its
+    # processes on the coordinator's first submit, so the batch is in
+    # flight however fast its jobs solve (a fixed wait outlasted it).
     killed = _kill_workers(service.pool)
     runner.join(timeout=240.0)
     assert not runner.is_alive(), "service hung after worker death"

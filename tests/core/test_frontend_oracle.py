@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import repro.core.frontend as frontend_module
 from repro.annealer.device import AnnealerDevice, AnnealRequest
@@ -450,7 +451,21 @@ def assert_matches_oracle(formula, hw, queue, assignment, monkeypatch) -> bool:
     assert _hexes(weights) == _hexes(c[2] for c in couplings)
     assert compiled.chain_edges == chain_edges
     assert compiled.chain_of_index == chain_of_index
+    # The symmetric CSR the sweeps read: scipy's, whose row order the
+    # kernel's float32 sums follow.
+    csr, expected_csr = compiled.couplings_csr, _scipy_csr(len(qubits), couplings)
+    for name in ("indptr", "indices"):
+        ours, theirs = getattr(csr, name), getattr(expected_csr, name)
+        assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+    assert _hexes(csr.data) == _hexes(expected_csr.data)
     return True
+
+
+def _scipy_csr(n, couplings):
+    rows = [c[0] for c in couplings] + [c[1] for c in couplings]
+    cols = [c[1] for c in couplings] + [c[0] for c in couplings]
+    weights = [c[2] for c in couplings] * 2
+    return sparse.coo_matrix((weights, (rows, cols)), shape=(n, n)).tocsr()
 
 
 @pytest.mark.parametrize("family", sorted(BENCHMARKS))
@@ -500,7 +515,7 @@ def _oracle_prepare_uncached(self, queue, assignment, start):
     if prepared is None:
         return None
     qubits, linear, couplings, chain_edges, chain_of_index = prepared.compiled
-    compiled = EmbeddedProblem(
+    compiled = EmbeddedProblem.from_couplings(
         qubits=tuple(qubits), linear=linear, couplings=couplings,
         chain_edges=chain_edges, chain_of_index=chain_of_index,
         offset=prepared.normalized.offset, chain_strength=self.chain_strength,

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.observability import (
     JsonlSink,
     ListSink,
     NULL_TRACER,
+    Observability,
     TRACE_SCHEMA_VERSION,
     Tracer,
     read_trace,
@@ -178,6 +181,34 @@ class TestSinksAndReadback:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["name"] == "solve"
+
+    def test_jsonl_bytes_of_a_traced_hybrid_solve(self):
+        """Every record of a traced uf50 hybrid solve is written as the
+        bytes ``json.dump`` with the sink's options writes."""
+        from repro.benchgen import random_3sat
+        from repro.core.config import HyQSatConfig
+        from repro.core.hyqsat import HyQSatSolver
+
+        written, dumped = io.StringIO(), io.StringIO()
+        sink = JsonlSink(written)
+
+        class Both:
+            def write(self, record):
+                sink.write(record)
+                json.dump(record, dumped, separators=(",", ":"), sort_keys=True)
+                dumped.write("\n")
+
+            def close(self):
+                sink.close()
+
+        observability = Observability(tracer=Tracer(sink=Both()))
+        formula = random_3sat(50, 218, np.random.default_rng(0))
+        HyQSatSolver(
+            formula, config=HyQSatConfig(seed=0), observability=observability
+        ).solve()
+        observability.close()
+        assert written.getvalue() == dumped.getvalue()
+        assert written.getvalue().count("\n") > 500
 
     def test_read_trace_rejects_missing_meta(self):
         with pytest.raises(ValueError, match="missing meta"):
