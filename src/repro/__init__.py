@@ -44,7 +44,6 @@ from repro.core import (
     HyQSatResult,
     HyQSatSolver,
     ResilienceConfig,
-    RetryPolicy,
 )
 from repro.embedding import HyQSatEmbedder, MinorminerLikeEmbedder, PlaceAndRouteEmbedder
 from repro.resilience import QaUnavailable, ResilientDevice
@@ -82,7 +81,6 @@ __all__ = [
     "QuadraticObjective",
     "ResilienceConfig",
     "ResilientDevice",
-    "RetryPolicy",
     "SolverConfig",
     "SolverResult",
     "adjust_coefficients",

@@ -146,7 +146,6 @@ class AnnealerDevice:
         timing: Optional[QpuTimingModel] = None,
         sampler_config: Optional[SamplerConfig] = None,
         chain_strength: float = 1.0,
-        multi_qubit_correction: bool = True,
         seed: int = 0,
         faults: Optional[FaultModel] = None,
         fault_seed: Optional[int] = None,
@@ -156,7 +155,6 @@ class AnnealerDevice:
         self.timing = timing or QpuTimingModel()
         self.sampler_config = sampler_config or SamplerConfig()
         self.chain_strength = chain_strength
-        self.multi_qubit_correction = multi_qubit_correction
         self.seed = seed
         self._call_count = 0
         #: Cumulative modelled device time (µs) across every call,
@@ -253,17 +251,14 @@ class AnnealerDevice:
         if logical is None:
             logical = LogicalArrays.from_objective(request.objective)
         positions = np.searchsorted(problem.chain_variables, logical.variables)
-        descender = (
-            LogicalDescender(logical) if self.multi_qubit_correction else None
-        )
+        descender = LogicalDescender(logical)
         variables = problem.chain_variables.tolist()
         samples: List[AnnealSample] = []
         for bits in sampler.sample(problem, num_reads=request.num_reads):
             values, break_fraction = chain_vote(problem, bits, rng)
             state = values[positions].astype(float)
-            if descender is not None:
-                descender.descend_state(state, rng)
-                values[positions] = state != 0
+            descender.descend_state(state, rng)
+            values[positions] = state != 0
             samples.append(
                 AnnealSample(
                     assignment=Assignment(dict(zip(variables, values.tolist()))),

@@ -26,6 +26,7 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
     "available_engines",
+    "check_engine",
     "create_solver",
     "resolve_engine",
 ]
@@ -51,6 +52,14 @@ def available_engines() -> tuple:
     return tuple(names)
 
 
+def check_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless ``engine`` names one of
+    :data:`ENGINES` (the one engine-name check of every entry point)."""
+    if engine not in ENGINES:
+        expected = " or ".join(repr(name) for name in ENGINES)
+        raise ValueError(f"unknown CDCL engine {engine!r}; expected {expected}")
+
+
 def resolve_engine(engine: str, config: Optional[SolverConfig] = None) -> str:
     """Validate ``engine`` and downgrade ``fast`` when unusable.
 
@@ -59,10 +68,7 @@ def resolve_engine(engine: str, config: Optional[SolverConfig] = None) -> str:
     :class:`RuntimeWarning` is emitted and ``"reference"`` is returned —
     results are identical either way, only slower.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown CDCL engine {engine!r}; expected one of {sorted(ENGINES)}"
-        )
+    check_engine(engine)
     if engine == "fast":
         ok, reason = fast_engine_supports(config)
         if not ok:

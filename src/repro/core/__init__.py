@@ -18,12 +18,7 @@ The pieces map one-to-one onto the paper's architecture (Figure 4):
 
 from repro.core.backend import Backend, BackendDecision, Strategy
 from repro.core.clause_queue import ClauseQueueGenerator
-from repro.core.config import (
-    BreakerPolicy,
-    HyQSatConfig,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.core.config import BreakerPolicy, HyQSatConfig, ResilienceConfig
 from repro.core.frontend import Frontend, FrontendResult
 from repro.core.hyqsat import HybridStats, HyQSatResult, HyQSatSolver, estimate_iterations
 from repro.core.timing import TimeBreakdown
@@ -40,7 +35,6 @@ __all__ = [
     "HyQSatResult",
     "HyQSatSolver",
     "ResilienceConfig",
-    "RetryPolicy",
     "Strategy",
     "TimeBreakdown",
     "estimate_iterations",

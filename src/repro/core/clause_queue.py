@@ -1,13 +1,13 @@
 """Clause queue generation (Section IV-A).
 
 The queue decides which clauses the annealer accelerates.  The head is
-drawn at random from the clauses with top-k activity scores (random so
-repeated calls without score updates do not re-deploy the identical
-queue), then the queue grows by breadth-first traversal: for each
-clause in the queue, clauses sharing one of its variables are pushed,
-variable by variable, until the capacity bound is hit.  BFS over shared
-variables maximises variable locality, which is what lets the embedder
-reuse vertical lines and couplers.
+drawn at random from the clauses with the :data:`TOP_K` highest
+activity scores (random so repeated calls without score updates do not
+re-deploy the identical queue), then the queue grows by breadth-first
+traversal: for each clause in the queue, clauses sharing one of its
+variables are pushed, variable by variable, until the capacity bound is
+hit.  BFS over shared variables maximises variable locality, which is
+what lets the embedder reuse vertical lines and couplers.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ import numpy as np
 
 from repro.sat.cnf import CNF
 
+#: The queue head is drawn from the clauses with the TOP_K highest
+#: activity scores (Section IV-A).
+TOP_K = 30
+
 
 class ClauseQueueGenerator:
     """Generates activity-ordered BFS clause queues for a formula.
@@ -26,11 +30,8 @@ class ClauseQueueGenerator:
     generation itself is linear in the number of clauses visited.
     """
 
-    def __init__(self, formula: CNF, top_k: int = 30, seed: int = 0):
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
+    def __init__(self, formula: CNF, seed: int = 0):
         self.formula = formula
-        self.top_k = top_k
         self._rng = np.random.default_rng(seed)
         self._clauses_of_var: Dict[int, List[int]] = formula.clause_index()
         #: Each clause's variables in literal order, from the table.
@@ -106,7 +107,7 @@ class ClauseQueueGenerator:
         return [int(i) for i in picked]
 
     def _pick_head(self, activity: Sequence[float], pool: List[int]) -> int:
-        """Random draw from the top-k activity clauses of the pool."""
+        """Random draw from the TOP_K activity clauses of the pool."""
         ordered = sorted(pool, key=lambda i: (-activity[i], i))
-        top = ordered[: self.top_k]
+        top = ordered[:TOP_K]
         return int(self._rng.choice(np.array(top)))

@@ -8,8 +8,8 @@ Pipeline per QA call, on index arrays rather than per-clause objects:
    it on the trail: a mask drops the literals of assigned variables,
 2. encode the residual clauses into the Eq. 5 objective, a gather from
    the per-shape Eq. 4 terms (:mod:`repro.qubo.encoding`),
-3. apply the Section IV-C coefficient adjustment (optional), which
-   changes only the α array,
+3. apply the Section IV-C coefficient adjustment, which changes only
+   the α array,
 4. embed with the linear-time Section IV-B scheme,
 5. sum the weighted terms of the *embedded* clauses only and normalise
    that objective into hardware range (Eq. 6),
@@ -123,7 +123,6 @@ class Frontend:
         self,
         formula: CNF,
         hardware: ChimeraGraph,
-        adjust: bool = True,
         num_reads: int = 1,
         cache_size: int = 64,
         chain_strength: Optional[float] = None,
@@ -135,7 +134,6 @@ class Frontend:
 
         self.formula = formula
         self.hardware = hardware
-        self.adjust = adjust
         self.num_reads = num_reads
         self.cache_size = cache_size
         self.chain_strength = chain_strength
@@ -242,9 +240,9 @@ class Frontend:
         clauses, kept = self._table.conditioned(queue, assigned)
         if not len(clauses):
             return None
-        encoding = encode_formula(clauses, self.formula.num_vars)
-        if self.adjust:
-            encoding = adjust_coefficients(encoding).encoding
+        encoding = adjust_coefficients(
+            encode_formula(clauses, self.formula.num_vars)
+        ).encoding
 
         try:
             embed_result = self._embedder.embed(encoding)

@@ -41,6 +41,12 @@ from repro.resilience.device import QaUnavailable
 from repro.sat.assignment import Assignment
 from repro.sat.cnf import CNF, Lit, fingerprint
 
+#: Strategy 4 (Section V-B): the VSIDS bump given to each embedded
+#: variable, and how many of them are queued as forced decisions to
+#: race to the conflict.
+STRATEGY_4_BUMP = 10.0
+STRATEGY_4_DECISIONS = 8
+
 
 def estimate_iterations(num_vars: int, num_clauses: int) -> int:
     """Empirical estimate of the classic-CDCL iteration count K.
@@ -228,15 +234,12 @@ class _HybridHook:
 
     def on_iteration(self, solver: CdclSolver) -> Optional[Assignment]:
         owner = self._owner
-        config = owner.config
         owner._maybe_checkpoint(solver)
         if (
             owner._qa_disabled
             or solver.stats.iterations > owner.hybrid_stats.warmup_iterations
         ):
             self.finished = not owner._checkpointing
-            return None
-        if (solver.stats.iterations - 1) % config.qa_period != 0:
             return None
         start = time.perf_counter()
         try:
@@ -297,19 +300,16 @@ class HyQSatSolver:
         self._resumed_from_checkpoint = False
         self._fingerprint: Optional[str] = None
         # Last deployed queue + trail snapshot, reused while no new
-        # conflict has been learned (see HyQSatConfig.reuse_queue_between_conflicts).
+        # conflict has been learned (see _qa_step).
         self._last_queue: Optional[List[int]] = None
         self._last_snapshot: Optional[Assignment] = None
         self._conflicts_at_queue = -1
-        # Warm CDCL instance kept across solve() calls when
-        # config.warm_start is on (learned-clause retention).
-        self._cdcl = None
         # Wall time the iteration hook spent in QA rounds and checkpoint
         # saves during the current solve (not CDCL search time).
         self._hook_seconds = 0.0
-        # Clauses to seed a *fresh* engine with through the incremental
-        # API (cache warm start); never re-applied to a reused warm
-        # engine or a checkpoint-resumed search.
+        # Clauses to seed each fresh engine with through the incremental
+        # API (cache warm start); never applied to a checkpoint-resumed
+        # search.
         self._preseed: Optional[List[List[int]]] = None
         #: The CDCL engine of the most recent :meth:`solve` call —
         #: the cache layer harvests learned clauses from it.
@@ -318,7 +318,6 @@ class HyQSatSolver:
         self._frontend = Frontend(
             formula,
             self.device.hardware,
-            adjust=self.config.adjust_coefficients,
             num_reads=self.config.num_reads,
             cache_size=self.config.frontend_cache_size,
             chain_strength=getattr(self.device, "chain_strength", None),
@@ -334,16 +333,11 @@ class HyQSatSolver:
             enable_strategy_2=self.config.enable_strategy_2,
             enable_strategy_4=self.config.enable_strategy_4,
         )
-        self._queue_gen = ClauseQueueGenerator(
-            formula, top_k=self.config.top_k, seed=self.config.seed
-        )
-        if self.config.max_queue_clauses is not None:
-            self._capacity = self.config.max_queue_clauses
-        else:
-            # Each embedded clause occupies roughly one new vertical
-            # line and two horizontal segments; allow headroom and let
-            # the embedder decide what actually fits.
-            self._capacity = max(8, 3 * self.device.hardware.num_vertical_lines)
+        self._queue_gen = ClauseQueueGenerator(formula, seed=self.config.seed)
+        # Each embedded clause occupies roughly one new vertical line
+        # and two horizontal segments; allow headroom and let the
+        # embedder decide what actually fits.
+        self._capacity = max(8, 3 * self.device.hardware.num_vertical_lines)
 
     @classmethod
     def from_ksat(cls, formula: CNF, **kwargs) -> "HyQSatSolver":
@@ -367,9 +361,8 @@ class HyQSatSolver:
         Intended for the persistent cache's learned-clause bank: the
         caller guarantees every clause is implied by the formula (e.g.
         learned from a clause-subset instance), so seeding changes the
-        search trajectory but never the answer.  Ignored on warm
-        ``solve`` re-entries and checkpoint resumes, which already
-        carry their own learned state.
+        search trajectory but never the answer.  Ignored on checkpoint
+        resumes, which already carry their own learned state.
         """
         self._preseed = [list(lits) for lits in clauses] or None
 
@@ -423,20 +416,12 @@ class HyQSatSolver:
         if tracer.enabled:
             tracer.set_qpu_clock(self._qpu_now_us)
 
-        fresh_engine = False
-        if self.config.warm_start and self._cdcl is not None:
-            # Warm re-solve: keep the learned clauses, activities, and
-            # saved phases accumulated by previous calls.
-            solver = self._cdcl
-        else:
-            solver = create_solver(
-                self.formula,
-                engine=self.config.engine,
-                config=self.solver_config,
-                observability=obs if obs.enabled else None,
-            )
-            fresh_engine = True
-        self._cdcl = solver if self.config.warm_start else None
+        solver = create_solver(
+            self.formula,
+            engine=self.config.engine,
+            config=self.solver_config,
+            observability=obs if obs.enabled else None,
+        )
         if resume_state is not None:
             try:
                 solver.restore_search_state(resume_state["search"])
@@ -456,9 +441,7 @@ class HyQSatSolver:
                     config=self.solver_config,
                     observability=obs if obs.enabled else None,
                 )
-                self._cdcl = solver if self.config.warm_start else None
-                fresh_engine = True
-        if fresh_engine and resume_state is None and self._preseed:
+        if resume_state is None and self._preseed:
             for lits in self._preseed:
                 solver.add_clause(lits)
         self.last_engine = solver
@@ -555,27 +538,37 @@ class HyQSatSolver:
             1.0 if self.hybrid_stats.degraded else 0.0
         )
 
-    def _sync_resilience_stats(self) -> None:
-        """Fold the resilience layer's counters into the hybrid stats
-        (no-op for a bare device)."""
-        if self._resumed_from_checkpoint:
-            # Post-warmup resume: the fresh device made no calls; the
-            # restored counters are the run's true totals.
-            return
+    def _resilience_totals(self) -> dict:
+        """The resilience layer's live counters as :class:`HybridStats`
+        fields: retries, budget spend, its fault counts added to the
+        stats' own, and the breaker's state.  Empty for a bare device,
+        and after a post-warmup resume, whose restored counters are
+        already the run's totals (the fresh device made no calls)."""
         stats = getattr(self.device, "stats", None)
-        if stats is None or not hasattr(stats, "retry_trace"):
-            return
-        hybrid = self.hybrid_stats
-        hybrid.qa_retries = stats.retries
-        hybrid.qa_budget_spent_us = stats.budget_spent_us
+        if (
+            self._resumed_from_checkpoint
+            or stats is None
+            or not hasattr(stats, "retry_trace")
+        ):
+            return {}
+        fault_counts = dict(self.hybrid_stats.qa_fault_counts)
         for name, count in stats.fault_counts.items():
-            hybrid.qa_fault_counts[name] = (
-                hybrid.qa_fault_counts.get(name, 0) + count
-            )
+            fault_counts[name] = fault_counts.get(name, 0) + count
+        totals = {
+            "qa_retries": stats.retries,
+            "qa_budget_spent_us": stats.budget_spent_us,
+            "qa_fault_counts": fault_counts,
+        }
         breaker = getattr(self.device, "breaker", None)
         if breaker is not None:
-            hybrid.breaker_state = breaker.state.value
-            hybrid.breaker_transitions = len(breaker.transitions)
+            totals["breaker_state"] = breaker.state.value
+            totals["breaker_transitions"] = len(breaker.transitions)
+        return totals
+
+    def _sync_resilience_stats(self) -> None:
+        """Fold the resilience layer's counters into the hybrid stats."""
+        for name, value in self._resilience_totals().items():
+            setattr(self.hybrid_stats, name, value)
 
     @property
     def _checkpointing(self) -> bool:
@@ -605,29 +598,12 @@ class HyQSatSolver:
         start = time.perf_counter()
         self._conflicts_at_checkpoint = conflicts
         hybrid = self.hybrid_stats.as_dict()
-        # The frontend's live cache counters are folded into the stats
-        # only at end-of-solve; the snapshot must carry them itself.
+        # The frontend's and the resilience layer's live counters are
+        # folded into the stats only at end-of-solve; the snapshot must
+        # carry them itself.
         hybrid["frontend_cache_hits"] += self._frontend.cache_hits
         hybrid["frontend_cache_misses"] += self._frontend.cache_misses
-        # Likewise the resilience layer's counters (retries, budget
-        # spend, breaker state): end-of-solve sync hasn't happened yet,
-        # so the snapshot must read the device's live totals.  A
-        # resumed run skips this — its restored stats already *are* the
-        # totals and the fresh device has made no calls.
-        device_stats = getattr(self.device, "stats", None)
-        if not self._resumed_from_checkpoint and device_stats is not None and (
-            hasattr(device_stats, "retry_trace")
-        ):
-            hybrid["qa_retries"] = device_stats.retries
-            hybrid["qa_budget_spent_us"] = device_stats.budget_spent_us
-            fault_counts = dict(hybrid["qa_fault_counts"])
-            for name, count in device_stats.fault_counts.items():
-                fault_counts[name] = fault_counts.get(name, 0) + count
-            hybrid["qa_fault_counts"] = fault_counts
-            breaker = getattr(self.device, "breaker", None)
-            if breaker is not None:
-                hybrid["breaker_state"] = breaker.state.value
-                hybrid["breaker_transitions"] = len(breaker.transitions)
+        hybrid.update(self._resilience_totals())
         save_checkpoint(
             config.checkpoint_path,
             {
@@ -704,8 +680,7 @@ class HyQSatSolver:
                 return None
             conflicts_now = solver.stats.conflicts
             reused = (
-                config.reuse_queue_between_conflicts
-                and self._last_queue is not None
+                self._last_queue is not None
                 and conflicts_now == self._conflicts_at_queue
             )
             if reused:
@@ -885,8 +860,8 @@ class HyQSatSolver:
             for var in decision.variables:
                 if var > self.formula.num_vars:
                     continue
-                solver.bump_variable(var, self.config.strategy_4_bump)
-                if enqueued < self.config.strategy_4_decisions:
+                solver.bump_variable(var, STRATEGY_4_BUMP)
+                if enqueued < STRATEGY_4_DECISIONS:
                     value = decision.assignment.get(var)
                     if solver.value_of_var(var) is None:
                         lit = Lit(var if (value is None or value) else -var)

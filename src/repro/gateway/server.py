@@ -28,7 +28,6 @@ results, then say ``goodbye``.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -408,7 +407,7 @@ class GatewayServer:
             return
         job_id = job.get("id") or job.get("job_id")
         try:
-            spec = JobSpec.from_json(json.dumps(job))
+            spec = JobSpec.from_dict(job)
         except (ValueError, TypeError) as error:
             await self._send(
                 conn,

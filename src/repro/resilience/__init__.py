@@ -15,12 +15,11 @@ client-side machinery such a deployment needs:
   pure CDCL (the paper's Strategy 3 is the per-call fallback).
 
 Policies are plain dataclasses in :mod:`repro.core.config`
-(:class:`~repro.core.config.RetryPolicy`,
-:class:`~repro.core.config.BreakerPolicy`,
+(:class:`~repro.core.config.BreakerPolicy`,
 :class:`~repro.core.config.ResilienceConfig`).
 """
 
-from repro.core.config import BreakerPolicy, ResilienceConfig, RetryPolicy
+from repro.core.config import BreakerPolicy, ResilienceConfig
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.device import QaUnavailable, ResilienceStats, ResilientDevice
 
@@ -32,5 +31,4 @@ __all__ = [
     "ResilienceConfig",
     "ResilienceStats",
     "ResilientDevice",
-    "RetryPolicy",
 ]

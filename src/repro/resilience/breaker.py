@@ -4,8 +4,7 @@ Standard three-state breaker (closed → open → half-open) protecting
 the hybrid loop from hammering a failing QPU service: after
 ``failure_threshold`` *consecutive* failures the breaker opens and
 calls are refused outright; once ``cooldown_us`` of modelled time has
-passed it admits ``half_open_probes`` probe call(s), closing again
-only if every probe succeeds.
+passed it admits one probe call, closing again if the probe succeeds.
 
 The clock is injected as a callable returning *modelled microseconds*
 (the :class:`~repro.annealer.timing.QpuTimingModel` accounting the
@@ -41,7 +40,6 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self.transitions: List[Tuple[float, BreakerState, BreakerState]] = []
         self._consecutive_failures = 0
-        self._probe_successes = 0
         self._opened_at = 0.0
         self._forced = False
 
@@ -73,7 +71,6 @@ class CircuitBreaker:
             if self._forced:
                 return False
             if self.clock() - self._opened_at >= self.policy.cooldown_us:
-                self._probe_successes = 0
                 self._transition(BreakerState.HALF_OPEN)
                 return True
             return False
@@ -83,9 +80,7 @@ class CircuitBreaker:
         """Note a successful call."""
         self._consecutive_failures = 0
         if self.state is BreakerState.HALF_OPEN:
-            self._probe_successes += 1
-            if self._probe_successes >= self.policy.half_open_probes:
-                self._transition(BreakerState.CLOSED)
+            self._transition(BreakerState.CLOSED)
 
     def record_failure(self) -> None:
         """Note a failed call; may open the breaker."""

@@ -11,7 +11,9 @@ Policies (see :mod:`repro.core.config`):
 
 - **Retry + backoff** — up to ``max_attempts`` tries per call with
   exponential backoff and decorrelated jitter, drawn from a seeded RNG
-  so the retry trace replays exactly.
+  so the retry trace replays exactly.  A calibration drift is
+  answered with a recalibration before the retry; a readout timeout's
+  partial reads are salvaged as the call's result.
 - **Deadlines and budget** — a per-call deadline truncates requests to
   the reads that fit; a global QA budget caps total modelled device
   time (anneal + readout + programming + backoff) across the solve.
@@ -44,22 +46,29 @@ from repro.annealer.faults import (
 from repro.core.config import ResilienceConfig
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 
+#: Retry backoff bounds (modelled µs): attempt k's backoff is drawn
+#: uniformly from ``[BASE_BACKOFF_US, min(MAX_BACKOFF_US, 3 * previous
+#: backoff)]`` (the AWS "decorrelated jitter" scheme) from a seeded RNG,
+#: so the whole retry trace replays deterministically; backoff is
+#: charged against the QA budget like any other device time.
+BASE_BACKOFF_US = 100.0
+MAX_BACKOFF_US = 10_000.0
+
 
 class QaUnavailable(RuntimeError):
     """The QA service could not serve this call and retrying now is
     pointless.
 
     ``reason`` is one of ``breaker_open``, ``budget_exhausted``,
-    ``deadline``, ``calibration_drift``, or ``retries_exhausted``.
-    The first four are *persistent* (the condition outlives this call,
-    so the hybrid loop degrades to pure CDCL); ``retries_exhausted``
-    is transient (this call lost its retry budget, the next may
-    succeed).
+    ``deadline``, or ``retries_exhausted``.  The first three are
+    *persistent* (the condition outlives this call, so the hybrid loop
+    degrades to pure CDCL); ``retries_exhausted`` is transient (this
+    call lost its retry budget, the next may succeed).
     """
 
     #: Reasons that will affect every subsequent call identically.
     PERSISTENT_REASONS = frozenset(
-        {"breaker_open", "budget_exhausted", "deadline", "calibration_drift"}
+        {"breaker_open", "budget_exhausted", "deadline"}
     )
 
     def __init__(
@@ -319,10 +328,11 @@ class ResilientDevice:
             request = dataclasses.replace(request, num_reads=reads)
 
         attempt_cost = self.timing.total_us(request.num_reads)
-        backoff = self.config.retry.base_backoff_us
+        max_attempts = self.config.max_attempts
+        backoff = BASE_BACKOFF_US
         last_fault: Optional[DeviceFault] = None
         event = "fault"
-        for attempt in range(1, self.config.retry.max_attempts + 1):
+        for attempt in range(1, max_attempts + 1):
             if not self._fits_budget(attempt_cost):
                 stats.unavailable += 1
                 stats.retry_trace.append((call, attempt, "budget_exhausted", 0.0))
@@ -347,19 +357,6 @@ class ResilientDevice:
                 last_fault = fault
                 event = "calibration_drift"
                 stats.count_fault(event)
-                if not self.config.recalibrate_on_drift:
-                    stats.failed_attempts += 1
-                    stats.unavailable += 1
-                    stats.retry_trace.append(
-                        (call, attempt, "calibration_drift", 0.0)
-                    )
-                    self.breaker.record_failure()
-                    raise QaUnavailable(
-                        "calibration_drift",
-                        "device out of calibration and recalibration is "
-                        "disabled",
-                        cause=fault,
-                    )
                 self.recalibrate()
                 stats.recalibrations += 1
             except ReadoutTimeout as fault:
@@ -370,7 +367,7 @@ class ResilientDevice:
                 last_fault = fault
                 event = "readout_timeout"
                 stats.count_fault(event)
-                if self.config.accept_partial_reads and fault.partial:
+                if fault.partial:
                     stats.partial_accepted += 1
                     stats.successes += 1
                     stats.retry_trace.append(
@@ -391,14 +388,13 @@ class ResilientDevice:
 
             # One failed attempt.
             stats.failed_attempts += 1
-            if attempt >= self.config.retry.max_attempts:
+            if attempt >= max_attempts:
                 stats.retry_trace.append((call, attempt, event, 0.0))
                 break
             # Decorrelated jitter: sleep ~ U[base, min(max, 3*prev)],
             # charged to the budget in modelled microseconds.
-            retry_policy = self.config.retry
-            high = min(retry_policy.max_backoff_us, 3.0 * backoff)
-            low = min(retry_policy.base_backoff_us, high)
+            high = min(MAX_BACKOFF_US, 3.0 * backoff)
+            low = min(BASE_BACKOFF_US, high)
             backoff = float(self._rng.uniform(low, high)) if high > 0 else 0.0
             stats.retry_trace.append((call, attempt, event, backoff))
             if not self._fits_budget(backoff):
@@ -424,6 +420,6 @@ class ResilientDevice:
             )
         raise QaUnavailable(
             "retries_exhausted",
-            f"call {call} failed {self.config.retry.max_attempts} attempts",
+            f"call {call} failed {max_attempts} attempts",
             cause=last_fault,
         )

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Optional
 
-from repro.cdcl.engine import DEFAULT_ENGINE
+from repro.cdcl.engine import DEFAULT_ENGINE, check_engine
 from repro.sat.cnf import CNF, fingerprint
 
 #: Priority classes, highest first.  The queue serves strictly by
@@ -89,11 +89,7 @@ class JobSpec:
     engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
-        if self.engine not in ("reference", "fast"):
-            raise ValueError(
-                f"unknown CDCL engine {self.engine!r}; "
-                "expected 'reference' or 'fast'"
-            )
+        check_engine(self.engine)
         if (self.path is None) == (self.dimacs is None):
             raise ValueError("exactly one of path/dimacs must be set")
         if self.priority not in PRIORITY_CLASSES:
@@ -196,6 +192,13 @@ class JobSpec:
         payload = json.loads(line)
         if not isinstance(payload, dict):
             raise ValueError(f"job line must be a JSON object: {line!r}")
+        return cls.from_dict(payload)
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
+        """Build a spec from a decoded job object (``id`` or
+        ``job_id`` plus known fields); ``payload`` is left unchanged."""
+        payload = dict(payload)
         job_id = payload.pop("id", None) or payload.pop("job_id", None)
         if not job_id:
             raise ValueError("job line missing 'id'")
@@ -298,11 +301,7 @@ def build_device(spec: JobSpec):
     :class:`~repro.service.scheduler.FleetDevice` (member 0 being
     exactly the solo stack, so a healthy fleet stays bit-identical)."""
     from repro.annealer import AnnealerDevice, NoiseModel, parse_fault_spec
-    from repro.core.config import (
-        BreakerPolicy,
-        ResilienceConfig,
-        RetryPolicy,
-    )
+    from repro.core.config import BreakerPolicy, ResilienceConfig
     from repro.resilience import ResilientDevice
 
     noise = NoiseModel.dwave_2000q() if spec.noise else NoiseModel.noiseless()
@@ -326,7 +325,7 @@ def build_device(spec: JobSpec):
             device = ResilientDevice(
                 device,
                 ResilienceConfig(
-                    retry=RetryPolicy(max_attempts=spec.qa_retries),
+                    max_attempts=spec.qa_retries,
                     breaker=BreakerPolicy(
                         failure_threshold=spec.qa_breaker_threshold
                     ),

@@ -18,10 +18,10 @@ Durability model
 Each record is one JSON object per line carrying a CRC-32 checksum of
 its own canonical serialisation (``"ck"``), so a torn or bit-flipped
 tail is detected, not replayed.  ``submit``/``start`` records are
-batched (fsync every ``fsync_every`` records); ``done`` records — the
-ack — are flushed **and fsynced before the result line is emitted** to
-the consumer, which is the invariant that makes "the consumer saw it"
-imply "the journal holds it".  On open, the journal reads the existing
+batched (fsync every :data:`FSYNC_EVERY` records); ``done`` records —
+the ack — are flushed **and fsynced before the result line is
+emitted** to the consumer, which is the invariant that makes "the
+consumer saw it" imply "the journal holds it".  On open, the journal reads the existing
 file, drops everything from the first unparseable or checksum-failing
 line onward (counting the torn records), truncates the file back to
 the last valid record, and appends from there.
@@ -46,6 +46,9 @@ from typing import Dict, List, Optional, Tuple
 
 #: Valid record kinds, in lifecycle order.
 RECORD_KINDS = ("submit", "start", "retry", "done")
+
+#: Batched records (``submit``/``start``) between two fsyncs.
+FSYNC_EVERY = 8
 
 
 def _encode_record(payload: dict) -> str:
@@ -177,11 +180,8 @@ class JobJournal:
     one.  All writes happen on the service coordinator thread.
     """
 
-    def __init__(self, path: str, fsync_every: int = 8):
-        if fsync_every < 1:
-            raise ValueError(f"fsync_every must be >= 1, got {fsync_every}")
+    def __init__(self, path: str):
         self.path = path
-        self.fsync_every = fsync_every
         self.stats = JournalStats()
 
         records, valid_len, torn = read_journal(path)
@@ -209,7 +209,7 @@ class JobJournal:
         self._handle.write(line.encode("utf-8"))
         self.stats.count(payload["k"])
         self._unsynced += 1
-        if durable or self._unsynced >= self.fsync_every:
+        if durable or self._unsynced >= FSYNC_EVERY:
             self.sync()
 
     def record_submit(self, spec) -> None:

@@ -243,28 +243,29 @@ class ScheduledDevice:
             )
 
 
+#: Weight of the newest call outcome in a member's EWMA health score.
+HEALTH_ALPHA = 0.3
+
+
 @dataclass(frozen=True)
 class FleetPolicy:
     """Health scoring and failover tunables of a :class:`FleetDevice`.
 
-    Health is an EWMA of call outcomes (success = 1, failure = 0)
-    starting at 1.0; a device whose health drops below
-    ``quarantine_threshold`` is quarantined for ``cooldown_us`` of
-    modelled fleet time, then serves one *probation* probe call —
-    success reactivates it, failure re-quarantines.  With
+    Health is an EWMA of call outcomes (success = 1, failure = 0,
+    weight :data:`HEALTH_ALPHA`) starting at 1.0; a device whose health
+    drops below ``quarantine_threshold`` is quarantined for
+    ``cooldown_us`` of modelled fleet time, then serves one *probation*
+    probe call — success reactivates it, failure re-quarantines.  With
     ``hedge_after_us`` set, a primary anneal whose modelled call time
     exceeds it is hedged on the next healthy member and the
     lower-energy result wins.
     """
 
-    health_alpha: float = 0.3
     quarantine_threshold: float = 0.4
     cooldown_us: float = 100_000.0
     hedge_after_us: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.health_alpha <= 1.0:
-            raise ValueError("health_alpha must be in (0, 1]")
         if not 0.0 <= self.quarantine_threshold < 1.0:
             raise ValueError("quarantine_threshold must be in [0, 1)")
         if self.cooldown_us < 0:
@@ -396,15 +397,15 @@ class FleetDevice:
             gauge.labels(device=str(index)).set(score)
 
     def _on_success(self, index: int) -> None:
-        alpha = self.policy.health_alpha
-        self.health[index] = (1 - alpha) * self.health[index] + alpha
+        self.health[index] = (
+            (1 - HEALTH_ALPHA) * self.health[index] + HEALTH_ALPHA
+        )
         if self._state[index] == "probation":
             self._state[index] = "active"
         self._publish_health()
 
     def _on_failure(self, index: int, reason: str) -> None:
-        alpha = self.policy.health_alpha
-        self.health[index] = (1 - alpha) * self.health[index]
+        self.health[index] = (1 - HEALTH_ALPHA) * self.health[index]
         failed_probe = self._state[index] == "probation"
         if failed_probe or (
             self._state[index] == "active"

@@ -46,6 +46,10 @@ from repro.service.pool import WorkerPool
 from repro.service.queue import AdmissionError, JobQueue
 from repro.service.scheduler import QpuScheduler
 
+#: How many times a job lost to a dead worker process is returned to
+#: the pool before it is failed.
+MAX_WORKER_RETRIES = 2
+
 
 @dataclass
 class ServiceConfig:
@@ -71,9 +75,6 @@ class ServiceConfig:
     #: (:mod:`repro.service.checkpoint`); ``None`` disables them.  Only
     #: jobs with ``checkpoint_every > 0`` in their spec checkpoint.
     checkpoint_dir: Optional[str] = None
-    #: How many times a job lost to a dead worker process is returned
-    #: to the pool before it is failed.
-    max_worker_retries: int = 2
     #: SQLite file of the persistent (L2) result cache
     #: (:class:`~repro.cache.PersistentResultStore`); ``None`` disables
     #: the cache entirely.
@@ -443,7 +444,7 @@ class SolverService:
                     # losing it.
                     self.pool.respawn()
                     retries = self._worker_retries.get(job_id, 0)
-                    if retries < self.config.max_worker_retries:
+                    if retries < MAX_WORKER_RETRIES:
                         self._worker_retries[job_id] = retries + 1
                         if self.journal is not None:
                             self.journal.record_retry(

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 
@@ -220,15 +219,6 @@ class ChimeraGraph:
         second = np.array([q for n in adjacency for q in n], dtype=np.int64)
         ordered = first < second
         return first[ordered], second[ordered]
-
-    def to_networkx(self) -> nx.Graph:
-        """The working graph as a networkx graph (for the baselines)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(
-            q for q in range(self.num_qubits) if q not in self.broken_qubits
-        )
-        graph.add_edges_from(self.couplers())
-        return graph
 
     # ------------------------------------------------------------------
     # Line abstraction (HyQSAT embedding, Section IV-B)

@@ -92,10 +92,5 @@ class TestRun:
         assert np.isfinite(result.best.energy)
         assert all(v in result.best.assignment for v in (1, 2, 3))
 
-    def test_mqc_disabled_reports_raw_energy(self, small_hardware):
-        device = AnnealerDevice(small_hardware, multi_qubit_correction=False, seed=4)
-        result = device.run(_request([Clause([1, 2, 3])], 3, small_hardware))
-        assert np.isfinite(result.best.energy)
-
     def test_default_hardware_is_c16(self):
         assert AnnealerDevice().hardware.num_qubits == 2048

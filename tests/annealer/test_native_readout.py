@@ -123,15 +123,13 @@ def test_device_results_equal_with_the_kernel_blocked(
 
 @needs_sweep_kernel
 @pytest.mark.parametrize("hardware", sorted(HARDWARE))
-def test_without_multi_qubit_correction(requests, hardware, monkeypatch):
-    """Raw vote energies, on a problem the device compiles itself
-    (its chain strength differs from the precompiled one)."""
+def test_device_compiled_request(requests, hardware, monkeypatch):
+    """A problem the device compiles itself (its chain strength
+    differs from the precompiled one)."""
     graph, request = requests[hardware]
 
     def make_device():
-        return AnnealerDevice(
-            graph, chain_strength=1.0, multi_qubit_correction=False, seed=5
-        )
+        return AnnealerDevice(graph, chain_strength=1.0, seed=5)
 
     loaded, blocked = _both_ways(
         make_device, dataclasses.replace(request, num_reads=3), 3, monkeypatch

@@ -49,7 +49,10 @@ class TestRegistry:
         assert "fast" in available_engines()
 
     def test_unknown_engine_raises(self):
-        with pytest.raises(ValueError, match="unknown CDCL engine"):
+        with pytest.raises(
+            ValueError,
+            match="^unknown CDCL engine 'turbo'; expected 'reference' or 'fast'$",
+        ):
             resolve_engine("turbo")
 
     def test_reference_resolves_to_itself(self):

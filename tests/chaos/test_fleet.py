@@ -9,7 +9,7 @@ import pytest
 from repro.annealer import parse_fault_spec
 from repro.annealer.device import AnnealerDevice
 from repro.benchgen.random_ksat import random_3sat
-from repro.core.config import BreakerPolicy, ResilienceConfig, RetryPolicy
+from repro.core.config import BreakerPolicy, ResilienceConfig
 from repro.resilience import BreakerState, CircuitBreaker, ResilientDevice
 from repro.resilience.device import QaUnavailable
 from repro.sat import to_dimacs
@@ -75,7 +75,7 @@ def _member(hardware, fault_spec=None, fault_seed=1, rng_seed=1):
     )
     return ResilientDevice(
         device,
-        ResilienceConfig(retry=RetryPolicy(max_attempts=1), seed=rng_seed),
+        ResilienceConfig(max_attempts=1, seed=rng_seed),
     )
 
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.service import JobJournal, JobSpec, read_journal
+from repro.service.journal import FSYNC_EVERY
 from repro.service.jobs import JobOutcome
 
 
@@ -132,11 +131,12 @@ class TestDurability:
         journal.close()
 
     def test_submit_records_are_batched(self, tmp_path):
-        journal = JobJournal(str(tmp_path / "journal.jsonl"), fsync_every=4)
-        for i in range(3):
+        assert FSYNC_EVERY == 8
+        journal = JobJournal(str(tmp_path / "journal.jsonl"))
+        for i in range(7):
             journal.record_submit(_spec(f"j{i}", seed=i))
         assert journal.stats.fsyncs == 0
-        journal.record_submit(_spec("j3", seed=3))
+        journal.record_submit(_spec("j7", seed=7))
         assert journal.stats.fsyncs == 1
         journal.close()
 
@@ -152,7 +152,3 @@ class TestDurability:
                 "retry": 1,
                 "done": 1,
             }
-
-    def test_fsync_every_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            JobJournal(str(tmp_path / "journal.jsonl"), fsync_every=0)

@@ -2,7 +2,7 @@
 
 SIGKILLs the live process-pool workers mid-batch and asserts the
 service resubmits the in-flight jobs (bounded by
-``max_worker_retries``) instead of hanging or failing the batch.
+``MAX_WORKER_RETRIES``) instead of hanging or failing the batch.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def test_killed_workers_are_respawned_and_jobs_retried(tmp_path):
             workers=2,
             pool_mode="process",
             journal_path=journal,
-            max_worker_retries=2,
         )
     )
     outcomes = []

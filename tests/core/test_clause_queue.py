@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.clause_queue import ClauseQueueGenerator
+from repro.core.clause_queue import TOP_K, ClauseQueueGenerator
 from repro.sat.cnf import CNF, Clause
 
 
@@ -22,38 +22,56 @@ def chain_formula():
     )
 
 
+#: The BFS queue from each head of ``chain_formula``: clauses sharing a
+#: variable with the head first, then theirs; clause 4 shares none.
+BFS_FROM = {
+    0: [0, 1, 2, 3],
+    1: [1, 0, 2, 3],
+    2: [2, 1, 3, 0],
+    3: [3, 2, 1, 0],
+    4: [4],
+}
+
+
 class TestActivityQueue:
-    def test_head_is_top_activity_when_k1(self, chain_formula):
-        gen = ClauseQueueGenerator(chain_formula, top_k=1, seed=0)
-        activity = [1.0, 1.0, 9.0, 1.0, 1.0]
-        queue = gen.generate(activity, capacity=3)
-        assert queue[0] == 2
+    def test_head_is_drawn_from_the_top_k(self):
+        """The head is always one of the TOP_K highest-activity
+        clauses, and the draw among them is random."""
+        num = TOP_K + 10
+        formula = CNF([Clause([v]) for v in range(1, num + 1)], num_vars=num)
+        gen = ClauseQueueGenerator(formula, seed=0)
+        activity = [float(i) for i in range(formula.num_clauses)]
+        heads = {gen.generate(activity, capacity=1)[0] for _ in range(200)}
+        assert heads <= set(range(10, num))
+        assert len(heads) > 1
 
     def test_bfs_order_follows_shared_variables(self, chain_formula):
-        gen = ClauseQueueGenerator(chain_formula, top_k=1, seed=0)
-        activity = [9.0, 1.0, 1.0, 1.0, 1.0]
-        queue = gen.generate(activity, capacity=5)
-        assert queue[0] == 0
-        # BFS from clause 0 reaches 1, then 2, then 3; clause 4 is
-        # unreachable through shared variables.
-        assert queue == [0, 1, 2, 3]
+        gen = ClauseQueueGenerator(chain_formula, seed=0)
+        heads = set()
+        for _ in range(40):
+            queue = gen.generate([1.0] * 5, capacity=5)
+            heads.add(queue[0])
+            assert queue == BFS_FROM[queue[0]]
+        assert len(heads) > 1
 
     def test_capacity_respected(self, chain_formula):
-        gen = ClauseQueueGenerator(chain_formula, top_k=1, seed=0)
-        queue = gen.generate([5.0, 1, 1, 1, 1], capacity=2)
+        gen = ClauseQueueGenerator(chain_formula, seed=0)
+        queue = gen.generate(
+            [5.0, 1, 1, 1, 1], capacity=2, candidates=[0, 1, 2, 3]
+        )
         assert len(queue) == 2
 
     def test_candidates_restrict_queue(self, chain_formula):
-        gen = ClauseQueueGenerator(chain_formula, top_k=1, seed=0)
+        gen = ClauseQueueGenerator(chain_formula, seed=0)
         queue = gen.generate([1.0] * 5, capacity=5, candidates=[2, 3])
         assert set(queue) <= {2, 3}
 
     def test_empty_candidates(self, chain_formula):
-        gen = ClauseQueueGenerator(chain_formula, top_k=1, seed=0)
+        gen = ClauseQueueGenerator(chain_formula, seed=0)
         assert gen.generate([1.0] * 5, capacity=5, candidates=[]) == []
 
     def test_zero_capacity(self, chain_formula):
-        gen = ClauseQueueGenerator(chain_formula, top_k=1, seed=0)
+        gen = ClauseQueueGenerator(chain_formula, seed=0)
         assert gen.generate([1.0] * 5, capacity=0) == []
 
     def test_activity_length_validated(self, chain_formula):
@@ -61,19 +79,15 @@ class TestActivityQueue:
         with pytest.raises(ValueError):
             gen.generate([1.0], capacity=3)
 
-    def test_top_k_validated(self, chain_formula):
-        with pytest.raises(ValueError):
-            ClauseQueueGenerator(chain_formula, top_k=0)
-
     def test_random_head_varies_without_score_updates(self, chain_formula):
         """The paper randomises the head draw so repeated calls do not
         re-deploy the same queue."""
-        gen = ClauseQueueGenerator(chain_formula, top_k=5, seed=1)
+        gen = ClauseQueueGenerator(chain_formula, seed=1)
         heads = {gen.generate([1.0] * 5, capacity=1)[0] for _ in range(30)}
         assert len(heads) > 1
 
     def test_no_duplicates(self, chain_formula):
-        gen = ClauseQueueGenerator(chain_formula, top_k=3, seed=2)
+        gen = ClauseQueueGenerator(chain_formula, seed=2)
         queue = gen.generate([1.0] * 5, capacity=5)
         assert len(queue) == len(set(queue))
 

@@ -2,18 +2,19 @@
 
 import pytest
 
+from repro.core import clause_queue, hyqsat
 from repro.core.config import HyQSatConfig
 from repro.ml.intervals import ConfidenceBands
 
 
 def test_paper_defaults():
     config = HyQSatConfig()
-    assert config.top_k == 30              # Section IV-A
+    assert clause_queue.TOP_K == 30        # Section IV-A
     assert config.num_reads == 1           # one sample per call
-    assert config.qa_period == 1           # QA every warm-up iteration
-    assert config.adjust_coefficients      # Section IV-C on by default
     assert config.use_activity_queue       # Section IV-A on by default
     assert config.bands == ConfidenceBands()  # 4.5 / 8.0 partition
+    assert hyqsat.STRATEGY_4_BUMP == 10.0  # Strategy 4's VSIDS bump
+    assert hyqsat.STRATEGY_4_DECISIONS == 8
 
 
 def test_all_strategies_enabled_by_default():
@@ -36,9 +37,7 @@ def test_warmup_override():
 
 
 def test_hot_path_defaults():
-    config = HyQSatConfig()
-    assert config.frontend_cache_size == 64
-    assert config.reuse_queue_between_conflicts is True
+    assert HyQSatConfig().frontend_cache_size == 64
 
 
 def test_frontend_cache_size_validated():

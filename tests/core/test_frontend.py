@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.frontend import Frontend
+from repro.qubo.encoding import encode_formula
 from repro.qubo.normalization import in_hardware_range
 from repro.sat.assignment import Assignment
 from repro.sat.cnf import CNF, Clause
@@ -80,17 +81,17 @@ class TestConditioning:
 class TestCoefficientToggle:
     def test_adjustment_changes_objective(self, small_hardware):
         formula = CNF([Clause([1, 2, 3]), Clause([3])], num_vars=3)
-        plain = Frontend(formula, small_hardware, adjust=False).prepare([0, 1])
-        adjusted = Frontend(formula, small_hardware, adjust=True).prepare([0, 1])
+        plain = encode_formula(formula.clauses, formula.num_vars)
+        adjusted = Frontend(formula, small_hardware).prepare([0, 1])
         # The unit clause's weak sub-objective is amplified to d* = 2.
-        assert not plain.encoding.objective.is_close(adjusted.encoding.objective)
+        assert not plain.objective.is_close(adjusted.encoding.objective)
         # Unit penalty (1 - x3) has d = 1/2 so its target alpha is 4;
         # the d*-preserving scale-back settles on the largest boost
         # that keeps the summed objective in range (> 1, < 4 here).
         coefficient = adjusted.encoding.sub_objectives[-1].coefficient
         assert 1.0 < coefficient < 4.0
         assert adjusted.encoding.objective.d_star() == pytest.approx(
-            plain.encoding.objective.d_star(), rel=1e-6
+            plain.objective.d_star(), rel=1e-6
         )
 
     def test_num_reads_forwarded(self, formula, small_hardware):

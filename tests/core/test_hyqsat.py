@@ -104,18 +104,6 @@ class TestHybridAccounting:
         result = HyQSatSolver(f, device=shared_device, config=config).solve()
         assert result.hybrid.qa_calls == 0
 
-    def test_qa_period_thins_calls(self, shared_device):
-        f = make_random_3sat(30, 126, seed=6)
-        dense = HyQSatSolver(
-            f, device=AnnealerDevice(ChimeraGraph(8, 8, 4), seed=0),
-            config=HyQSatConfig(seed=6, warmup_iterations=20, qa_period=1),
-        ).solve()
-        sparse = HyQSatSolver(
-            f, device=AnnealerDevice(ChimeraGraph(8, 8, 4), seed=0),
-            config=HyQSatConfig(seed=6, warmup_iterations=20, qa_period=10),
-        ).solve()
-        assert sparse.hybrid.qa_calls <= dense.hybrid.qa_calls
-
     def test_time_breakdown(self, shared_device):
         f = make_random_3sat(20, 84, seed=7)
         result = HyQSatSolver(f, device=shared_device, config=HyQSatConfig(seed=7)).solve()
@@ -151,7 +139,6 @@ class TestAblationFlags:
             {"enable_strategy_2": False},
             {"enable_strategy_4": False},
             {"use_activity_queue": False},
-            {"adjust_coefficients": False},
         ],
     )
     def test_ablations_preserve_correctness(self, flags, shared_device):
@@ -192,40 +179,15 @@ class TestFrontendCacheIntegration:
         stats.frontend_cache_misses = 1
         assert stats.frontend_cache_hit_rate == pytest.approx(0.75)
 
-    def test_queue_reuse_disabled_still_correct(self, shared_device):
-        for seed in range(4):
-            f = make_random_3sat(8, 32, seed=seed + 80)
-            expected = brute_force_solve(f) is not None
-            config = HyQSatConfig(seed=seed, reuse_queue_between_conflicts=False)
-            result = HyQSatSolver(f, device=shared_device, config=config).solve()
-            assert result.is_sat == expected
-
 
 class TestConfigValidation:
     def test_invalid_values(self):
         with pytest.raises(ValueError):
-            HyQSatConfig(top_k=0)
-        with pytest.raises(ValueError):
-            HyQSatConfig(qa_period=0)
-        with pytest.raises(ValueError):
             HyQSatConfig(num_reads=0)
         with pytest.raises(ValueError):
-            HyQSatConfig(max_queue_clauses=0)
-        with pytest.raises(ValueError):
             HyQSatConfig(warmup_iterations=-1)
-        with pytest.raises(ValueError):
-            HyQSatConfig(strategy_4_decisions=-1)
 
     def test_capacity_from_hardware(self):
         f = CNF([[1, 2]], num_vars=2)
         solver = HyQSatSolver(f, device=AnnealerDevice(ChimeraGraph(4, 4, 4)))
         assert solver._capacity == 3 * 16
-
-    def test_capacity_override(self):
-        f = CNF([[1, 2]], num_vars=2)
-        solver = HyQSatSolver(
-            f,
-            device=AnnealerDevice(ChimeraGraph(4, 4, 4)),
-            config=HyQSatConfig(max_queue_clauses=10),
-        )
-        assert solver._capacity == 10

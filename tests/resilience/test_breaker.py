@@ -17,14 +17,10 @@ class FakeClock:
         self.now += us
 
 
-def _breaker(threshold=3, cooldown=100.0, probes=1):
+def _breaker(threshold=3, cooldown=100.0):
     clock = FakeClock()
     breaker = CircuitBreaker(
-        BreakerPolicy(
-            failure_threshold=threshold,
-            cooldown_us=cooldown,
-            half_open_probes=probes,
-        ),
+        BreakerPolicy(failure_threshold=threshold, cooldown_us=cooldown),
         clock=clock,
     )
     return breaker, clock
@@ -82,17 +78,6 @@ def test_half_open_failure_reopens_and_restarts_cooldown():
     assert not breaker.allow()
     clock.advance(1.0)
     assert breaker.allow()
-
-
-def test_multiple_probes_required_to_close():
-    breaker, clock = _breaker(threshold=1, cooldown=10.0, probes=2)
-    breaker.record_failure()
-    clock.advance(10.0)
-    assert breaker.allow()
-    breaker.record_success()
-    assert breaker.state is BreakerState.HALF_OPEN
-    breaker.record_success()
-    assert breaker.state is BreakerState.CLOSED
 
 
 def test_force_open_never_recovers():

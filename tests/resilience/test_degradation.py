@@ -15,12 +15,7 @@ from repro.annealer.device import AnnealerDevice
 from repro.annealer.faults import FaultModel
 from repro.benchgen.random_ksat import random_3sat
 from repro.cdcl.solver import CdclSolver, SolverConfig
-from repro.core.config import (
-    BreakerPolicy,
-    HyQSatConfig,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.core.config import BreakerPolicy, HyQSatConfig, ResilienceConfig
 from repro.core.hyqsat import HyQSatSolver
 from repro.resilience import ResilientDevice
 from repro.topology.chimera import ChimeraGraph
@@ -148,7 +143,7 @@ def test_identical_seeds_replay_identically():
             fault_seed=9,
             resilience=ResilienceConfig(
                 seed=9,
-                retry=RetryPolicy(max_attempts=3),
+                max_attempts=3,
                 breaker=BreakerPolicy(failure_threshold=4),
             ),
         )

@@ -4,11 +4,12 @@ import pytest
 
 from repro.annealer.device import AnnealerDevice, AnnealRequest
 from repro.annealer.faults import FaultModel
-from repro.core.config import BreakerPolicy, ResilienceConfig, RetryPolicy
+from repro.core.config import BreakerPolicy, ResilienceConfig
 from repro.embedding.hyqsat_embed import HyQSatEmbedder
 from repro.qubo.encoding import encode_formula
 from repro.qubo.normalization import normalize
 from repro.resilience import QaUnavailable, ResilientDevice
+from repro.resilience.device import BASE_BACKOFF_US, MAX_BACKOFF_US
 from repro.sat.cnf import Clause
 
 
@@ -79,7 +80,7 @@ class TestRetry:
         proxy = ResilientDevice(
             inner,
             ResilienceConfig(
-                retry=RetryPolicy(max_attempts=2),
+                max_attempts=2,
                 breaker=BreakerPolicy(failure_threshold=10),
             ),
         )
@@ -97,15 +98,22 @@ class TestRetry:
         proxy = ResilientDevice(
             inner,
             ResilienceConfig(
-                retry=RetryPolicy(
-                    max_attempts=3, base_backoff_us=50.0, max_backoff_us=500.0
-                ),
+                max_attempts=3,
                 breaker=BreakerPolicy(failure_threshold=10),
             ),
         )
         with pytest.raises(QaUnavailable):
             proxy.run(_request([Clause([1, 2])], 2, small_hardware))
-        assert proxy.stats.backoff_us > 0
+        assert (BASE_BACKOFF_US, MAX_BACKOFF_US) == (100.0, 10_000.0)
+        backoffs = [entry[3] for entry in proxy.stats.retry_trace[:-1]]
+        assert len(backoffs) == 2
+        # Each backoff lies in [base, min(max, 3 * previous)], the
+        # first previous being the base.
+        previous = BASE_BACKOFF_US
+        for backoff in backoffs:
+            assert BASE_BACKOFF_US <= backoff <= min(MAX_BACKOFF_US, 3 * previous)
+            previous = backoff
+        assert proxy.stats.backoff_us == pytest.approx(sum(backoffs))
         # Budget = 2 programming charges... plus the backoffs; the
         # final attempt also charges programming time.
         expected = 3 * proxy.timing.programming_us + proxy.stats.backoff_us
@@ -152,25 +160,6 @@ class TestPartialReads:
         assert result.dropped_reads == 8 - len(result.samples)
         assert proxy.stats.partial_accepted >= 1
 
-    def test_partial_reads_rejected_when_disabled(self, small_hardware):
-        inner = _faulty(
-            small_hardware,
-            FaultModel(readout_timeout_prob=1.0),
-            fault_seed=3,
-        )
-        proxy = ResilientDevice(
-            inner,
-            ResilienceConfig(
-                accept_partial_reads=False,
-                retry=RetryPolicy(max_attempts=2),
-                breaker=BreakerPolicy(failure_threshold=100),
-            ),
-        )
-        request = _request([Clause([1, 2])], 2, small_hardware, num_reads=8)
-        with pytest.raises(QaUnavailable):
-            proxy.run(request)
-        assert proxy.stats.partial_accepted == 0
-
 
 class TestCalibrationDrift:
     def test_recalibrates_and_retries(self, small_hardware):
@@ -192,23 +181,6 @@ class TestCalibrationDrift:
         assert result.samples
         assert proxy.stats.recalibrations >= 1
         assert proxy.stats.fault_counts.get("calibration_drift", 0) >= 1
-
-    def test_drift_persistent_when_recalibration_disabled(self, small_hardware):
-        inner = _faulty(
-            small_hardware,
-            FaultModel(
-                drift_onset_prob=1.0,
-                drift_bias_step=0.2,
-                drift_fail_threshold=0.1,
-            ),
-        )
-        proxy = ResilientDevice(
-            inner, ResilienceConfig(recalibrate_on_drift=False)
-        )
-        with pytest.raises(QaUnavailable) as info:
-            proxy.run(_request([Clause([1, 2])], 2, small_hardware))
-        assert info.value.reason == "calibration_drift"
-        assert info.value.persistent
 
 
 class TestDeadline:
@@ -273,7 +245,7 @@ class TestBreakerIntegration:
         proxy = ResilientDevice(
             inner,
             ResilienceConfig(
-                retry=RetryPolicy(max_attempts=1),
+                max_attempts=1,
                 breaker=BreakerPolicy(failure_threshold=3),
             ),
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.annealer import AnnealerDevice
@@ -68,6 +70,23 @@ class TestJobSpecJson:
     def test_rejects_missing_id(self):
         with pytest.raises(ValueError, match="id"):
             JobSpec.from_json('{"path": "x"}')
+
+    def test_from_dict_matches_from_json_and_leaves_the_dict(self):
+        job = {"id": "a", "dimacs": SAT_DIMACS, "seed": 4, "noise": True}
+        before = dict(job)
+        assert JobSpec.from_dict(job) == JobSpec.from_json(json.dumps(job))
+        assert job == before
+        job = {"job_id": "b", "path": "x.cnf"}
+        assert JobSpec.from_dict(job).job_id == "b"
+        assert job == {"job_id": "b", "path": "x.cnf"}
+
+    def test_from_dict_rejects_like_from_json(self):
+        for job in ({"path": "x"}, {"id": "a", "path": "x", "bogus": 1}):
+            with pytest.raises(ValueError) as by_dict:
+                JobSpec.from_dict(job)
+            with pytest.raises(ValueError) as by_json:
+                JobSpec.from_json(json.dumps(job))
+            assert str(by_dict.value) == str(by_json.value)
 
 
 class TestSolveKey:

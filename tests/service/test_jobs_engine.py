@@ -24,7 +24,10 @@ class TestSpec:
         assert spec().engine == DEFAULT_ENGINE
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown CDCL engine"):
+        with pytest.raises(
+            ValueError,
+            match="^unknown CDCL engine 'turbo'; expected 'reference' or 'fast'$",
+        ):
             spec(engine="turbo")
 
     def test_json_roundtrip(self):

@@ -1,6 +1,5 @@
 """Tests for the Chimera hardware graph."""
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,11 +87,23 @@ class TestAdjacency:
     def test_no_self_coupling(self, small_hardware):
         assert not small_hardware.has_coupler(3, 3)
 
-    def test_networkx_agrees(self, small_hardware):
-        g = small_hardware.to_networkx()
-        assert g.number_of_nodes() == small_hardware.num_qubits
-        assert g.number_of_edges() == small_hardware.num_couplers
-        assert nx.is_connected(g)
+    def test_working_graph_connected(self, small_hardware):
+        """A BFS over ``neighbors()`` reaches every qubit, and the
+        adjacency holds each coupler once per end."""
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            qubit = frontier.pop()
+            for other in small_hardware.neighbors(qubit):
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        assert reached == set(range(small_hardware.num_qubits))
+        ends = sum(
+            len(small_hardware.neighbors(q))
+            for q in range(small_hardware.num_qubits)
+        )
+        assert ends == 2 * small_hardware.num_couplers
 
     def test_degree_bounds(self, small_hardware):
         # Chimera degree is at most shore + 2.
