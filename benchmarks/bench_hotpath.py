@@ -11,9 +11,14 @@ residual embedded on the C16 lattice):
    (1 read, 1 restart) and at 8 and 16 replicas: whole
    ``AnnealResult``s must be identical (energies by ``float.hex``), and
    the library must load and not be slower.
-2. **Frontend compile cache** — cold ``Frontend.prepare`` against a
+2. **Native embed** — ``HyQSatEmbedder.embed`` in the frontend
+   library (``core/frontend.c``) against its Python loops, on the
+   clause queues a uf170 hybrid solve embeds: every result must be
+   identical (arrays, clause split, chains and coupler map in order),
+   and the library must load and not be slower.
+3. **Frontend compile cache** — cold ``Frontend.prepare`` against a
    cache hit for the identical (queue, trail) pair.
-3. **Full-solve acceptance** — a 100-variable random 3-SAT instance
+4. **Full-solve acceptance** — a 100-variable random 3-SAT instance
    solved cache-on and cache-off must agree in status (and model
    validity), and the cached run must actually hit.
 
@@ -22,8 +27,9 @@ Run with ``make bench`` or::
     PYTHONPATH=src python -m benchmarks.bench_hotpath --quick
 
 Writes ``BENCH_hotpath.json`` (see ``--output``) and exits non-zero if
-the library did not load, changed a result or is slower than the
-NumPy/Python read-out, or if the acceptance checks fail.  Timings are
+a library did not load, changed a result or is slower than the
+NumPy/Python read-out or the Python embed, or if the acceptance checks
+fail.  Timings are
 medians over several rounds; results and solver outcomes are fully
 deterministic for a fixed ``--seed``.
 """
@@ -47,6 +53,7 @@ from repro.cdcl import native
 from repro.core.config import HyQSatConfig
 from repro.core.frontend import Frontend
 from repro.core.hyqsat import HyQSatSolver
+from repro.embedding.hyqsat_embed import HyQSatEmbedder
 from repro.topology.chimera import ChimeraGraph
 
 #: Read-out shapes: the hybrid call (R = 1), then R = 8 and 16.
@@ -125,6 +132,69 @@ def bench_readout(
             }
         )
     return results
+
+
+def _embed_view(result):
+    """Everything an embed returns but its wall time."""
+    arrays = result.arrays
+    return (
+        [getattr(arrays, name).tolist() for name in arrays.__dataclass_fields__],
+        result.embedded_clauses,
+        result.unembedded_clauses,
+        list(result.embedding.chains.items()),
+        list(result.edge_couplers.items()),
+    )
+
+
+def captured_queues(seed: int) -> List:
+    """The encoded clause queues a uf170 hybrid solve embeds (one per
+    frontend miss)."""
+    formula = random_3sat(170, 724, np.random.default_rng(seed))
+    captured = []
+    embed = HyQSatEmbedder.embed
+
+    def capture(embedder, encoding):
+        captured.append(encoding)
+        return embed(embedder, encoding)
+
+    with mock.patch.object(HyQSatEmbedder, "embed", capture):
+        HyQSatSolver(
+            formula,
+            device=AnnealerDevice(seed=seed),
+            config=HyQSatConfig(seed=seed),
+        ).solve()
+    return captured
+
+
+def bench_embed(hardware, encodings, rounds: int) -> Dict:
+    """Native against Python embed over ``encodings``, timed in
+    alternating rounds (median per call)."""
+    embedder = HyQSatEmbedder(hardware)
+
+    def timed():
+        start = time.perf_counter()
+        for encoding in encodings:
+            embedder.embed(encoding)
+        return (time.perf_counter() - start) / len(encodings)
+
+    native_views = [_embed_view(embedder.embed(e)) for e in encodings]
+    with mock.patch.object(native, "load_frontend_kernel", lambda: None):
+        python_views = [_embed_view(embedder.embed(e)) for e in encodings]
+    native_samples, python_samples = [], []
+    for _ in range(rounds):
+        native_samples.append(timed())
+        with mock.patch.object(native, "load_frontend_kernel", lambda: None):
+            python_samples.append(timed())
+    native_s = float(np.median(native_samples))
+    python_s = float(np.median(python_samples))
+    return {
+        "queues": len(encodings),
+        "queue_clauses": int(np.median([len(e.clauses) for e in encodings])),
+        "identical": native_views == python_views,
+        "native_us": round(native_s * 1e6, 1),
+        "python_us": round(python_s * 1e6, 1),
+        "speedup": round(python_s / native_s, 2),
+    }
 
 
 def bench_frontend_cache(formula, hardware, queue, rounds: int) -> Dict:
@@ -211,6 +281,18 @@ def main(argv=None) -> int:
             "speedup {speedup}x, identical={identical}".format(**row)
         )
 
+    frontend_loaded = native.load_frontend_kernel() is not None
+    embed_row = (
+        bench_embed(hardware, captured_queues(32), rounds) if frontend_loaded else {}
+    )
+    print(f"native frontend loaded: {frontend_loaded}")
+    if embed_row:
+        print(
+            "embed uf170 ({queues} queues of {queue_clauses} clauses): "
+            "python {python_us} us, native {native_us} us, "
+            "speedup {speedup}x, identical={identical}".format(**embed_row)
+        )
+
     cache_row = bench_frontend_cache(formula, hardware, queue, rounds)
     print(
         "frontend cache: miss {miss_ms} ms, hit {hit_ms} ms, "
@@ -226,10 +308,14 @@ def main(argv=None) -> int:
 
     kernel_identical = all(r["identical"] for r in kernel_rows)
     kernel_never_slower = all(r["speedup"] >= 1.0 for r in kernel_rows)
+    embed_passed = (
+        frontend_loaded and embed_row["identical"] and embed_row["speedup"] >= 1.0
+    )
     passed = (
         kernel_loaded
         and kernel_identical
         and kernel_never_slower
+        and embed_passed
         and solve_row["statuses_match"]
         and solve_row["model_valid"]
         and solve_row["cache_hits"] > 0
@@ -245,11 +331,14 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "seed": args.seed,
         "readout": kernel_rows,
+        "embed": embed_row,
         "frontend_cache": cache_row,
         "solve_acceptance": solve_row,
         "kernel_loaded": kernel_loaded,
         "kernel_identical": kernel_identical,
         "kernel_never_slower": kernel_never_slower,
+        "frontend_loaded": frontend_loaded,
+        "embed_passed": embed_passed,
         "passed": passed,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

@@ -12,15 +12,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.annealer.embedded import (
-    EmbeddedProblem,
-    LogicalArrays,
-    build_embedded_problem,
-)
+from repro.annealer.embedded import EmbeddedProblem, build_embedded_problem
 from repro.annealer.faults import (
     CalibrationDrift,
     FaultInjector,
@@ -33,34 +30,65 @@ from repro.annealer.postprocess import LogicalDescender
 from repro.annealer.sampler import SamplerConfig, SimulatedAnnealingSampler
 from repro.annealer.timing import QpuTimingModel
 from repro.annealer.unembed import chain_vote
-from repro.embedding.base import Edge, Embedding
-from repro.qubo.ising import QuadraticObjective
+from repro.embedding.base import Edge, Embedding, EmbeddingArrays
+from repro.qubo.ising import LogicalArrays, QuadraticObjective
 from repro.sat.assignment import Assignment
 from repro.topology import build_hardware
 from repro.topology.chimera import ChimeraGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class AnnealRequest:
     """One problem programmed onto the device.
 
-    ``objective`` is the *normalised* logical objective to run;
-    ``energy_scale`` (the Eq. 6 ``d*``) converts read-back energies to
-    problem units so the backend's confidence intervals are comparable
-    across problems.  ``compiled`` optionally carries a precompiled
-    :class:`EmbeddedProblem` (e.g. from the frontend's compilation
-    cache); the device uses it when its recorded chain strength matches
-    the device's own, skipping the embed-graph compile entirely.
+    ``terms`` are the *normalised* logical objective's terms to run and
+    ``placement`` the chains and the realised edges' couplers, both as
+    arrays; the dict views ``objective``, ``embedding`` and
+    ``edge_couplers`` are built when first read.  A hand-built request
+    passes those views instead (positionally, as before) and gets the
+    arrays from them.  ``energy_scale`` (the Eq. 6 ``d*``) converts
+    read-back energies to problem units so the backend's confidence
+    intervals are comparable across problems.  ``compiled`` optionally
+    carries a precompiled :class:`EmbeddedProblem` (e.g. from the
+    frontend's compilation cache); the device uses it when its
+    recorded chain strength matches the device's own, skipping the
+    embed-graph compile entirely.
     """
 
-    objective: QuadraticObjective
-    embedding: Embedding
-    edge_couplers: Mapping[Edge, Sequence[Tuple[int, int]]]
-    energy_scale: float = 1.0
-    num_reads: int = 1
-    compiled: Optional[EmbeddedProblem] = field(default=None, repr=False)
+    terms: LogicalArrays
+    placement: EmbeddingArrays
+    energy_scale: float
+    num_reads: int
+    compiled: Optional[EmbeddedProblem] = field(repr=False)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        objective: Optional[QuadraticObjective] = None,
+        embedding: Optional[Embedding] = None,
+        edge_couplers: Optional[Mapping[Edge, Sequence[Tuple[int, int]]]] = None,
+        energy_scale: float = 1.0,
+        num_reads: int = 1,
+        compiled: Optional[EmbeddedProblem] = None,
+        *,
+        terms: Optional[LogicalArrays] = None,
+        placement: Optional[EmbeddingArrays] = None,
+    ):
+        if terms is None:
+            terms = LogicalArrays.from_objective(objective)
+            self.__dict__["objective"] = objective
+        if placement is None:
+            placement = EmbeddingArrays.from_embedding(embedding, edge_couplers)
+        for name, value in (
+            ("terms", terms),
+            ("placement", placement),
+            ("energy_scale", energy_scale),
+            ("num_reads", num_reads),
+            ("compiled", compiled),
+        ):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _validate(self) -> None:
         if not math.isfinite(self.energy_scale):
             raise ValueError(
                 f"energy_scale must be finite, got {self.energy_scale}"
@@ -69,26 +97,40 @@ class AnnealRequest:
             raise ValueError("energy_scale must be positive")
         if self.num_reads < 1:
             raise ValueError("num_reads must be >= 1")
-        variables = self.objective.variables
-        if not variables:
+        variables = self.terms.variables
+        if not variables.size:
             raise ValueError(
                 "objective has no variables: nothing to anneal (an empty "
                 "or fully-conditioned clause queue must be skipped upstream)"
             )
-        if len(self.embedding) == 0:
+        chains = self.placement
+        if not chains.variables.size:
             raise ValueError("embedding is empty")
-        missing = sorted(v for v in variables if v not in self.embedding)
-        if missing:
+        missing = np.setdiff1d(variables, chains.variables)
+        if missing.size:
             raise ValueError(
-                f"objective variables without a chain: {missing[:5]}"
+                f"objective variables without a chain: {missing[:5].tolist()}"
             )
-        empty_chains = [
-            v for v in self.embedding if not self.embedding.chain_of(v)
-        ]
-        if empty_chains:
+        empty = chains.variables[chains.order][chains.sizes[chains.order] == 0]
+        if empty.size:
             raise ValueError(
-                f"embedding has empty chains for variables: {empty_chains[:5]}"
+                f"embedding has empty chains for variables: {empty[:5].tolist()}"
             )
+
+    @cached_property
+    def objective(self) -> QuadraticObjective:
+        """The normalised logical objective as a dict objective."""
+        return self.terms.to_objective()
+
+    @property
+    def embedding(self) -> Embedding:
+        """The chains as an :class:`Embedding`."""
+        return self.placement.embedding
+
+    @property
+    def edge_couplers(self) -> Mapping[Edge, Sequence[Tuple[int, int]]]:
+        """Each realised problem edge's hardware couplers."""
+        return self.placement.edge_couplers
 
 
 @dataclass(frozen=True)
@@ -215,10 +257,9 @@ class AnnealerDevice:
         if problem is None or problem.chain_strength != self.chain_strength:
             with obs.tracer.span("compile", where="device"):
                 problem = build_embedded_problem(
-                    request.objective,
-                    request.embedding,
+                    request.terms,
+                    request.placement,
                     self.hardware,
-                    request.edge_couplers,
                     chain_strength=self.chain_strength,
                 )
             if obs.metrics is not None:
@@ -246,10 +287,10 @@ class AnnealerDevice:
 
         # Each read: the chain vote, the logical correction and the
         # energy, on the objective's compiled terms (a hand-built
-        # problem has none; they come from the request's objective).
+        # problem has none; they are the request's).
         logical = problem.logical
         if logical is None:
-            logical = LogicalArrays.from_objective(request.objective)
+            logical = request.terms
         positions = np.searchsorted(problem.chain_variables, logical.variables)
         descender = LogicalDescender(logical)
         variables = problem.chain_variables.tolist()

@@ -25,15 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
-from repro.embedding.base import Edge, Embedding
-from repro.qubo.ising import QuadraticObjective
+from repro.embedding.base import EmbeddingArrays
+from repro.qubo.ising import LogicalArrays
 from repro.topology.chimera import ChimeraGraph
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def _sort_order(keys: np.ndarray) -> np.ndarray:
@@ -51,12 +52,6 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     starts = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     return starts
-
-
-def _unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an int64 array, through one value sort."""
-    values = np.sort(values)
-    return values[_run_starts(values)]
 
 
 def symmetric_csr(
@@ -123,76 +118,10 @@ class ProgrammedArrays(NamedTuple):
     def csr(self, data: np.ndarray) -> sparse.csr_matrix:
         """The scipy matrix over these indices with ``data`` (the
         float64 or float32 couplings)."""
+        from scipy import sparse
+
         n = len(self.linear)
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-
-@dataclass(frozen=True)
-class LogicalArrays:
-    """A logical objective's terms as arrays, in its dict order.
-
-    ``variables`` are the objective's variables in ascending order, and
-    the term arrays index into them.  :meth:`energy` adds the terms in
-    dict order, so it equals :meth:`QuadraticObjective.energy` bit for
-    bit.
-    """
-
-    variables: np.ndarray
-    linear_index: np.ndarray
-    linear: np.ndarray
-    quadratic_rows: np.ndarray
-    quadratic_cols: np.ndarray
-    quadratic: np.ndarray
-    offset: float
-
-    @classmethod
-    def from_objective(cls, objective: QuadraticObjective) -> "LogicalArrays":
-        linear_vars = np.fromiter(objective.linear, np.int64, len(objective.linear))
-        pairs = np.fromiter(
-            chain.from_iterable(objective.quadratic),
-            np.int64,
-            2 * len(objective.quadratic),
-        ).reshape(-1, 2)
-        variables = _unique(np.concatenate([linear_vars, pairs.ravel()]))
-        return cls(
-            variables=variables,
-            linear_index=np.searchsorted(variables, linear_vars),
-            linear=np.fromiter(objective.linear.values(), float, len(linear_vars)),
-            quadratic_rows=np.searchsorted(variables, pairs[:, 0]),
-            quadratic_cols=np.searchsorted(variables, pairs[:, 1]),
-            quadratic=np.fromiter(
-                objective.quadratic.values(), float, len(pairs)
-            ),
-            offset=objective.offset,
-        )
-
-    def bias(self) -> np.ndarray:
-        """Dense bias vector over :attr:`variables`."""
-        out = np.zeros(len(self.variables))
-        out[self.linear_index] = self.linear
-        return out
-
-    def matrix(self) -> np.ndarray:
-        """Dense symmetric coupling matrix over :attr:`variables`."""
-        n = len(self.variables)
-        out = np.zeros((n, n))
-        out[self.quadratic_rows, self.quadratic_cols] = self.quadratic
-        out[self.quadratic_cols, self.quadratic_rows] = self.quadratic
-        return out
-
-    def energy(self, state: np.ndarray) -> float:
-        """The objective at a 0/1 state over :attr:`variables`: the
-        offset plus each term whose variables are all 1, added one at a
-        time in dict order (``np.add.accumulate`` is sequential)."""
-        on = np.asarray(state) != 0
-        terms = np.concatenate(
-            (
-                [self.offset],
-                self.linear[on[self.linear_index]],
-                self.quadratic[on[self.quadratic_rows] & on[self.quadratic_cols]],
-            )
-        )
-        return float(np.add.accumulate(terms)[-1])
 
 
 def batch_energies(
@@ -355,6 +284,8 @@ class EmbeddedProblem:
         local fields are one ``matrix @ states`` product and energies
         use the ``x @ C @ x / 2`` convention of :func:`batch_energies`.
         """
+        from scipy import sparse
+
         n = self.num_qubits
         return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
 
@@ -371,65 +302,73 @@ class EmbeddedProblem:
 
 
 def build_embedded_problem(
-    objective: QuadraticObjective,
-    embedding: Embedding,
+    terms: LogicalArrays,
+    placement: EmbeddingArrays,
     hardware: ChimeraGraph,
-    edge_couplers: Mapping[Edge, Sequence[Tuple[int, int]]],
     chain_strength: float = 2.0,
 ) -> EmbeddedProblem:
-    """Compile ``objective`` onto the hardware through ``embedding``.
+    """Compile an objective's ``terms`` onto the hardware through the
+    embedder's chains and couplers (``placement``).
 
-    The chains become one qubit index array and the problem couplers a
-    flat coupler list; every bias and coupler weight is then a
-    ``np.bincount`` over those indices, in the order per-qubit and
-    per-coupler adds would take.  Chain couplers are the hardware's
-    :attr:`~repro.topology.chimera.ChimeraGraph.coupler_array` rows with
-    both ends in one chain.  The couplings go straight into the
-    symmetric CSR, and the objective's terms into :class:`LogicalArrays`.
+    The chains are contiguous qubit runs, so every bias and coupler
+    weight is a ``np.bincount`` over qubit indices, in the order
+    per-qubit and per-coupler adds would take.  Chain couplers are the
+    hardware's :attr:`~repro.topology.chimera.ChimeraGraph.coupler_array`
+    rows with both ends in one chain.  The couplings go straight into
+    the symmetric CSR.
 
     Raises ``ValueError`` if the objective mentions an unembedded
     variable or a quadratic term has no realising coupler.
     """
     if chain_strength <= 0:
         raise ValueError(f"chain_strength must be positive, got {chain_strength}")
-    logical = LogicalArrays.from_objective(objective)
-    missing = [v for v in logical.variables.tolist() if v not in embedding]
-    if missing:
+    variables = placement.variables
+    chain_of = np.searchsorted(variables, terms.variables)
+    found = np.append(variables, -1)[chain_of] == terms.variables
+    if not found.all():
+        missing = terms.variables[~found].tolist()
         raise ValueError(f"objective variables not embedded: {missing[:5]}")
 
-    names = embedding.variables
-    variables = np.array(names, dtype=np.int64)
-    chains = [embedding.chain_of(var) for var in names]
-    sizes = np.fromiter(map(len, chains), np.int64, len(chains))
-    qubits = np.fromiter(chain.from_iterable(chains), np.int64, sizes.sum())
+    sizes = placement.sizes
+    qubits = placement.qubits
     n = len(qubits)
-    first = np.cumsum(sizes) - sizes
+    first = placement.starts
     index_of = np.full(hardware.num_qubits, -1, dtype=np.int64)
     index_of[qubits] = np.arange(n)
     owner = np.full(hardware.num_qubits, -1, dtype=np.int64)
     owner[qubits] = np.repeat(np.arange(len(variables)), sizes)
 
     # Linear biases spread uniformly over chains.
-    biased = np.searchsorted(variables, logical.variables[logical.linear_index])
+    biased = chain_of[terms.linear_index]
     counts = sizes[biased]
-    shares = logical.linear / counts
+    shares = terms.linear / counts
     bias_index = np.arange(counts.sum()) + np.repeat(
         first[biased] - (np.cumsum(counts) - counts), counts
     )
 
-    # Problem couplings spread over realising couplers.
-    realising = [edge_couplers.get(key, ()) for key in objective.quadratic]
-    spread = np.fromiter(map(len, realising), np.int64, len(realising))
+    # Problem couplings spread over realising couplers: each term's
+    # edge by its (u, v) code, an edge absent from the map having none.
+    edges, couplers = placement.edges, placement.couplers
+    u = terms.variables[terms.quadratic_rows]
+    v = terms.variables[terms.quadratic_cols]
+    span = int(max(edges.max(initial=0), terms.variables.max(initial=0))) + 1
+    codes = edges[:, 0] * span + edges[:, 1]
+    by_code = np.argsort(codes)
+    at = np.searchsorted(codes[by_code], u * span + v)
+    hit = np.append(codes[by_code], -1)[at] == u * span + v
+    edge = np.where(hit, np.append(by_code, len(edges))[at], len(edges))
+    edge_starts = np.append(placement.coupler_starts, len(couplers))
+    spread = np.append(np.diff(edge_starts), 0)[edge]
     if not spread.all():
-        key = list(objective.quadratic)[int(np.argmin(spread))]
+        k = int(np.argmin(spread))
+        key = (int(u[k]), int(v[k]))
         raise ValueError(f"no hardware coupler realises problem edge {key}")
-    ends = np.fromiter(
-        chain.from_iterable(chain.from_iterable(realising)),
-        np.int64,
-        2 * spread.sum(),
-    )
-    pairs = index_of[ends.reshape(-1, 2)]
-    weights = np.repeat(logical.quadratic / spread, spread)
+    ends = couplers[
+        np.arange(spread.sum())
+        + np.repeat(edge_starts[edge] - (np.cumsum(spread) - spread), spread)
+    ]
+    pairs = index_of[ends]
+    weights = np.repeat(terms.quadratic / spread, spread)
 
     # Chain equality penalties on every intra-chain hardware coupler:
     # cs·(x_a + x_b − 2 x_a x_b).
@@ -472,7 +411,7 @@ def build_embedded_problem(
         chain_variables=variables,
         chain_starts=first,
         chain_couplers=np.stack([chain_codes // n, chain_codes % n], axis=1),
-        offset=objective.offset,
+        offset=terms.offset,
         chain_strength=chain_strength,
-        logical=logical,
+        logical=terms,
     )

@@ -12,7 +12,7 @@ objective, visiting variables in a seeded random order until a local
 minimum is reached (or the sweep cap hits).
 
 :class:`LogicalDescender` builds the objective's dense arrays once, from
-the compiled :class:`~repro.annealer.embedded.LogicalArrays` (or from
+the compiled :class:`~repro.qubo.ising.LogicalArrays` (or from
 an objective), so a device pays that conversion once per call, not per
 read.  Each sweep's order is NumPy's ``rng.permutation`` and the first
 field NumPy's ``matrix @ state`` (BLAS fixes its summation order); the
@@ -30,9 +30,8 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from repro.annealer.embedded import LogicalArrays
 from repro.cdcl import native
-from repro.qubo.ising import QuadraticObjective
+from repro.qubo.ising import LogicalArrays, QuadraticObjective
 from repro.sat.assignment import Assignment
 
 

@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
-from scipy import sparse
 
 from repro.annealer.embedded import (
     EmbeddedProblem,
@@ -267,6 +266,8 @@ class SimulatedAnnealingSampler:
         all-ones row in the state), so each sweep is one sparse product
         for all replicas plus five fused in-place element passes.
         """
+        from scipy import sparse
+
         n, num_replicas = m.shape
         zero = np.float32(0.0)
         augmented = sparse.hstack(

@@ -1,5 +1,6 @@
-"""Build and bind the native kernels: CDCL (``kernel.c``) and the
-anneal read-out (``repro/annealer/sweep.c``).
+"""Build and bind the native kernels: CDCL (``kernel.c``), the anneal
+read-out (``repro/annealer/sweep.c``) and the frontend's embed and term
+sum (``repro/core/frontend.c``).
 
 Each kernel is compiled on demand with the system C compiler into a
 shared library cached under ``build/cdcl-kernel/`` at the repository
@@ -8,19 +9,20 @@ key is the SHA-256 of the C source and its flags, so editing a source
 transparently rebuilds.  No third-party packaging machinery is
 involved — just ``cc -O2 -shared`` and :mod:`ctypes`.
 
-Float determinism: both kernels must reproduce their Python twins'
-IEEE-754 arithmetic bit for bit (CPython doubles for the CDCL kernel,
-NumPy float32 for the sweeps and descent, float64 for the logical
-pass).  ``-ffp-contract=off`` keeps the
+Float determinism: every kernel must reproduce its Python twin's
+IEEE-754 arithmetic bit for bit (CPython doubles for the CDCL kernel
+and the term sum, NumPy float32 for the sweeps and descent, float64
+for the logical pass).  ``-ffp-contract=off`` keeps the
 compiler from fusing ``a*b+c`` into FMA, and we deliberately avoid
 ``-ffast-math`` and ``-march=native``.  The sweep kernel adds
 ``-fno-trapping-math -fvect-cost-model=dynamic`` so GCC vectorises its
 decision loop; neither flag changes a result.
 
-:func:`load_kernel` and :func:`load_sweep_kernel` return the bound
-library (or ``None`` when no compiler is available or the cache is
-unusable); :func:`native_available` is the cheap feature probe the
-engine registry uses.
+:func:`load_kernel`, :func:`load_sweep_kernel` and
+:func:`load_frontend_kernel` return the bound library (or ``None`` when
+no compiler is available or the cache is unusable);
+:func:`native_available` is the cheap feature probe the engine registry
+uses.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ import shutil
 import subprocess
 import threading
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 _SOURCE = Path(__file__).with_name("kernel.c")
 _SWEEP_SOURCE = Path(__file__).parents[1] / "annealer" / "sweep.c"
+_FRONTEND_SOURCE = Path(__file__).parents[1] / "core" / "frontend.c"
 
 _CFLAGS = ["-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared"]
 _SWEEP_CFLAGS = _CFLAGS + ["-fno-trapping-math", "-fvect-cost-model=dynamic"]
@@ -195,6 +198,28 @@ _SWEEP_SIGNATURES = [
     ("logical_pass", _I64, [_I64] + [_PTR] * 4),
 ]
 
+#: The frontend library's exports: (name, restype, argtypes).
+_FRONTEND_SIGNATURES = [
+    ("embed_run", _I64, [_I64] * 2 + [_PTR] * 2 + [_I64] * 4 + [_PTR]),
+    ("sum_terms", _I64, [_I64] + [_PTR] * 4 + [_I64] + [_PTR] * 5),
+]
+
+
+_NO_BYTES = ctypes.c_char * 0
+
+
+def address(array) -> int:
+    """The address of ``array``'s first element, to pass as a pointer.
+
+    A writable C-contiguous array goes through the buffer protocol,
+    about a quarter of what ``array.ctypes.data`` costs; any other array
+    through ``array.ctypes.data``.
+    """
+    try:
+        return ctypes.addressof(_NO_BYTES.from_buffer(array))
+    except TypeError:
+        return array.ctypes.data
+
 
 def _cache_dir() -> Path:
     override = os.environ.get("HYQSAT_KERNEL_CACHE")
@@ -259,8 +284,8 @@ def _open(lib_path: Optional[Path], signatures) -> Optional[ctypes.CDLL]:
 
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
-_sweep_lib: Optional[ctypes.CDLL] = None
-_sweep_load_attempted = False
+#: Source name -> the bound library (None: its build or load failed).
+_loaded: Dict[str, Optional[ctypes.CDLL]] = {}
 #: Held across a build, so a concurrent first caller waits for the
 #: library instead of seeing it attempted and getting None.
 _load_lock = threading.Lock()
@@ -285,19 +310,29 @@ def load_kernel() -> Optional[ctypes.CDLL]:
         return _lib
 
 
+def _load_once(source: Path, flags: List[str], signatures) -> Optional[ctypes.CDLL]:
+    """Build and bind ``source`` on its first request, then the same
+    library (or the same ``None``) on every later one."""
+    if source.name in _loaded:
+        return _loaded[source.name]
+    with _load_lock:
+        if source.name not in _loaded:
+            _loaded[source.name] = _open(_build_library(source, flags), signatures)
+        return _loaded[source.name]
+
+
 def load_sweep_kernel() -> Optional[ctypes.CDLL]:
     """The bound anneal read-out library, building it on first use (the
     first anneal, not import); ``None`` means the sampler and the
     logical descent run their NumPy/Python loops."""
-    global _sweep_lib, _sweep_load_attempted
-    with _load_lock:
-        if _sweep_lib is None and not _sweep_load_attempted:
-            _sweep_load_attempted = True
-            _sweep_lib = _open(
-                _build_library(_SWEEP_SOURCE, _SWEEP_CFLAGS),
-                _SWEEP_SIGNATURES,
-            )
-        return _sweep_lib
+    return _load_once(_SWEEP_SOURCE, _SWEEP_CFLAGS, _SWEEP_SIGNATURES)
+
+
+def load_frontend_kernel() -> Optional[ctypes.CDLL]:
+    """The bound frontend library (the Section IV-B embed and the
+    embedded objective's term sum), building it on the first frontend
+    miss; ``None`` means both run their Python loops."""
+    return _load_once(_FRONTEND_SOURCE, _CFLAGS, _FRONTEND_SIGNATURES)
 
 
 def native_available() -> bool:

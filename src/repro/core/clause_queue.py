@@ -108,6 +108,13 @@ class ClauseQueueGenerator:
 
     def _pick_head(self, activity: Sequence[float], pool: List[int]) -> int:
         """Random draw from the TOP_K activity clauses of the pool."""
-        ordered = sorted(pool, key=lambda i: (-activity[i], i))
-        top = ordered[:TOP_K]
-        return int(self._rng.choice(np.array(top)))
+        return int(self._rng.choice(top_k(activity, pool)))
+
+
+def top_k(activity: Sequence[float], pool: Sequence[int]) -> np.ndarray:
+    """The pool's TOP_K clauses by activity, highest first and ties by
+    clause index: ``sorted(pool, key=lambda i: (-activity[i], i))[:TOP_K]``
+    as one ``np.lexsort``."""
+    indices = np.asarray(pool, dtype=np.int64)
+    scores = np.asarray(activity, dtype=float)[indices]
+    return indices[np.lexsort((indices, -scores))[:TOP_K]]

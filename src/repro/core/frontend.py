@@ -11,15 +11,19 @@ Pipeline per QA call, on index arrays rather than per-clause objects:
 3. apply the Section IV-C coefficient adjustment, which changes only
    the α array,
 4. embed with the linear-time Section IV-B scheme,
-5. sum the weighted terms of the *embedded* clauses only and normalise
-   that objective into hardware range (Eq. 6),
+5. sum the weighted terms of the *embedded* clauses only, straight into
+   :class:`~repro.qubo.ising.LogicalArrays`, and normalise those terms
+   into hardware range (Eq. 6),
 6. optionally precompile the physical :class:`EmbeddedProblem` for the
-   device (when the device's chain strength is known).
+   device (when the device's chain strength is known), from the terms
+   and the embedder's chain and coupler arrays.
 
-The result carries everything the device needs
-(:class:`~repro.annealer.device.AnnealRequest` ingredients) plus the
-bookkeeping the backend needs (which formula clauses actually went to
-hardware).
+Steps 4 and 5 run in the frontend library (``core/frontend.c``) when
+it builds.  The result carries everything the device needs (an
+:class:`~repro.annealer.device.AnnealRequest` of arrays, whose dict
+objective, :class:`~repro.embedding.base.Embedding` and coupler map are
+built only when read) plus the bookkeeping the backend needs (which
+formula clauses actually went to hardware).
 
 **Compilation cache.**  Inside one hybrid solve the activity queue
 stabilises after a few conflicts, so the frontend sees the same clause
@@ -53,7 +57,6 @@ import numpy as np
 
 from repro.annealer.device import AnnealRequest
 from repro.annealer.embedded import build_embedded_problem
-from repro.embedding.base import EmbeddingTimeout
 from repro.embedding.hyqsat_embed import HyQSatEmbedder, HyQSatEmbeddingResult
 from repro.qubo.coefficients import adjust_coefficients
 from repro.qubo.encoding import FormulaEncoding, encode_formula
@@ -244,20 +247,13 @@ class Frontend:
             encode_formula(clauses, self.formula.num_vars)
         ).encoding
 
-        try:
-            embed_result = self._embedder.embed(encoding)
-        except EmbeddingTimeout:
-            # An over-budget embed is a skippable clause queue, not a
-            # crash: this QA call is forfeited (the paper's Strategy 3
-            # outcome) and CDCL continues unaided.
-            return None
+        embed_result = self._embedder.embed(encoding)
         if not embed_result.embedded_clauses:
             return None
 
         # The dropped clauses stay on the CDCL side.
-        objective = encoding.objective_over(embed_result.embedded_clauses)
-        normalized, d_star = normalize(objective)
-        if not normalized.variables:
+        terms, d_star = normalize(encoding.terms_over(embed_result.embedded_clauses))
+        if not terms.variables.size:
             # The queue's sub-objectives summed to a constant (every
             # assignment violates the same number of queued clauses —
             # e.g. a complete UNSAT core): the device has nothing to
@@ -268,16 +264,14 @@ class Frontend:
         if self.chain_strength is not None:
             with self.observability.tracer.span("compile", where="frontend"):
                 compiled = build_embedded_problem(
-                    normalized,
-                    embed_result.embedding,
+                    terms,
+                    embed_result.arrays,
                     self.hardware,
-                    embed_result.edge_couplers,
                     chain_strength=self.chain_strength,
                 )
         request = AnnealRequest(
-            objective=normalized,
-            embedding=embed_result.embedding,
-            edge_couplers=embed_result.edge_couplers,
+            terms=terms,
+            placement=embed_result.arrays,
             energy_scale=d_star,
             num_reads=self.num_reads,
             compiled=compiled,

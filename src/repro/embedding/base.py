@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.topology.chimera import ChimeraGraph
 
@@ -27,8 +31,9 @@ class EmbeddingTimeout(TimeoutError):
     Distinct from an embedding *failure* (which means the budget was
     spent and no valid embedding exists at the attempted density): a
     timeout says nothing about embeddability, so callers may retry
-    with a larger budget, shrink the problem, or — as the HyQSAT
-    frontend does — skip this clause queue and let CDCL carry on.
+    with a larger budget or shrink the problem (``hyqsat embed``
+    reports it and exits 1).  Only the budgeted baseline embedders
+    raise it; the HyQSAT embedder is linear-time and has no budget.
 
     Carries the progress made: ``passes`` completed improvement/route
     passes and ``elapsed_seconds`` of wall time spent.
@@ -113,6 +118,85 @@ class Embedding:
 
     def __repr__(self) -> str:
         return f"Embedding(vars={len(self._chains)}, qubits={self.num_qubits_used()})"
+
+
+@dataclass(frozen=True)
+class EmbeddingArrays:
+    """An embedding and its realised problem edges, as arrays.
+
+    The chains of :attr:`variables` (ascending) are runs of
+    :attr:`qubits`, each ascending, starting at :attr:`starts`;
+    :attr:`order` lists the chains in the :class:`Embedding`'s dict
+    order.  :attr:`edges` are ``(u, v)`` problem edges (``u < v``) in
+    the coupler map's order; edge ``e``'s couplers are the rows of
+    :attr:`couplers` from ``coupler_starts[e]`` to the next edge's.
+    The :class:`Embedding` and the coupler dict are built when read.
+    """
+
+    variables: np.ndarray
+    starts: np.ndarray
+    qubits: np.ndarray
+    order: np.ndarray
+    edges: np.ndarray
+    coupler_starts: np.ndarray
+    couplers: np.ndarray
+
+    @classmethod
+    def from_embedding(
+        cls,
+        embedding: Embedding,
+        edge_couplers: Mapping[Edge, Sequence[Tuple[int, int]]],
+    ) -> "EmbeddingArrays":
+        """The arrays of an :class:`Embedding` and its coupler map
+        (which stay the views)."""
+        names = np.fromiter(embedding, np.int64, len(embedding))
+        by_var = np.argsort(names, kind="stable")
+        chains = [embedding.chain_of(var) for var in names[by_var].tolist()]
+        sizes = np.fromiter(map(len, chains), np.int64, len(chains))
+        order = np.empty(len(names), np.int64)
+        order[by_var] = np.arange(len(names))
+        realising = list(edge_couplers.values())
+        spread = np.fromiter(map(len, realising), np.int64, len(realising))
+        arrays = cls(
+            variables=names[by_var],
+            starts=np.cumsum(sizes) - sizes,
+            qubits=np.fromiter(chain.from_iterable(chains), np.int64, sizes.sum()),
+            order=order,
+            edges=np.array(list(edge_couplers), np.int64).reshape(-1, 2),
+            coupler_starts=np.cumsum(spread) - spread,
+            couplers=np.fromiter(
+                chain.from_iterable(chain.from_iterable(realising)),
+                np.int64,
+                2 * spread.sum(),
+            ).reshape(-1, 2),
+        )
+        arrays.__dict__.update(embedding=embedding, edge_couplers=edge_couplers)
+        return arrays
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Qubits per chain."""
+        return np.diff(self.starts, append=len(self.qubits))
+
+    @cached_property
+    def embedding(self) -> Embedding:
+        """The :class:`Embedding` view, chains in dict order."""
+        runs = np.split(self.qubits, self.starts[1:]) if len(self.starts) else []
+        return Embedding(
+            {
+                var: runs[i].tolist()
+                for var, i in zip(self.variables[self.order].tolist(), self.order.tolist())
+            }
+        )
+
+    @cached_property
+    def edge_couplers(self) -> Dict[Edge, Tuple[Tuple[int, int], ...]]:
+        """The coupler map view: each edge's couplers, edges in order."""
+        runs = np.split(self.couplers, self.coupler_starts[1:])
+        return {
+            edge: tuple(map(tuple, run.tolist()))
+            for edge, run in zip(map(tuple, self.edges.tolist()), runs)
+        }
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,26 @@ Clauses whose variables no longer fit on vertical lines, or whose
 connection requirements cannot be allocated, are simply *not embedded*
 (the hybrid solver keeps them on the CDCL side); everything that did
 fit is returned with a valid embedding.
+
+The embedder runs as one call into the frontend library
+(``core/frontend.c``, built by :mod:`repro.cdcl.native` on the first
+embed) and returns :class:`~repro.embedding.base.EmbeddingArrays`; the
+:class:`~repro.embedding.base.Embedding` and the coupler map are built
+only when read.  :meth:`HyQSatEmbedder._embed_loops` is the Python
+oracle and the no-compiler path, and both give identical results.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.embedding.base import Edge, Embedding, EmbeddingResult, _norm_edge
+import numpy as np
+
+from repro.cdcl import native
+from repro.embedding.base import Edge, Embedding, EmbeddingArrays, _norm_edge
 from repro.embedding.crl import ConnectionRequirementList
 from repro.qubo.encoding import FormulaEncoding
 from repro.topology.chimera import ChimeraGraph
@@ -42,21 +53,47 @@ _Segment = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
-class HyQSatEmbeddingResult(EmbeddingResult):
+class HyQSatEmbeddingResult:
     """Embedding result with per-clause accounting.
 
+    ``arrays`` holds the chains and the realised edges' couplers;
     ``embedded_clauses`` are indices (into the encoding's clause list)
     of clauses whose every problem edge was realised; ``success`` is
-    true when that is *all* clauses.
+    true when that is *all* clauses.  ``elapsed_seconds`` is the
+    wall-clock embedding time — the Figure 13 (a) metric.
     """
 
+    arrays: EmbeddingArrays
+    success: bool
+    elapsed_seconds: float
     embedded_clauses: Tuple[int, ...] = ()
     unembedded_clauses: Tuple[int, ...] = ()
+
+    @property
+    def embedding(self) -> Embedding:
+        """The chains as an :class:`Embedding` (built when first read)."""
+        return self.arrays.embedding
+
+    @property
+    def edge_couplers(self) -> Dict[Edge, Tuple[Tuple[int, int], ...]]:
+        """Each realised problem edge's couplers (built when first read)."""
+        return self.arrays.edge_couplers
 
     @property
     def num_embedded(self) -> int:
         """Count of fully-embedded clauses."""
         return len(self.embedded_clauses)
+
+    @property
+    def max_chain_length(self) -> int:
+        """Longest chain (0 for an empty embedding)."""
+        return int(self.arrays.sizes.max(initial=0))
+
+    @property
+    def avg_chain_length(self) -> float:
+        """Mean chain length (0.0 for an empty embedding)."""
+        sizes = self.arrays.sizes
+        return int(sizes.sum()) / len(sizes) if len(sizes) else 0.0
 
 
 def _requirements(variables: Sequence[int], aux: int) -> List[Tuple[int, int]]:
@@ -93,10 +130,71 @@ class HyQSatEmbedder:
 
     def __init__(self, hardware: ChimeraGraph):
         self.hardware = hardware
+        #: The native embed's output slots for an empty queue (each
+        #: clause adds 24): the counts, a chain per vertical line, and
+        #: every qubit.
+        self._capacity = 8 + 3 * hardware.num_vertical_lines + hardware.num_qubits
 
     def embed(self, encoding: FormulaEncoding) -> HyQSatEmbeddingResult:
-        """Embed as many queue clauses as fit, in queue order."""
+        """Embed as many queue clauses as fit, in queue order.
+
+        ``elapsed_seconds`` times the embedding alone: the library is
+        loaded (built, on a process's first embed) before the clock
+        starts."""
+        kernel = native.load_frontend_kernel()
         start = time.perf_counter()
+        if kernel is None:
+            return self._embed_loops(encoding, start)
+        hardware = self.hardware
+        lits = np.ascontiguousarray(encoding.clauses.lits, np.int64)
+        aux = np.ascontiguousarray(encoding.aux, np.int64)
+        n, width = lits.shape
+        # Chains are disjoint (so at most every qubit), one per vertical
+        # line plus one per auxiliary; a clause needs at most four
+        # requirements, so edges and couplers.  The library writes only
+        # the prefix it uses.
+        capacity = self._capacity + 24 * n
+        out = np.empty(capacity, np.int64)
+        status = kernel.embed_run(
+            n,
+            width,
+            native.address(lits),
+            native.address(aux),
+            hardware.rows,
+            hardware.cols,
+            hardware.shore,
+            capacity,
+            native.address(out),
+        )
+        if status:
+            raise MemoryError(f"embed_run failed with status {status}")
+        chains, qubits, edges, couplers, embedded = out[:5].tolist()
+        ends = list(
+            accumulate([8, chains, chains, chains, qubits, 2 * edges, edges, 2 * couplers])
+        )
+        arrays = EmbeddingArrays(
+            variables=out[ends[0] : ends[1]],
+            starts=out[ends[1] : ends[2]],
+            order=out[ends[2] : ends[3]],
+            qubits=out[ends[3] : ends[4]],
+            edges=out[ends[4] : ends[5]].reshape(-1, 2),
+            coupler_starts=out[ends[5] : ends[6]],
+            couplers=out[ends[6] : ends[7]].reshape(-1, 2),
+        )
+        split = ends[7] + embedded
+        return HyQSatEmbeddingResult(
+            arrays=arrays,
+            success=embedded == n,
+            elapsed_seconds=time.perf_counter() - start,
+            embedded_clauses=tuple(out[ends[7] : split].tolist()),
+            unembedded_clauses=tuple(out[split : ends[7] + n].tolist()),
+        )
+
+    def _embed_loops(
+        self, encoding: FormulaEncoding, start: float
+    ) -> HyQSatEmbeddingResult:
+        """:meth:`embed` as Python loops over dicts: the oracle of the
+        native embed, and the path taken when no library loads."""
         hardware = self.hardware
         shore, cols = hardware.shore, hardware.cols
         vertical, horizontal = hardware.line_qubits
@@ -217,14 +315,14 @@ class HyQSatEmbedder:
         edge_couplers = {
             edge: tuple(couplers) for edge, couplers in realized.items()
         }
+        arrays = EmbeddingArrays.from_embedding(embedding, edge_couplers)
         embedded_clauses = tuple(embedded)
         unembedded_clauses = tuple(sorted(unembedded))
         # The clock stops once every part of the result is built.
         return HyQSatEmbeddingResult(
-            embedding=embedding,
+            arrays=arrays,
             success=len(embedded) == len(clause_rows),
             elapsed_seconds=time.perf_counter() - start,
-            edge_couplers=edge_couplers,
             embedded_clauses=embedded_clauses,
             unembedded_clauses=unembedded_clauses,
         )

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -49,19 +50,27 @@ class CoefficientAdjustment:
     Attributes
     ----------
     encoding:
-        The re-weighted encoding (``α_{i,j} = d*/d_{i,j}``).
+        The re-weighted encoding (``α_{i,j} = d*/d_{i,j}``); its
+        ``alpha`` array holds the chosen coefficients in sub-objective
+        order.
     d_star:
         The Eq. 6 denominator measured on the α = 1 objective.
-    alphas:
-        The chosen coefficients keyed by ``(clause_index, part)``.
-    d_values:
-        The Eq. 7 per-sub-clause maxima, same keys.
     """
 
     encoding: FormulaEncoding
     d_star: float
-    alphas: Dict[Tuple[int, int], float]
-    d_values: Dict[Tuple[int, int], float]
+
+    @cached_property
+    def alphas(self) -> Dict[Tuple[int, int], float]:
+        """The chosen coefficients keyed by ``(clause_index, part)``."""
+        return dict(zip(self.encoding.sub_keys, self.encoding.alpha.tolist()))
+
+    @cached_property
+    def d_values(self) -> Dict[Tuple[int, int], float]:
+        """The Eq. 7 per-sub-clause maxima, same keys."""
+        return dict(
+            zip(self.encoding.sub_keys, self.encoding.layout.d_value.tolist())
+        )
 
     @property
     def max_alpha(self) -> float:
@@ -122,11 +131,6 @@ def adjust_coefficients(encoding: FormulaEncoding) -> CoefficientAdjustment:
             scale = min(max(math.floor(s_star * steps), 0), steps - 1) / steps
             alpha = 1.0 + scale * (alpha - 1.0)
 
-    keys = encoding.sub_keys
-    alphas = dict(zip(keys, alpha.tolist()))
     return CoefficientAdjustment(
-        encoding=encoding.with_coefficients(alphas),
-        d_star=d_star,
-        alphas=alphas,
-        d_values=dict(zip(keys, d_values.tolist())),
+        encoding=encoding.with_coefficients(alpha), d_star=d_star
     )

@@ -21,18 +21,21 @@ its *shape*.  :func:`encode_clause` runs once per shape, on template
 variables; encoding a :class:`~repro.sat.cnf.ClauseTable` gathers each
 clause's shape terms with its own variables in place.  Summing adds the
 gathered terms one at a time, in sub-objective order: the values and
-dict key order of adding each sub-objective's dict in turn.
+dict key order of adding each sub-objective's dict in turn.  The
+frontend sums into :class:`~repro.qubo.ising.LogicalArrays` through the
+frontend library (``core/frontend.c``), which replays those dict adds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.qubo.ising import LinearExpr, QuadraticObjective
+from repro.cdcl import native
+from repro.qubo.ising import LinearExpr, LogicalArrays, QuadraticObjective
 from repro.sat.cnf import CNF, Clause, ClauseTable
 
 
@@ -126,7 +129,7 @@ def _gather(shape: np.ndarray, variables: np.ndarray) -> Layout:
     sub_part = np.arange(len(clause)) - first[clause]
     rows, t = np.nonzero(ok[shape])
     s = shape[rows]
-    offset, d_value = parts[shape[clause], sub_part].T
+    offset, d_value = np.ascontiguousarray(parts[shape[clause], sub_part].T)
     return Layout(
         clause, sub_part + 1, offset, d_value,
         keys=variables[rows[:, None], slots[s, t]],
@@ -193,6 +196,45 @@ class FormulaEncoding:
                 total.add_quadratic(u, v, weight)
         return total
 
+    def terms_over(self, clauses: Sequence[int]) -> LogicalArrays:
+        """:meth:`objective_over` as :class:`LogicalArrays`: the same
+        values in the same key order, summed in the frontend library
+        (through the dict when no library loads)."""
+        kernel = native.load_frontend_kernel()
+        if kernel is None:
+            return LogicalArrays.from_objective(self.objective_over(clauses))
+        layout = self.layout
+        chosen = np.zeros(len(self.clauses), np.uint8)
+        chosen[list(clauses)] = 1
+        inputs = [
+            np.ascontiguousarray(layout.sub_clause, np.int64),
+            np.ascontiguousarray(layout.offset, float),
+            np.ascontiguousarray(self.alpha, float),
+            chosen,
+            np.ascontiguousarray(layout.keys, np.int64),
+            np.ascontiguousarray(layout.sub, np.int64),
+            np.ascontiguousarray(layout.coeff, float),
+        ]
+        terms = len(layout.coeff)
+        ints, floats = np.empty(4 * terms + 3, np.int64), np.empty(terms + 1)
+        pointers = [native.address(a) for a in inputs]
+        if kernel.sum_terms(
+            len(layout.sub_clause), *pointers[:4], terms, *pointers[4:],
+            native.address(ints), native.address(floats),
+        ):
+            raise MemoryError("sum_terms could not allocate its tables")
+        linear, quadratic, variables = ints[:3].tolist()
+        rows = 3 + variables + linear
+        return LogicalArrays(
+            variables=ints[3 : 3 + variables],
+            linear_index=ints[3 + variables : rows],
+            linear=floats[1 : 1 + linear],
+            quadratic_rows=ints[rows : rows + quadratic],
+            quadratic_cols=ints[rows + quadratic : rows + 2 * quadratic],
+            quadratic=floats[1 + linear : 1 + linear + quadratic],
+            offset=float(floats[0]),
+        )
+
     @cached_property
     def sub_objectives(self) -> Tuple[SubClauseObjective, ...]:
         """The individual weighted parts (ablation and Sec. IV-C input)."""
@@ -203,22 +245,33 @@ class FormulaEncoding:
             for sub in encode_clause(clause, aux, clause_index=k)
         )
 
-    def with_coefficients(self, alphas: Dict[Tuple[int, int], float]) -> "FormulaEncoding":
+    def with_coefficients(
+        self, alphas: Union[Mapping[Tuple[int, int], float], np.ndarray]
+    ) -> "FormulaEncoding":
         """The same encoding with new α values.
 
-        ``alphas`` maps ``(clause_index, part)`` to the coefficient;
-        missing keys keep their current value.
+        ``alphas`` is the array of every sub-objective's coefficient, or
+        a mapping from ``(clause_index, part)`` to the coefficient in
+        which missing keys keep their current value.
         """
-        alpha = [
-            alphas.get(key, old)
-            for key, old in zip(self.sub_keys, self.alpha.tolist())
-        ]
-        for value in alpha:
-            if value <= 0:
+        if isinstance(alphas, np.ndarray):
+            if alphas.shape != self.alpha.shape:
                 raise ValueError(
-                    f"sub-clause coefficient must be positive, got {value}"
+                    f"expected {len(self.alpha)} coefficients, got {alphas.shape}"
                 )
-        return replace(self, alpha=np.array(alpha, dtype=float))
+            values = alpha = np.array(alphas, dtype=float)
+        else:
+            values = [
+                alphas.get(key, old)
+                for key, old in zip(self.sub_keys, self.alpha.tolist())
+            ]
+            alpha = np.array(values, dtype=float)
+        bad = np.flatnonzero(alpha <= 0)
+        if bad.size:
+            raise ValueError(
+                f"sub-clause coefficient must be positive, got {values[bad[0]]}"
+            )
+        return replace(self, alpha=alpha)
 
 
 def encode_clause(
@@ -308,7 +361,7 @@ def encode_formula(
     bad = (width == 0) | (width > 3) | table.tautological()
     if bad.any():
         encode_clause(table[int(np.argmax(bad))], None)  # raises the reason
-    lits = np.pad(table.lits, ((0, 0), (0, 3)))[:, :3]
+    lits = np.ascontiguousarray(np.pad(table.lits, ((0, 0), (0, 3)))[:, :3])
     shape = (1 << width) - 2 + (lits > 0) @ np.array([1, 2, 4])
     has_aux = width == 3
     first = num_formula_vars + 1 if first_aux_var is None else first_aux_var

@@ -12,7 +12,11 @@ II-D) are expressed on these coefficients — so this library does too.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 
 def _edge(u: int, v: int) -> Tuple[int, int]:
@@ -177,6 +181,150 @@ class QuadraticObjective:
             f"QuadraticObjective(offset={self.offset}, "
             f"|linear|={len(self.linear)}, |quadratic|={len(self.quadratic)})"
         )
+
+
+@dataclass(frozen=True)
+class LogicalArrays:
+    """A :class:`QuadraticObjective`'s terms as arrays, in its dict order.
+
+    ``variables`` are the objective's variables in ascending order, and
+    the term arrays index into them.  :meth:`energy` adds the terms in
+    dict order, so it equals :meth:`QuadraticObjective.energy` bit for
+    bit.  :meth:`d_star`, :meth:`scaled` and :meth:`copy` follow the
+    dict objective's, so :func:`~repro.qubo.normalization.normalize`
+    takes either form; :meth:`to_objective` builds the dict view.
+    """
+
+    variables: np.ndarray
+    linear_index: np.ndarray
+    linear: np.ndarray
+    quadratic_rows: np.ndarray
+    quadratic_cols: np.ndarray
+    quadratic: np.ndarray
+    offset: float
+
+    @classmethod
+    def of_terms(
+        cls,
+        linear_vars: np.ndarray,
+        linear: np.ndarray,
+        pairs: np.ndarray,
+        quadratic: np.ndarray,
+        offset: float,
+    ) -> "LogicalArrays":
+        """The arrays of terms given by variable: ``linear_vars`` and
+        ``(m, 2)`` ``pairs`` (``u < v``), each in dict order."""
+        variables = np.unique(np.concatenate([linear_vars, pairs.ravel()]))
+        return cls(
+            variables=variables,
+            linear_index=np.searchsorted(variables, linear_vars),
+            linear=linear,
+            quadratic_rows=np.searchsorted(variables, pairs[:, 0]),
+            quadratic_cols=np.searchsorted(variables, pairs[:, 1]),
+            quadratic=quadratic,
+            offset=offset,
+        )
+
+    @classmethod
+    def from_objective(cls, objective: QuadraticObjective) -> "LogicalArrays":
+        """The terms of a dict objective."""
+        return cls.of_terms(
+            np.fromiter(objective.linear, np.int64, len(objective.linear)),
+            np.fromiter(objective.linear.values(), float, len(objective.linear)),
+            np.fromiter(
+                chain.from_iterable(objective.quadratic),
+                np.int64,
+                2 * len(objective.quadratic),
+            ).reshape(-1, 2),
+            np.fromiter(objective.quadratic.values(), float, len(objective.quadratic)),
+            objective.offset,
+        )
+
+    def to_objective(self) -> QuadraticObjective:
+        """The dict objective these terms came from (keys in order)."""
+        out = QuadraticObjective(self.offset)
+        out.linear = dict(
+            zip(self.variables[self.linear_index].tolist(), self.linear.tolist())
+        )
+        out.quadratic = dict(
+            zip(
+                zip(
+                    self.variables[self.quadratic_rows].tolist(),
+                    self.variables[self.quadratic_cols].tolist(),
+                ),
+                self.quadratic.tolist(),
+            )
+        )
+        return out
+
+    def d_star(self) -> float:
+        """:meth:`QuadraticObjective.d_star` of these terms."""
+        return max(
+            float(np.max(np.abs(self.linear), initial=0.0)) / 2.0,
+            float(np.max(np.abs(self.quadratic), initial=0.0)),
+        )
+
+    def scaled(self, factor: float) -> "LogicalArrays":
+        """:meth:`QuadraticObjective.scaled`: every value times
+        ``factor``, added to an empty objective (a product of exactly
+        0.0 drops its term)."""
+        linear = self.linear * factor
+        quadratic = self.quadratic * factor
+        offset = 0.0 + factor * self.offset
+        kept_linear, kept_quadratic = linear != 0.0, quadratic != 0.0
+        if kept_linear.all() and kept_quadratic.all():
+            return LogicalArrays(
+                self.variables,
+                self.linear_index,
+                linear,
+                self.quadratic_rows,
+                self.quadratic_cols,
+                quadratic,
+                offset,
+            )
+        pairs = np.stack(
+            [self.variables[self.quadratic_rows], self.variables[self.quadratic_cols]],
+            axis=1,
+        )
+        return LogicalArrays.of_terms(
+            self.variables[self.linear_index][kept_linear],
+            linear[kept_linear],
+            pairs[kept_quadratic].reshape(-1, 2),
+            quadratic[kept_quadratic],
+            offset,
+        )
+
+    def copy(self) -> "LogicalArrays":
+        """These terms (the arrays are never written after building)."""
+        return self
+
+    def bias(self) -> np.ndarray:
+        """Dense bias vector over :attr:`variables`."""
+        out = np.zeros(len(self.variables))
+        out[self.linear_index] = self.linear
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """Dense symmetric coupling matrix over :attr:`variables`."""
+        n = len(self.variables)
+        out = np.zeros((n, n))
+        out[self.quadratic_rows, self.quadratic_cols] = self.quadratic
+        out[self.quadratic_cols, self.quadratic_rows] = self.quadratic
+        return out
+
+    def energy(self, state: np.ndarray) -> float:
+        """The objective at a 0/1 state over :attr:`variables`: the
+        offset plus each term whose variables are all 1, added one at a
+        time in dict order (``np.add.accumulate`` is sequential)."""
+        on = np.asarray(state) != 0
+        terms = np.concatenate(
+            (
+                [self.offset],
+                self.linear[on[self.linear_index]],
+                self.quadratic[on[self.quadratic_rows] & on[self.quadratic_cols]],
+            )
+        )
+        return float(np.add.accumulate(terms)[-1])
 
 
 class LinearExpr:

@@ -34,6 +34,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 
 @dataclass
 class SchedulerStats:
@@ -81,11 +83,22 @@ def request_key(device, request) -> Tuple:
     read count and energy scale, and the same logical objective
     content.  Anything less would break per-job bit-identity.
     """
-    objective = request.objective
+    terms = request.terms
+    names = terms.variables
+    linear_vars = names[terms.linear_index]
+    by_var = np.argsort(linear_vars)
+    u, v = names[terms.quadratic_rows], names[terms.quadratic_cols]
+    by_pair = np.lexsort((v, u))
+    # The objective's sorted (key, value) items, read off its arrays.
     content = (
-        round(objective.offset, 12),
-        tuple(sorted(objective.linear.items())),
-        tuple(sorted(objective.quadratic.items())),
+        round(terms.offset, 12),
+        tuple(zip(linear_vars[by_var].tolist(), terms.linear[by_var].tolist())),
+        tuple(
+            zip(
+                zip(u[by_pair].tolist(), v[by_pair].tolist()),
+                terms.quadratic[by_pair].tolist(),
+            )
+        ),
     )
     return (
         getattr(device, "seed", None),

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.annealer.embedded import build_embedded_problem
+from repro.embedding.base import EmbeddingArrays
 from repro.embedding.hyqsat_embed import HyQSatEmbedder
+from repro.qubo.ising import LogicalArrays
 from repro.qubo.encoding import encode_formula
 from repro.qubo.normalization import normalize
 from repro.sat.cnf import Clause
@@ -17,7 +19,7 @@ def _compile(clauses, n, hardware, chain_strength=1.0):
     emb = HyQSatEmbedder(hardware).embed(enc)
     assert emb.success
     problem = build_embedded_problem(
-        norm_obj, emb.embedding, hardware, emb.edge_couplers, chain_strength
+        LogicalArrays.from_objective(norm_obj), emb.arrays, hardware, chain_strength
     )
     return enc, norm_obj, d, emb, problem
 
@@ -66,7 +68,11 @@ class TestCompilation:
 
         obj = QuadraticObjective(linear={1: 1.0})
         with pytest.raises(ValueError, match="not embedded"):
-            build_embedded_problem(obj, Embedding(), small_hardware, {})
+            build_embedded_problem(
+                LogicalArrays.from_objective(obj),
+                EmbeddingArrays.from_embedding(Embedding(), {}),
+                small_hardware,
+            )
 
     def test_missing_coupler_rejected(self, small_hardware):
         from repro.embedding.base import Embedding
@@ -75,7 +81,11 @@ class TestCompilation:
         obj = QuadraticObjective(quadratic={(1, 2): 1.0})
         embedding = Embedding({1: [0], 2: [1]})
         with pytest.raises(ValueError, match="no hardware coupler"):
-            build_embedded_problem(obj, embedding, small_hardware, {(1, 2): ()})
+            build_embedded_problem(
+                LogicalArrays.from_objective(obj),
+                EmbeddingArrays.from_embedding(embedding, {(1, 2): ()}),
+                small_hardware,
+            )
 
     def test_chain_strength_validated(self, small_hardware):
         from repro.embedding.base import Embedding
@@ -83,7 +93,10 @@ class TestCompilation:
 
         with pytest.raises(ValueError):
             build_embedded_problem(
-                QuadraticObjective(), Embedding(), small_hardware, {}, chain_strength=0
+                LogicalArrays.from_objective(QuadraticObjective()),
+                EmbeddingArrays.from_embedding(Embedding(), {}),
+                small_hardware,
+                chain_strength=0,
             )
 
     def test_offset_carried(self, small_hardware):
@@ -166,7 +179,7 @@ def test_property_energy_equivalence_random(seed, ):
     if not emb.success:
         return
     problem = build_embedded_problem(
-        norm_obj, emb.embedding, hardware, emb.edge_couplers, 1.5
+        LogicalArrays.from_objective(norm_obj), emb.arrays, hardware, 1.5
     )
     # Coefficient cancellation can leave embedded chains whose variable
     # is absent from the objective: assign over the embedding's variables.

@@ -118,7 +118,7 @@ def _embedded_random_3sat(hardware, num_vars=8, num_clauses=24, seed=9):
     from repro.annealer.embedded import build_embedded_problem
     from repro.embedding.hyqsat_embed import HyQSatEmbedder
     from repro.qubo.encoding import encode_formula
-    from repro.qubo.ising import QuadraticObjective
+    from repro.qubo.ising import LogicalArrays, QuadraticObjective
     from repro.qubo.normalization import normalize
     from tests.conftest import make_random_3sat
 
@@ -133,7 +133,7 @@ def _embedded_random_3sat(hardware, num_vars=8, num_clauses=24, seed=9):
             objective.add_objective(sub.objective, scale=sub.coefficient)
     norm_obj, _ = normalize(objective)
     return build_embedded_problem(
-        norm_obj, emb.embedding, hardware, emb.edge_couplers, 1.5
+        LogicalArrays.from_objective(norm_obj), emb.arrays, hardware, 1.5
     )
 
 

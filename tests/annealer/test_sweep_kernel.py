@@ -339,8 +339,7 @@ def test_numpy_path_answers_without_the_kernel(
     """An unusable kernel cache leaves the NumPy sweeps to answer."""
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    monkeypatch.setattr(native, "_sweep_lib", None)
-    monkeypatch.setattr(native, "_sweep_load_attempted", False)
+    monkeypatch.setattr(native, "_loaded", {})
     monkeypatch.setenv("HYQSAT_KERNEL_CACHE", str(blocker / "cache"))
     assert native.load_sweep_kernel() is None
     reads = SimulatedAnnealingSampler(seed=3).sample(

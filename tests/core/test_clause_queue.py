@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.clause_queue import TOP_K, ClauseQueueGenerator
+from repro.core.clause_queue import TOP_K, ClauseQueueGenerator, top_k
 from repro.sat.cnf import CNF, Clause
 
 
@@ -131,3 +131,38 @@ class TestLocality:
         bfs = gen.generate([1.0] * 120, capacity=40)
         rand = gen.generate_random(40)
         assert adjacency_share(bfs) > adjacency_share(rand)
+
+
+class TestTopK:
+    """``top_k`` takes the key sort's TOP_K list, in its order."""
+
+    @staticmethod
+    def _key_sort(activity, pool):
+        return sorted(pool, key=lambda i: (-activity[i], i))[:TOP_K]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_key_sort_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        num = 200
+        pool = rng.permutation(num)[: int(rng.integers(1, num))].tolist()
+        cases = [
+            [0.0] * num,  # the first call: every activity still zero
+            rng.integers(0, 4, num).astype(float).tolist(),  # heavy ties
+            rng.random(num).tolist(),
+            np.concatenate([rng.random(num // 2), np.zeros(num - num // 2)]),
+        ]
+        for activity in cases:
+            assert top_k(activity, pool).tolist() == self._key_sort(activity, pool)
+
+    def test_short_pool_keeps_every_clause(self):
+        activity = [3.0, 1.0, 3.0, 2.0]
+        assert top_k(activity, [3, 2, 1, 0]).tolist() == [0, 2, 3, 1]
+
+    def test_heads_match_a_draw_from_the_key_sort(self):
+        formula = CNF([Clause([v]) for v in range(1, 61)], num_vars=60)
+        activity = np.random.default_rng(9).integers(0, 3, 60).astype(float)
+        gen = ClauseQueueGenerator(formula, seed=4)
+        replay = np.random.default_rng(4)
+        for _ in range(20):
+            expected = int(replay.choice(np.array(self._key_sort(activity, range(60)))))
+            assert gen.generate(activity, capacity=1) == [expected]

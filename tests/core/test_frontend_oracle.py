@@ -14,7 +14,9 @@ Inputs are clause queues conditioned on real CDCL trails of every
 benchgen family and of uniform random 3-SAT at 170 variables, each
 prepared on C16, Chimera 8x8, Pegasus 8x8 and a C16 with broken
 qubits; a last test runs whole hybrid solves with the oracle patched
-into :class:`~repro.core.frontend.Frontend`.
+into :class:`~repro.core.frontend.Frontend`.  Each test runs with the
+frontend library (native embed and term sum) as it loads, and its
+``..._with_the_library_blocked`` twin with the Python loops.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.annealer.device import AnnealerDevice, AnnealRequest
 from repro.annealer.embedded import EmbeddedProblem
 from repro.benchgen import random_3sat
 from repro.benchgen.suites import BENCHMARKS
+from repro.cdcl import native
 from repro.cdcl.engine import create_solver
 from repro.cdcl.solver import SolverConfig
 from repro.core.clause_queue import ClauseQueueGenerator
@@ -468,8 +471,11 @@ def _scipy_csr(n, couplings):
     return sparse.coo_matrix((weights, (rows, cols)), shape=(n, n)).tocsr()
 
 
-@pytest.mark.parametrize("family", sorted(BENCHMARKS))
-def test_family_queues_match_the_dict_pipeline(family, monkeypatch):
+def _block_library(monkeypatch):
+    monkeypatch.setattr(native, "load_frontend_kernel", lambda: None)
+
+
+def _family_queues_match(family, monkeypatch):
     formula = BENCHMARKS[family].generate(0, seed=0)
     queues = trail_queues(formula, seed=1, snapshots=3)
     assert queues, f"{family}: the search left no queue"
@@ -481,14 +487,35 @@ def test_family_queues_match_the_dict_pipeline(family, monkeypatch):
     assert any(embedded)
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_uf170_queues_match_the_dict_pipeline(seed, monkeypatch):
+def _uf170_queues_match(seed, monkeypatch):
     formula = random_3sat(170, 724, np.random.default_rng(seed))
     queues = trail_queues(formula, seed=seed, snapshots=2)
     assert all(len(queue) == 192 for queue, _ in queues)
     for hw in HARDWARE.values():
         for queue, trail in queues:
             assert assert_matches_oracle(formula, hw, queue, trail, monkeypatch)
+
+
+@pytest.mark.parametrize("family", sorted(BENCHMARKS))
+def test_family_queues_match_the_dict_pipeline(family, monkeypatch):
+    _family_queues_match(family, monkeypatch)
+
+
+@pytest.mark.parametrize("family", sorted(BENCHMARKS))
+def test_family_queues_match_with_the_library_blocked(family, monkeypatch):
+    _block_library(monkeypatch)
+    _family_queues_match(family, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_uf170_queues_match_the_dict_pipeline(seed, monkeypatch):
+    _uf170_queues_match(seed, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_uf170_queues_match_with_the_library_blocked(seed, monkeypatch):
+    _block_library(monkeypatch)
+    _uf170_queues_match(seed, monkeypatch)
 
 
 # ----------------------------------------------------------------------
@@ -534,8 +561,6 @@ def _oracle_prepare_uncached(self, queue, assignment, start):
 
 
 def _solve_record(formula, seed, monkeypatch, oracle):
-    if oracle:
-        monkeypatch.setattr(Frontend, "_prepare_uncached", _oracle_prepare_uncached)
     energies = []
     run = AnnealerDevice.run
 
@@ -544,15 +569,17 @@ def _solve_record(formula, seed, monkeypatch, oracle):
         energies.append(_hexes(result.energies))
         return result
 
-    monkeypatch.setattr(AnnealerDevice, "run", recording)
-    solver = HyQSatSolver(
-        formula,
-        device=AnnealerDevice(seed=seed),
-        config=HyQSatConfig(seed=seed),
-        solver_config=SolverConfig(seed=seed),
-    )
-    result = solver.solve()
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        if oracle:
+            patch.setattr(Frontend, "_prepare_uncached", _oracle_prepare_uncached)
+        patch.setattr(AnnealerDevice, "run", recording)
+        solver = HyQSatSolver(
+            formula,
+            device=AnnealerDevice(seed=seed),
+            config=HyQSatConfig(seed=seed),
+            solver_config=SolverConfig(seed=seed),
+        )
+        result = solver.solve()
     hybrid = result.hybrid
     return (
         result.status, dict(result.model.items()) if result.model else None,
@@ -561,10 +588,20 @@ def _solve_record(formula, seed, monkeypatch, oracle):
     )
 
 
-@pytest.mark.parametrize("num_vars,seed", [(50, 1), (75, 2), (100, 3)])
-def test_whole_solves_match_with_the_oracle_frontend(num_vars, seed, monkeypatch):
+def _whole_solves_match(num_vars, seed, monkeypatch):
     formula = random_3sat(num_vars, round(num_vars * 4.26), np.random.default_rng(seed))
     array = _solve_record(formula, seed, monkeypatch, oracle=False)
     oracle = _solve_record(formula, seed, monkeypatch, oracle=True)
     assert array[3] > 0
     assert array == oracle
+
+
+@pytest.mark.parametrize("num_vars,seed", [(50, 1), (75, 2), (100, 3)])
+def test_whole_solves_match_with_the_oracle_frontend(num_vars, seed, monkeypatch):
+    _whole_solves_match(num_vars, seed, monkeypatch)
+
+
+@pytest.mark.parametrize("num_vars,seed", [(50, 1), (75, 2), (100, 3)])
+def test_whole_solves_match_with_the_library_blocked(num_vars, seed, monkeypatch):
+    _block_library(monkeypatch)
+    _whole_solves_match(num_vars, seed, monkeypatch)

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core.frontend import Frontend
 from repro.embedding import (
     EmbeddingTimeout,
     MinorminerLikeEmbedder,
     PlaceAndRouteEmbedder,
 )
 from repro.qubo.encoding import encode_formula
-from repro.sat.cnf import CNF, Clause
+from repro.sat.cnf import Clause
 
 
 def _edges(num_clauses=6):
@@ -55,19 +54,3 @@ def test_generous_budget_does_not_raise(small_hardware):
     ).embed(edges, variables)
     assert result.success
 
-
-def test_frontend_skips_timed_out_queue(small_hardware):
-    formula = CNF(
-        [Clause([1, 2, 3]), Clause([2, -3, 4])], num_vars=4
-    )
-    frontend = Frontend(formula, small_hardware, cache_size=0)
-
-    class TimingOutEmbedder:
-        def embed(self, encoding):
-            raise EmbeddingTimeout(
-                "over budget", passes=1, elapsed_seconds=0.5
-            )
-
-    frontend._embedder = TimingOutEmbedder()
-    # A timed-out embed forfeits this QA call instead of crashing.
-    assert frontend.prepare([0, 1]) is None

@@ -6,10 +6,16 @@ import threading
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.benchgen import random_3sat
+from repro.core.frontend import Frontend
+from repro.qubo.ising import LogicalArrays, QuadraticObjective
 from repro.resilience import QaUnavailable
 from repro.service import QpuScheduler, ScheduledDevice
+from repro.service.scheduler import request_key
+from repro.topology.chimera import ChimeraGraph
 
 KEY_A = ("devA", 1, 1, 1.0, ((), ()))
 KEY_B = ("devB", 1, 1, 1.0, ((), ()))
@@ -166,9 +172,30 @@ class _FakeDevice:
 
 def _request():
     return SimpleNamespace(
-        objective=SimpleNamespace(offset=0.0, linear={}, quadratic={}),
+        terms=LogicalArrays.from_objective(QuadraticObjective()),
         num_reads=1,
         energy_scale=1.0,
+    )
+
+
+def test_key_reads_the_objective_arrays():
+    """The key built from a request's arrays equals the one built from
+    its dict objective's sorted items."""
+    formula = random_3sat(30, 128, np.random.default_rng(4))
+    prepared = Frontend(formula, ChimeraGraph(8, 8, 4)).prepare(list(range(40)))
+    request = prepared.request
+    objective = request.terms.to_objective()
+    device = SimpleNamespace(seed=5, _call_count=2)
+    assert request_key(device, request) == (
+        5,
+        3,
+        request.num_reads,
+        request.energy_scale,
+        (
+            round(objective.offset, 12),
+            tuple(sorted(objective.linear.items())),
+            tuple(sorted(objective.quadratic.items())),
+        ),
     )
 
 

@@ -60,3 +60,42 @@ def test_import_loads_only_declared_dependencies():
     assert third_party <= declared, sorted(third_party - declared)
     assert "networkx" not in declared
     assert "networkx" not in report["loaded"]
+    # scipy is declared for the NumPy fallbacks, which import it when
+    # they run; importing the package does not.
+    assert "scipy" in declared
+    assert "scipy" not in report["loaded"]
+
+
+#: A native hybrid solve in a fresh interpreter: prints "skip" when a
+#: library cannot load, else the QA call count and whether scipy loaded.
+SOLVE_PROBE = """
+import json, sys
+import numpy as np
+from repro.benchgen import random_3sat
+from repro.cdcl import native
+from repro.core import HyQSatSolver
+
+loaders = (native.load_kernel, native.load_sweep_kernel, native.load_frontend_kernel)
+if any(load() is None for load in loaders):
+    print("skip")
+    raise SystemExit
+result = HyQSatSolver(random_3sat(50, 213, np.random.default_rng(1))).solve()
+print(json.dumps({
+    "qa_calls": result.hybrid.qa_calls,
+    "scipy": any(name.partition(".")[0] == "scipy" for name in sys.modules),
+}))
+"""
+
+
+def test_native_hybrid_solve_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", SOLVE_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    last = run.stdout.splitlines()[-1]
+    if last == "skip":
+        pytest.skip("the native libraries cannot load")
+    report = json.loads(last)
+    assert report["qa_calls"] > 0
+    assert report["scipy"] is False
