@@ -817,7 +817,8 @@ def _cmd_connect(args: argparse.Namespace) -> int:
                 line["id"] = line.pop("job_id", job_id)
                 out.write(json.dumps(line, sort_keys=True) + "\n")
                 out.flush()
-                if outcome.get("state") != "done" or outcome.get("status") == "unknown":
+                answered = outcome.get("state") in ("done", "deduped")
+                if not answered or outcome.get("status") == "unknown":
                     code = 1
     except GatewayError as error:
         print(f"c gateway error: {error}", file=sys.stderr)
@@ -979,7 +980,8 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         "--qpu-budget-us",
         type=float,
         default=None,
-        help="shared modelled-microsecond budget across every job's QA calls",
+        help="modelled-microsecond budget across every job's QA calls "
+        "on one hardware lattice",
     )
     parser.add_argument(
         "--journal",
@@ -1182,7 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 = pick an ephemeral port, printed at start)",
     )
     p_gateway.add_argument(
-        "--jobs", type=int, default=2, help="concurrent solver workers"
+        "--jobs", type=int, default=2, help="concurrent solver worker threads"
     )
     p_gateway.add_argument(
         "--max-depth",
@@ -1241,7 +1243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--qpu-budget-us",
         type=float,
         default=None,
-        help="per-device modelled QPU budget shared by that device's jobs",
+        help="per-lattice modelled QPU budget shared by that lattice's jobs",
     )
     p_gateway.add_argument(
         "--cache-db",

@@ -3,8 +3,10 @@
 PR 7's :class:`~repro.service.scheduler.FleetDevice` is a *failover*
 fleet: N identical devices behind one job, racing faults.  The
 gateway generalises the idea to a *capacity* fleet: m QPUs of
-different topologies and grid sizes serving many jobs at once, each
-with its own :class:`~repro.service.scheduler.QpuScheduler` arbiter.
+different topologies and grid sizes serving many jobs at once.  The
+router only places jobs; the solver service arbitrates each lattice's
+anneal requests with its own
+:class:`~repro.service.scheduler.QpuScheduler`.
 
 Routing is topology-aware, following the paper's own embedding
 model: the HyQSAT line embedder (Section IV-B) decides how many of a
@@ -22,11 +24,8 @@ replayable bit-identically as ``hyqsat solve --topology T --grid N``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-from repro.service.scheduler import QpuScheduler
 
 #: Probe results a router keeps, one per (fingerprint, device); past
 #: it the oldest is evicted.  Far above a workload's working set: a
@@ -114,22 +113,14 @@ class FleetRouter:
     Capacity probes run the real HyQSAT line embedder per (formula,
     device) and are memoised by the fingerprint the caller passes, so
     a stream of identical instances costs one probe per device; the
-    memo keeps the newest :data:`PROBE_CACHE_ENTRIES` probes.  Each
-    member owns a :class:`QpuScheduler`, giving the gateway m
-    independent anneal arbiters (vs the service's single shared QPU).
+    memo keeps the newest :data:`PROBE_CACHE_ENTRIES` probes.  Used
+    from one thread (the service's coordinator).
     """
 
-    def __init__(
-        self,
-        qpus: List[GatewayQpu],
-        qpu_budget_us: Optional[float] = None,
-    ):
+    def __init__(self, qpus: List[GatewayQpu]):
         if not qpus:
             raise ValueError("fleet must have at least one QPU")
         self.qpus = list(qpus)
-        self.schedulers: Dict[str, QpuScheduler] = {
-            qpu.name: QpuScheduler(budget_us=qpu_budget_us) for qpu in self.qpus
-        }
         # Probe order: smallest lattice first; denser topology wins
         # ties (same capacity for the line embedder, shorter chains).
         self._probe_order = sorted(
@@ -137,14 +128,11 @@ class FleetRouter:
             key=lambda q: (q.num_qubits, 0 if q.topology == "pegasus" else 1),
         )
         self._probe_cache: Dict[Tuple[str, str], Tuple[int, int]] = {}
-        # The gateway routes on more than one executor thread.
-        self._probe_lock = threading.Lock()
 
     def _probe(self, formula, fp: str, qpu: GatewayQpu) -> Tuple[int, int]:
         """(embedded, total) clauses of one formula on one device."""
         key = (fp, qpu.name)
-        with self._probe_lock:
-            cached = self._probe_cache.get(key)
+        cached = self._probe_cache.get(key)
         if cached is not None:
             return cached
         from repro.embedding import HyQSatEmbedder
@@ -161,10 +149,9 @@ class FleetRouter:
         hardware = build_hardware(qpu.topology, qpu.grid)
         embedded = HyQSatEmbedder(hardware).embed(encoding)
         placed = (embedded.num_embedded, len(encoding.clauses))
-        with self._probe_lock:
-            self._probe_cache[key] = placed
-            while len(self._probe_cache) > PROBE_CACHE_ENTRIES:
-                del self._probe_cache[next(iter(self._probe_cache))]
+        self._probe_cache[key] = placed
+        while len(self._probe_cache) > PROBE_CACHE_ENTRIES:
+            del self._probe_cache[next(iter(self._probe_cache))]
         return placed
 
     def route(self, formula, fp: str) -> RoutingDecision:
@@ -180,13 +167,3 @@ class FleetRouter:
                 best = RoutingDecision(qpu, embedded, total, fits=False)
         assert best is not None  # fleet is non-empty
         return best
-
-    def scheduler_for(
-        self, topology: Optional[str], grid: Optional[int]
-    ) -> Optional[QpuScheduler]:
-        """The first scheduler for this lattice (None = chimera / 16,
-        as in ``hyqsat solve``); None when no device has it."""
-        for qpu in self.qpus:
-            if (qpu.topology, qpu.grid) == (topology or "chimera", grid or 16):
-                return self.schedulers[qpu.name]
-        return None

@@ -1,14 +1,15 @@
-"""The asyncio gateway server: socket -> queue -> fleet.
+"""The asyncio gateway server: socket -> solver service -> fleet.
 
 One event loop owns everything except the solves themselves:
-connection handlers parse and answer protocol messages, admitted jobs
-enter the shared :class:`~repro.service.queue.JobQueue` (the same
-admission/priority/deadline engine ``hyqsat serve`` uses), and a
-dispatcher coroutine feeds popped jobs to a thread pool bounded by
-the worker count.  Each solve runs
-:func:`~repro.service.jobs.run_job` with the
-:class:`~repro.service.scheduler.QpuScheduler` of the fleet device
-the router picked — so per seed, a gateway solve is bit-identical to
+connection handlers parse and answer protocol messages, and admitted
+jobs go to a :class:`~repro.service.service.SolverService` — the same
+coordinator ``hyqsat batch``/``serve`` run, with its admission queue,
+in-flight dedup and persistent cache — given the gateway's
+:class:`~repro.gateway.fleet.FleetRouter`.  The loop drives that
+coordinator: it pops, reads, routes and looks up each job on the loop
+thread, its thread workers solve, and each finished solve comes back
+through ``loop.call_soon_threadsafe``.  A routed job is pinned to its
+device's lattice, so per seed a gateway solve is bit-identical to
 ``hyqsat solve`` with the placement's ``--topology``/``--grid``.
 
 Observability follows the service's single-threaded rule: spans,
@@ -22,23 +23,22 @@ answers ``rate_limited``/``quota_exhausted`` and a full queue answers
 EWMA of recent run times scaled by queue depth) while the connection
 stays open.  Shutdown is a drain: stop accepting, let queued and
 running jobs finish (bounded by ``drain_grace_s``), stream their
-results, then say ``goodbye``.
+results, then close.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from repro.gateway import protocol
 from repro.gateway.fleet import FleetRouter, GatewayQpu, parse_fleet_spec
 from repro.gateway.limits import TenantLedger, TenantPolicy
-from repro.sat.cnf import fingerprint
-from repro.service.jobs import JobOutcome, JobSpec, run_job
-from repro.service.queue import AdmissionError, JobQueue
+from repro.service.jobs import JobOutcome, JobSpec
+from repro.service.queue import AdmissionError
+from repro.service.service import ServiceConfig, SolverService
 
 #: Fallback retry-after before any job has finished (seconds).
 _INITIAL_RUN_EWMA_S = 1.0
@@ -64,7 +64,7 @@ class GatewayConfig:
     retry_after_s: Optional[float] = None
     #: Seconds to wait for in-flight jobs at shutdown.
     drain_grace_s: float = 30.0
-    #: Shared per-device modelled QPU budget (None = unmetered).
+    #: Modelled QPU budget of each fleet lattice (None = unmetered).
     qpu_budget_us: Optional[float] = None
     #: SQLite file of the persistent result cache
     #: (:class:`~repro.cache.PersistentResultStore`); None = no cache.
@@ -104,19 +104,24 @@ class _Connection:
         self.writer = writer
         self.peer = peer
         self.tenant: Optional[str] = None
-        self.send_lock = asyncio.Lock()
         self.job_ids: Set[str] = set()
         self.closed = False
 
-    async def send(self, message: Dict[str, Any]) -> None:
+    def send(self, message: Dict[str, Any]) -> None:
+        """Write one message; messages leave in call order."""
+        try:
+            self.writer.write(protocol.encode(message))
+        except (ConnectionError, RuntimeError):
+            self.closed = True
+
+    async def drain(self) -> None:
+        """Wait out a full send buffer (a client that reads slowly)."""
         if self.closed:
             return
-        async with self.send_lock:
-            try:
-                self.writer.write(protocol.encode(message))
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError):
-                self.closed = True
+        try:
+            await self.writer.drain()
+        except (ConnectionError, RuntimeError):
+            self.closed = True
 
 
 class GatewayServer:
@@ -130,8 +135,6 @@ class GatewayServer:
         if self.observability.metrics is not None:
             declare_gateway_metrics(self.observability.metrics)
         self.fleet: List[GatewayQpu] = parse_fleet_spec(config.fleet)
-        self.router = FleetRouter(self.fleet, qpu_budget_us=config.qpu_budget_us)
-        self.queue = JobQueue(max_depth=config.max_depth)
         self.ledger = TenantLedger(
             TenantPolicy(
                 rate_per_s=config.rate_per_s,
@@ -140,27 +143,27 @@ class GatewayServer:
             )
         )
         self.stats = GatewayStats()
-        #: Persistent result cache shared by every tenant (None when
-        #: disabled).  Lookups/records run on executor threads; the
-        #: store is internally locked and the SQLite file is WAL-mode,
-        #: so a fleet of gateways may share one path.
-        self.cache = None
-        if config.cache_db is not None:
-            from repro.cache import PersistentResultStore
-
-            self.cache = PersistentResultStore(
-                config.cache_db, max_entries=config.cache_cap
-            )
-        self._executor = ThreadPoolExecutor(
-            max_workers=config.workers, thread_name_prefix="gateway-worker"
+        #: The coordinator every admitted job goes through.  Its
+        #: persistent cache (when ``cache_db`` is set) is shared by
+        #: every tenant; the SQLite file is WAL-mode, so a fleet of
+        #: gateways may share one path.
+        self.service = SolverService(
+            ServiceConfig(
+                workers=config.workers,
+                max_depth=config.max_depth,
+                qpu_budget_us=config.qpu_budget_us,
+                cache_path=config.cache_db,
+                cache_cap=config.cache_cap,
+            ),
+            observability=self.observability,
+            router=FleetRouter(self.fleet),
+            on_outcome=self._finalise,
+            on_start=self._started,
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        self._dispatcher: Optional[asyncio.Task] = None
-        self._work = asyncio.Event()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._draining = False
-        self._pending = 0
-        self._inflight: Set[asyncio.Task] = set()
-        #: job_id -> (connection, tenant) for result routing.
+        #: job_id -> the connection that submitted it, until its outcome.
         self._owners: Dict[str, _Connection] = {}
         self._run_ewma_s = _INITIAL_RUN_EWMA_S
         self._served = 0
@@ -175,12 +178,19 @@ class GatewayServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and start the dispatcher."""
+        """Bind the listening socket; the running loop becomes the
+        service's coordinating thread."""
+        self._loop = loop = asyncio.get_running_loop()
+
+        def wake(job_id: str) -> None:
+            try:
+                loop.call_soon_threadsafe(self._complete, job_id)
+            except RuntimeError:  # loop closed: the drain gave up on it
+                pass
+
+        self.service.wake = wake
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
-        )
-        self._dispatcher = asyncio.get_running_loop().create_task(
-            self._dispatch_loop()
         )
 
     @property
@@ -198,25 +208,22 @@ class GatewayServer:
 
     async def shutdown(self) -> None:
         """Drain: stop accepting, finish queued + running jobs (up to
-        ``drain_grace_s``), then stop the dispatcher and executor."""
+        ``drain_grace_s``), then close the service."""
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         deadline = time.monotonic() + self.config.drain_grace_s
-        while (self._pending > 0 or self._inflight) and time.monotonic() < deadline:
+        while not self.service.idle and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
-        self.queue.close()
-        self._work.set()
-        if self._dispatcher is not None:
-            await self._dispatcher
-        if self._inflight:
-            await asyncio.wait(self._inflight, timeout=self.config.drain_grace_s)
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.cache is not None:
-            if self.observability.metrics is not None:
-                self.cache.flush_metrics(self.observability.metrics)
-            self.cache.close()
+        self._loop = None  # jobs still running past the grace are dropped
+        self.service.close(wait=False)
+
+    def _complete(self, job_id: str) -> None:
+        """A worker finished ``job_id`` (runs on the loop)."""
+        if self._loop is not None:
+            self.service.complete(job_id)
+            self.service.pump()
 
     # ------------------------------------------------------------------
     # Observability helpers (event loop thread only)
@@ -244,9 +251,10 @@ class GatewayServer:
         if counter is not None:
             counter.labels(state=state).inc()
 
-    async def _send(self, conn: _Connection, message: Dict[str, Any]) -> None:
-        self._count_sent(message["type"])
-        await conn.send(message)
+    def _send(self, conn: _Connection, message: Dict[str, Any]) -> None:
+        if not conn.closed:
+            self._count_sent(message["type"])
+            conn.send(message)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -289,17 +297,18 @@ class GatewayServer:
                     payload = protocol.parse_line(line, from_client=True)
                 except protocol.ProtocolError as bad:
                     self._count_message("invalid")
-                    await self._send(conn, protocol.error(bad.code, bad.reason))
+                    self._send(conn, protocol.error(bad.code, bad.reason))
                     break
                 self._count_message(payload["type"])
                 if payload["type"] == "bye":
-                    await self._send(conn, protocol.goodbye(self._served))
+                    self._send(conn, protocol.goodbye(self._served))
                     break
-                await self._handle_message(conn, payload)
+                self._handle_message(conn, payload)
+                await conn.drain()
         finally:
+            # Its jobs run on: each still bills this tenant, and its
+            # owner entry goes with its outcome.
             conn.closed = True
-            for job_id in conn.job_ids:
-                self._owners.pop(job_id, None)
             tracer.event("gateway.disconnect", peer=peer, messages=messages)
             span.end(tenant=conn.tenant, messages=messages)
             self.stats.active_connections -= 1
@@ -324,17 +333,17 @@ class GatewayServer:
         try:
             payload = protocol.parse_line(line, from_client=True)
         except protocol.ProtocolError as bad:
-            await self._send(conn, protocol.error(bad.code, bad.reason))
+            self._send(conn, protocol.error(bad.code, bad.reason))
             return False
         self._count_message(payload["type"])
         if payload["type"] != "hello":
-            await self._send(
+            self._send(
                 conn,
                 protocol.error("bad_message", "first message must be 'hello'"),
             )
             return False
         if payload.get("protocol") != protocol.PROTOCOL_VERSION:
-            await self._send(
+            self._send(
                 conn,
                 protocol.error(
                     "unsupported_protocol",
@@ -343,44 +352,37 @@ class GatewayServer:
             )
             return False
         api_key = payload.get("api_key")
-        if self.config.api_keys:
-            if api_key not in self.config.api_keys:
-                await self._send(
-                    conn,
-                    protocol.error("unauthorized", "unknown or missing api_key"),
-                )
-                return False
-            conn.tenant = api_key
-        else:
-            conn.tenant = api_key  # open gateway: key optional, still a tenant
+        if self.config.api_keys and api_key not in self.config.api_keys:
+            self._send(
+                conn,
+                protocol.error("unauthorized", "unknown or missing api_key"),
+            )
+            return False
+        # An open gateway takes the key optionally; it still names a tenant.
+        conn.tenant = api_key
         limits = {
             "rate_per_s": self.ledger.policy.rate_per_s,
             "burst": self.ledger.policy.burst,
             "qa_budget_us": self.ledger.policy.qa_budget_us,
         }
-        await self._send(
+        self._send(
             conn,
-            protocol.welcome(
-                [qpu.describe() for qpu in self.fleet], limits
-            ),
+            protocol.welcome([qpu.describe() for qpu in self.fleet], limits),
         )
+        await conn.drain()
         return True
 
-    async def _handle_message(
-        self, conn: _Connection, payload: Dict[str, Any]
-    ) -> None:
+    def _handle_message(self, conn: _Connection, payload: Dict[str, Any]) -> None:
         kind = payload["type"]
         if kind == "ping":
-            await self._send(conn, protocol.pong(payload.get("nonce", 0)))
+            self._send(conn, protocol.pong(payload.get("nonce", 0)))
         elif kind == "hello":
-            await self._send(
-                conn, protocol.error("bad_message", "already said hello")
-            )
+            self._send(conn, protocol.error("bad_message", "already said hello"))
             conn.closed = True
         elif kind == "submit":
-            await self._handle_submit(conn, payload)
+            self._handle_submit(conn, payload)
         elif kind == "cancel":
-            await self._handle_cancel(conn, payload)
+            self._handle_cancel(conn, payload)
 
     # ------------------------------------------------------------------
     # Submission and results
@@ -389,18 +391,16 @@ class GatewayServer:
     def _retry_after(self) -> float:
         if self.config.retry_after_s is not None:
             return self.config.retry_after_s
-        depth = len(self.queue)
+        depth = len(self.service.queue)
         return max(
             0.1, (depth + 1) * self._run_ewma_s / self.config.workers
         )
 
-    async def _handle_submit(
-        self, conn: _Connection, payload: Dict[str, Any]
-    ) -> None:
+    def _handle_submit(self, conn: _Connection, payload: Dict[str, Any]) -> None:
         tracer = self.observability.tracer
         job = payload.get("job")
         if not isinstance(job, dict):
-            await self._send(
+            self._send(
                 conn,
                 protocol.reject("bad_message", "submit needs a 'job' object"),
             )
@@ -409,13 +409,12 @@ class GatewayServer:
         try:
             spec = JobSpec.from_dict(job)
         except (ValueError, TypeError) as error:
-            await self._send(
-                conn,
-                protocol.reject("bad_message", str(error), job_id=job_id),
+            self._send(
+                conn, protocol.reject("bad_message", str(error), job_id=job_id)
             )
             return
         if self._draining:
-            await self._send(
+            self._send(
                 conn,
                 protocol.reject(
                     "shutting_down", "gateway is draining", job_id=spec.job_id
@@ -433,7 +432,7 @@ class GatewayServer:
             if counter is not None:
                 counter.inc()
             tracer.event("gateway.reject", job_id=spec.job_id, code=denial)
-            await self._send(
+            self._send(
                 conn,
                 protocol.reject(
                     denial,
@@ -446,15 +445,14 @@ class GatewayServer:
             )
             return
         try:
-            self.queue.push(spec)
+            self.service.submit(spec)
         except AdmissionError as error:
             reason = str(error)
+            retry: Optional[float] = None
             if "duplicate" in reason:
                 code = "duplicate_id"
-                retry: Optional[float] = None
             elif "closed" in reason:
                 code = "shutting_down"
-                retry = None
             else:
                 code = "backpressure"
                 retry = self._retry_after()
@@ -465,53 +463,75 @@ class GatewayServer:
                 if counter is not None:
                     counter.inc()
             tracer.event("gateway.reject", job_id=spec.job_id, code=code)
-            await self._send(
+            self._send(
                 conn,
                 protocol.reject(
                     code, reason, job_id=spec.job_id, retry_after_s=retry
                 ),
             )
             return
-        self._pending += 1
         conn.job_ids.add(spec.job_id)
         self._owners[spec.job_id] = conn
-        tracer.event(
-            "gateway.submit", job_id=spec.job_id, tenant=conn.tenant
+        tracer.event("gateway.submit", job_id=spec.job_id, tenant=conn.tenant)
+        self._send(
+            conn, protocol.ack(spec.job_id, queue_depth=len(self.service.queue))
         )
-        self._work.set()
-        await self._send(
-            conn, protocol.ack(spec.job_id, queue_depth=len(self.queue))
-        )
+        if self._loop is not None:
+            self._loop.call_soon(self.service.pump)
 
-    async def _handle_cancel(
-        self, conn: _Connection, payload: Dict[str, Any]
-    ) -> None:
+    def _handle_cancel(self, conn: _Connection, payload: Dict[str, Any]) -> None:
         job_id = payload.get("id")
         if not isinstance(job_id, str) or not job_id:
-            await self._send(
+            self._send(
                 conn, protocol.reject("bad_message", "cancel needs an 'id'")
             )
             return
-        if self.queue.cancel(job_id):
-            self._pending -= 1
+        # Only the submitting connection may cancel; anyone else sees
+        # the same answer as for an id it never submitted.
+        if job_id in conn.job_ids and self.service.cancel(job_id):
             self.observability.tracer.event("gateway.cancel", job_id=job_id)
-            await self._finalise(
-                JobOutcome(
-                    job_id=job_id, state="cancelled", error="cancelled by client"
-                )
-            )
-        else:
-            await self._send(
-                conn,
-                protocol.reject(
-                    "unknown_job",
-                    f"job {job_id!r} is not queued (unknown, running, or done)",
-                    job_id=job_id,
-                ),
-            )
+            return
+        self._send(
+            conn,
+            protocol.reject(
+                "unknown_job",
+                f"job {job_id!r} is not queued (unknown, running, or done)",
+                job_id=job_id,
+            ),
+        )
 
-    async def _finalise(self, outcome: JobOutcome) -> None:
-        """Count a terminal outcome and stream it to its owner."""
+    def _started(self, spec: JobSpec, decision) -> None:
+        """The service read (and maybe routed) a popped job: stream
+        ``routed`` for a placement, then ``started``."""
+        conn = self._owners.get(spec.job_id)
+        if decision is not None:
+            counter = self._metric("hyqsat_fleet_routed_total")
+            if counter is not None:
+                counter.labels(device=decision.qpu.name).inc()
+            if not decision.fits:
+                counter = self._metric("hyqsat_fleet_routing_fallbacks_total")
+                if counter is not None:
+                    counter.inc()
+            if conn is not None:
+                self._send(
+                    conn,
+                    protocol.event(
+                        spec.job_id,
+                        "routed",
+                        device=decision.qpu.name,
+                        topology=decision.qpu.topology,
+                        grid=decision.qpu.grid,
+                        embedded_clauses=decision.embedded_clauses,
+                        total_clauses=decision.total_clauses,
+                        fits=decision.fits,
+                    ),
+                )
+        if conn is not None:
+            self._send(conn, protocol.event(spec.job_id, "started"))
+
+    def _finalise(self, outcome: JobOutcome) -> None:
+        """Count a terminal outcome, bill its tenant, and stream it to
+        its owner (the service's outcome callback)."""
         self._count_job(outcome.state)
         self._served += 1
         if outcome.state == "done" and outcome.run_seconds > 0:
@@ -519,17 +539,17 @@ class GatewayServer:
                 (1 - _RUN_EWMA_ALPHA) * self._run_ewma_s
                 + _RUN_EWMA_ALPHA * outcome.run_seconds
             )
-        if not outcome.cached:
-            # Cache hits replay stored counters; the original solve
-            # already billed that modelled QPU time — never twice.
-            self.ledger.charge(
-                getattr(self._owners.get(outcome.job_id), "tenant", None),
-                outcome.qpu_time_us,
-            )
         conn = self._owners.pop(outcome.job_id, None)
+        if not outcome.cached and outcome.dedup_of is None:
+            # Cache hits replay stored counters and followers share
+            # their primary's solve: that modelled QPU time was billed
+            # once already — never twice.
+            self.ledger.charge(
+                getattr(conn, "tenant", None), outcome.qpu_time_us
+            )
         if conn is not None:
             conn.job_ids.discard(outcome.job_id)
-            await self._send(
+            self._send(
                 conn,
                 protocol.event(
                     outcome.job_id,
@@ -543,130 +563,4 @@ class GatewayServer:
                 for key, value in outcome.as_dict().items()
                 if value is not None
             }
-            await self._send(conn, protocol.result(outcome.job_id, payload))
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def _read(self, spec: JobSpec):
-        """Executor step: the job's formula, its fingerprint (classic
-        jobs skip it) and routing (only for hybrid, unpinned jobs)."""
-        formula = spec.load_formula()
-        if spec.classic:
-            return formula, None, None
-        fp = fingerprint(formula)
-        if spec.topology is not None or spec.grid is not None:
-            return formula, fp, None
-        return formula, fp, self.router.route(formula, fp)
-
-    def _run_with_cache(
-        self, spec: JobSpec, formula, fp: Optional[str], scheduler
-    ) -> JobOutcome:
-        """Executor-side solve through the cache's
-        :meth:`~repro.cache.PersistentResultStore.before_solve` /
-        ``after_solve`` steps (the store is internally locked)."""
-        if self.cache is None or spec.classic:
-            return run_job(spec, scheduler, formula=formula)
-        key = spec.solve_key(fp)
-        hit, warm = self.cache.before_solve(key, spec, formula)
-        if hit is not None:
-            return hit
-        outcome = run_job(
-            spec,
-            scheduler,
-            warm_clauses=warm.clauses if warm is not None else None,
-            collect_learned=True,
-            formula=formula,
-        )
-        self.cache.after_solve(key, formula, outcome, warm)
-        return outcome
-
-    async def _dispatch_loop(self) -> None:
-        """Pop admitted jobs and run them on the thread pool, at most
-        ``workers`` concurrently (the pool itself is the bound; the
-        loop just avoids popping faster than slots free up)."""
-        while True:
-            await self._work.wait()
-            spec, expired, waited = self.queue.pop(timeout=0)
-            for dead in expired:
-                self._pending -= 1
-                await self._finalise(
-                    JobOutcome(
-                        job_id=dead.job_id,
-                        state="expired",
-                        error="queue deadline exceeded",
-                        seed=dead.seed,
-                        wait_seconds=dead.deadline_s or 0.0,
-                    )
-                )
-            if spec is None:
-                if self.queue._closed and self._pending <= 0:
-                    return
-                self._work.clear()
-                continue
-            while len(self._inflight) >= self.config.workers:
-                await asyncio.wait(
-                    self._inflight, return_when=asyncio.FIRST_COMPLETED
-                )
-            task = asyncio.get_running_loop().create_task(
-                self._execute(spec, waited)
-            )
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-
-    async def _execute(self, spec: JobSpec, waited_s: float) -> None:
-        loop = asyncio.get_running_loop()
-        conn = self._owners.get(spec.job_id)
-        try:
-            formula, fp, decision = await loop.run_in_executor(
-                self._executor, self._read, spec
-            )
-        except Exception as error:  # noqa: BLE001 — unreadable instance
-            self._pending -= 1
-            await self._finalise(
-                JobOutcome(
-                    job_id=spec.job_id,
-                    state="failed",
-                    error=f"{type(error).__name__}: {error}",
-                    seed=spec.seed,
-                    wait_seconds=waited_s,
-                )
-            )
-            return
-        if decision is not None:
-            # Pin the placement so the solve (and any solo replay of
-            # it) builds exactly the routed device.
-            spec.topology = decision.qpu.topology
-            spec.grid = decision.qpu.grid
-            counter = self._metric("hyqsat_fleet_routed_total")
-            if counter is not None:
-                counter.labels(device=decision.qpu.name).inc()
-            if not decision.fits:
-                counter = self._metric("hyqsat_fleet_routing_fallbacks_total")
-                if counter is not None:
-                    counter.inc()
-            if conn is not None:
-                await self._send(
-                    conn,
-                    protocol.event(
-                        spec.job_id,
-                        "routed",
-                        device=decision.qpu.name,
-                        topology=decision.qpu.topology,
-                        grid=decision.qpu.grid,
-                        embedded_clauses=decision.embedded_clauses,
-                        total_clauses=decision.total_clauses,
-                        fits=decision.fits,
-                    ),
-                )
-        # A pinned lattice the fleet lacks solves on its own device.
-        scheduler = self.router.scheduler_for(spec.topology, spec.grid)
-        if conn is not None:
-            await self._send(conn, protocol.event(spec.job_id, "started"))
-        outcome = await loop.run_in_executor(
-            self._executor, self._run_with_cache, spec, formula, fp, scheduler
-        )
-        outcome.wait_seconds = waited_s
-        self._pending -= 1
-        await self._finalise(outcome)
+            self._send(conn, protocol.result(outcome.job_id, payload))

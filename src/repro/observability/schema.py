@@ -36,12 +36,16 @@ from repro.observability.metrics import (
 #: Legal span nesting of one hybrid solve.  Key = parent span name
 #: (None = trace root), value = allowed child span names.
 SPAN_CHILDREN: Dict[Optional[str], FrozenSet[str]] = {
-    None: frozenset({"solve", "service.batch", "gateway.session"}),
+    # A gateway job that finalises once every connection has closed
+    # emits its ``service.job`` span with no parent.
+    None: frozenset({"solve", "service.batch", "gateway.session", "service.job"}),
     # One gateway connection, hello to disconnect.  Like
     # ``service.job`` spans it is emitted from a single thread (the
-    # gateway's event loop); per-job telemetry hangs off it as events,
-    # never child spans, because jobs outlive connections.
-    "gateway.session": frozenset(),
+    # gateway's event loop).  The service coordinator the gateway
+    # drives attaches its records to the innermost open span, so a
+    # session carries ``service.job`` spans and ``service.*`` events of
+    # whichever jobs finalise while it is open.
+    "gateway.session": frozenset({"service.job"}),
     # One service run (a batch or a serve session).  ``service.job``
     # spans are emitted retrospectively by the service coordinator as
     # each job finalises (the tracer is single-threaded, so worker
@@ -71,6 +75,10 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
 # Events
 # ---------------------------------------------------------------------------
 
+#: Where the service coordinator's events attach: its batch span under
+#: ``hyqsat batch``/``serve``, a connection's span under the gateway.
+_SERVICE_EVENT_PARENTS = frozenset({"service.batch", "gateway.session"})
+
 #: Which span each event may be attached to.
 EVENT_PARENTS: Dict[str, FrozenSet[str]] = {
     "cdcl.propagate": frozenset({"iteration"}),
@@ -81,15 +89,15 @@ EVENT_PARENTS: Dict[str, FrozenSet[str]] = {
     "qa.degraded": frozenset({"iteration"}),
     "checkpoint.saved": frozenset({"iteration"}),
     "breaker.transition": frozenset({"anneal"}),
-    "service.admit": frozenset({"service.batch"}),
-    "service.reject": frozenset({"service.batch"}),
-    "service.expire": frozenset({"service.batch"}),
-    "service.dedup": frozenset({"service.batch"}),
-    "service.cancel": frozenset({"service.batch"}),
-    "service.recover": frozenset({"service.batch"}),
-    "service.retry": frozenset({"service.batch"}),
-    "service.cache_hit": frozenset({"service.batch"}),
-    "service.warm_start": frozenset({"service.batch"}),
+    "service.admit": _SERVICE_EVENT_PARENTS,
+    "service.reject": _SERVICE_EVENT_PARENTS,
+    "service.expire": _SERVICE_EVENT_PARENTS,
+    "service.dedup": _SERVICE_EVENT_PARENTS,
+    "service.cancel": _SERVICE_EVENT_PARENTS,
+    "service.recover": _SERVICE_EVENT_PARENTS,
+    "service.retry": _SERVICE_EVENT_PARENTS,
+    "service.cache_hit": _SERVICE_EVENT_PARENTS,
+    "service.warm_start": _SERVICE_EVENT_PARENTS,
     "device.quarantine": frozenset({"anneal"}),
     "device.failover": frozenset({"anneal"}),
     "gateway.connect": frozenset({"gateway.session"}),

@@ -68,6 +68,7 @@ class JobQueue:
         self._clock = time.monotonic if clock is None else clock
         self.stats = QueueStats()
         self._heap: List[_Entry] = []
+        #: job_id -> entry of every queued, not cancelled job.
         self._by_id: dict = {}
         self._seq = 0
         self._closed = False
@@ -75,8 +76,7 @@ class JobQueue:
         self._not_empty = threading.Condition(self._lock)
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(1 for e in self._heap if not e.cancelled)
+        return len(self._by_id)
 
     def push(self, spec: JobSpec, now: Optional[float] = None) -> None:
         """Admit a job or raise :class:`AdmissionError`.
@@ -89,7 +89,7 @@ class JobQueue:
                 raise AdmissionError("queue is closed to new jobs")
             if spec.job_id in self._by_id:
                 raise AdmissionError(f"duplicate job id {spec.job_id!r}")
-            depth = sum(1 for e in self._heap if not e.cancelled)
+            depth = len(self._by_id)
             if self.max_depth is not None and depth >= self.max_depth:
                 self.stats.rejected += 1
                 raise AdmissionError(
@@ -109,8 +109,8 @@ class JobQueue:
     def cancel(self, job_id: str) -> bool:
         """Cancel a still-queued job; False if unknown or already popped."""
         with self._lock:
-            entry = self._by_id.get(job_id)
-            if entry is None or entry.cancelled:
+            entry = self._by_id.pop(job_id, None)
+            if entry is None:
                 return False
             entry.cancelled = True
             self.stats.cancelled += 1
@@ -140,9 +140,9 @@ class JobQueue:
                 clock = self._clock() if now is None else now
                 while self._heap:
                     entry = heapq.heappop(self._heap)
-                    self._by_id.pop(entry.spec.job_id, None)
                     if entry.cancelled:
                         continue
+                    del self._by_id[entry.spec.job_id]
                     spec = entry.spec
                     waited = clock - entry.submitted_at
                     if (

@@ -110,10 +110,11 @@ def request_key(device, request) -> Tuple:
 
 
 class QpuScheduler:
-    """Arbiter of the single simulated annealer.
+    """Arbiter of one simulated annealer.
 
     ``budget_us`` caps the *pool's* modelled device time (``None`` =
-    unlimited).  Thread-safe; one instance per service.
+    unlimited).  Thread-safe; the service keeps one instance per
+    hardware lattice.
     """
 
     def __init__(self, budget_us: Optional[float] = None):

@@ -11,14 +11,20 @@ import os
 import signal
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.benchgen.random_ksat import random_3sat
 from repro.sat import to_dimacs
+from repro.observability import Observability
 from repro.service import JobSpec, read_journal
-from repro.service.service import ServiceConfig, SolverService
+from repro.service.service import (
+    MAX_WORKER_RETRIES,
+    ServiceConfig,
+    SolverService,
+)
 
 from tests.chaos.conftest import det_view
 
@@ -59,12 +65,14 @@ def _kill_workers(pool, deadline_s=30.0):
 def test_killed_workers_are_respawned_and_jobs_retried(tmp_path):
     specs = _specs()
     journal = str(tmp_path / "journal.jsonl")
+    obs = Observability.profiling()
     service = SolverService(
         ServiceConfig(
             workers=2,
             pool_mode="process",
             journal_path=journal,
-        )
+        ),
+        observability=obs,
     )
     outcomes = []
     runner = threading.Thread(
@@ -83,15 +91,18 @@ def test_killed_workers_are_respawned_and_jobs_retried(tmp_path):
     assert all(o.state == "done" for o in outcomes), [
         (o.job_id, o.state, o.error) for o in outcomes
     ]
-    assert service._worker_retries, "the kill landed but nothing retried"
-    assert all(
-        count <= 2 for count in service._worker_retries.values()
-    )
-    # Each retry was journaled before resubmission.
+    # Each retry was journaled before resubmission.  The service drops
+    # its per-job retry counts once the batch is over, so the journal
+    # and the retry counter are the record.
     records, _, torn = read_journal(journal)
     assert torn == 0
-    retried = [r for r in records if r["k"] == "retry"]
-    assert len(retried) == sum(service._worker_retries.values())
+    retried = Counter(r["id"] for r in records if r["k"] == "retry")
+    assert retried, "the kill landed but nothing retried"
+    assert max(retried.values()) <= MAX_WORKER_RETRIES
+    assert sum(retried.values()) == (
+        obs.metrics.counter("hyqsat_service_worker_retries_total").value
+    )
+    assert not service._worker_retries
 
     # Retried jobs still produce the canonical deterministic results.
     reference = SolverService(ServiceConfig(workers=2)).run(specs)

@@ -39,3 +39,38 @@ def gateway_factory():
         loop.call_soon_threadsafe(loop.stop)
         thread.join(5)
         loop.close()
+
+
+class Hold:
+    """Holds the solves of chosen job ids in their worker until
+    :meth:`release` (one ``threading.Event`` gate for all of them)."""
+
+    def __init__(self):
+        self.ids = set()
+        #: Set once a held solve has reached its worker.
+        self.started = threading.Event()
+        self._gate = threading.Event()
+
+    def release(self) -> None:
+        self._gate.set()
+
+
+@pytest.fixture
+def hold(gateway_factory, monkeypatch):
+    """A :class:`Hold` over ``run_job``'s solver construction.  It
+    depends on ``gateway_factory`` so it is released before the
+    gateways drain at teardown."""
+    import repro.service.jobs as jobs
+
+    held = Hold()
+    build_solver = jobs.build_solver
+
+    def holding(spec, *args, **kwargs):
+        if spec.job_id in held.ids:
+            held.started.set()
+            held._gate.wait(60)
+        return build_solver(spec, *args, **kwargs)
+
+    monkeypatch.setattr(jobs, "build_solver", holding)
+    yield held
+    held.release()

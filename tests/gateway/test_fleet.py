@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
 from repro.benchgen.random_ksat import random_3sat
 from repro.gateway.fleet import FleetRouter, GatewayQpu, parse_fleet_spec
 from repro.sat.cnf import CNF, Clause, fingerprint
-from repro.service.scheduler import QpuScheduler
 
 
 class TestParseFleetSpec:
@@ -113,68 +109,11 @@ class TestRouting:
         assert route(router, formulas[-1]) == decisions[-1]
         assert router._probe_cache == probes  # no probe added
 
-    def test_probe_cache_is_shared_safely_by_threads(self, monkeypatch):
-        """The gateway routes on several executor threads: under a
-        short switch interval none fails, the memo keeps its bound and
-        every decision equals a lone router's."""
-        import repro.gateway.fleet as fleet
-
-        monkeypatch.setattr(fleet, "PROBE_CACHE_ENTRIES", 3)
-        formulas = [
-            random_3sat(6, 12, np.random.default_rng(seed)) for seed in range(12)
-        ]
-        alone = FleetRouter(parse_fleet_spec("chimera:4"))
-        expected = [route(alone, formula) for formula in formulas]
-        router = FleetRouter(parse_fleet_spec("chimera:4"))
-        errors, decisions = [], []
-
-        def work():
-            try:
-                for _ in range(10):
-                    decisions.append([route(router, f) for f in formulas])
-            except Exception as exc:  # reported by the assert below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert decisions == [expected] * 40
-        assert len(router._probe_cache) <= 3
-
     def test_probes_are_keyed_on_the_given_fingerprint(self):
         router = FleetRouter(parse_fleet_spec("chimera:4"))
         formula = random_3sat(6, 12, np.random.default_rng(1))
         router.route(formula, "fp-from-caller")
         assert list(router._probe_cache) == [("fp-from-caller", "chimera4")]
-
-    def test_each_device_owns_a_scheduler(self, router):
-        schedulers = {
-            id(router.scheduler_for(q.topology, q.grid)) for q in router.qpus
-        }
-        assert len(schedulers) == len(router.qpus)
-        assert all(
-            isinstance(router.scheduler_for(q.topology, q.grid), QpuScheduler)
-            for q in router.qpus
-        )
-
-    def test_scheduler_for_a_lattice(self):
-        router = FleetRouter(parse_fleet_spec("chimera:8,chimera:8,chimera:16"))
-        first, _, c16 = router.qpus
-        # Repeats share a lattice: the first one serves it, as routing
-        # picks the first of equal devices.
-        assert router.scheduler_for("chimera", 8) is router.schedulers[first.name]
-        # Unset topology/grid mean chimera / 16, as in ``hyqsat solve``.
-        assert router.scheduler_for(None, None) is router.schedulers[c16.name]
-        assert router.scheduler_for("pegasus", 8) is None
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,12 @@ dispatcher.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import sqlite3
+import sys
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -26,7 +30,7 @@ from repro.cdcl.native import native_available
 from repro.gateway import protocol
 from repro.gateway.client import GatewayClient, GatewayError, GatewayReject
 from repro.gateway.server import GatewayConfig, GatewayServer
-from repro.observability import Observability
+from repro.observability import EVENT_PARENTS, SPAN_CHILDREN, Observability
 from repro.service.jobs import JobSpec, run_job
 from repro.sat.dimacs import to_dimacs
 
@@ -209,7 +213,7 @@ class TestResultCache:
             "qa_calls", "qpu_time_us",
         ):
             assert second.get(field) == first.get(field), field
-        assert server.cache.stats.hits == 1
+        assert server.service.cache.stats.hits == 1
 
     def test_cache_hits_never_charge_the_ledger(
         self, gateway_factory, tmp_path
@@ -252,11 +256,11 @@ class TestResultCache:
         for field in ("status", "iterations", "conflicts", "qa_calls"):
             assert outcome.get(field) == getattr(solo, field), field
         assert outcome.get("model") == solo.model
-        assert server.cache.stats.errors == 2  # one lookup, one record
+        assert server.service.cache.stats.errors == 2  # one lookup, one record
 
 
 class TestReadOnce:
-    """The executor step that reads a job's instance is the only one:
+    """The coordinator's read of a job's instance is the only one:
     routing, the cache key, the cache and the solve share its formula
     and fingerprint."""
 
@@ -363,14 +367,14 @@ class StubConnection:
         self.sent = []
         self.closed = False
 
-    async def send(self, message):
+    def send(self, message):
         self.sent.append(message)
 
 
 class TestAdmissionMapping:
     """AdmissionError -> wire code mapping, raced against nothing:
-    the dispatcher is never started, so queue state is exactly what
-    the submits left behind."""
+    the server is never started, so no loop pops the service's queue
+    and its state is exactly what the submits left behind."""
 
     def make_server(self, **kwargs) -> GatewayServer:
         kwargs.setdefault("fleet", "chimera:8")
@@ -378,7 +382,7 @@ class TestAdmissionMapping:
 
     def submit(self, server, conn, job_id, **extra):
         payload = protocol.submit({"id": job_id, "dimacs": DIMACS, **extra})
-        asyncio.run(server._handle_submit(conn, payload))
+        server._handle_submit(conn, payload)
         return conn.sent[-1]
 
     def test_full_queue_maps_to_backpressure(self):
@@ -426,10 +430,10 @@ class TestAdmissionMapping:
     def test_malformed_job_rejects_without_crashing(self):
         server = self.make_server()
         conn = StubConnection()
-        asyncio.run(server._handle_submit(conn, {"type": "submit", "job": "nope"}))
+        server._handle_submit(conn, {"type": "submit", "job": "nope"})
         assert conn.sent[-1]["code"] == "bad_message"
-        asyncio.run(
-            server._handle_submit(conn, protocol.submit({"id": "x"}))
+        server._handle_submit(
+            conn, protocol.submit({"id": "x"})
         )  # neither file nor dimacs
         assert conn.sent[-1]["type"] == "reject"
 
@@ -437,8 +441,345 @@ class TestAdmissionMapping:
         server = self.make_server()
         conn = StubConnection()
         self.submit(server, conn, "doomed")
-        asyncio.run(server._handle_cancel(conn, protocol.cancel("doomed")))
+        server._handle_cancel(conn, protocol.cancel("doomed"))
         result = conn.sent[-1]
         assert result["type"] == "result"
         assert result["outcome"]["state"] == "cancelled"
         assert server.stats.jobs == {"cancelled": 1}
+
+
+def per_job_state(server) -> dict:
+    """Everything the service keeps per job, read on the gateway's loop
+    (so after the callback that streamed the last result has run)."""
+
+    async def read() -> dict:
+        service = server.service
+        return {
+            "live": set(service._live),
+            "queued": len(service.queue),
+            "inflight": dict(service._inflight),
+            "claims": dict(service._claims),
+            "followers": dict(service._followers),
+            "primaries": dict(service._primaries),
+            "worker_retries": dict(service._worker_retries),
+            "fair_share": {
+                lattice: dict(scheduler.stats.spent_by_job)
+                for lattice, scheduler in service.schedulers.items()
+            },
+        }
+
+    return asyncio.run_coroutine_threadsafe(read(), server._loop).result(10)
+
+
+class TestWireDedup:
+    def test_identical_submissions_in_flight_solve_once(
+        self, gateway_factory, hold, monkeypatch
+    ):
+        """N connections send the same spec while its first copy is
+        solving: one ``run_job`` runs, the rest follow it as
+        ``deduped``, only the primary is billed, and the idle service
+        keeps nothing per job."""
+        import repro.service.service as service_module
+
+        runs = []
+
+        def counting(spec, *args):
+            runs.append(spec.job_id)
+            return run_job(spec, *args)
+
+        monkeypatch.setattr(service_module, "run_job", counting)
+        obs = Observability.profiling()
+        server = gateway_factory(observability=obs)
+        ids = [f"n{i}" for i in range(4)]
+        hold.ids.update(ids)
+        clients = [GatewayClient(port=server.port) for _ in ids]
+        seen = {job_id: [] for job_id in ids}
+        try:
+            for client, job_id in zip(clients, ids):
+                client.submit({"id": job_id, "dimacs": DIMACS, "seed": 5})
+                assert hold.started.wait(30)
+            hold.release()
+            results = {}
+            for client, job_id in zip(clients, ids):
+                results.update(
+                    client.drain([job_id], on_message=seen[job_id].append)
+                )
+        finally:
+            for client in clients:
+                client.close()
+        assert runs == ["n0"]
+        primary = results["n0"]
+        assert primary["state"] == "done" and "dedup_of" not in primary
+        for job_id in ids[1:]:
+            twin = results[job_id]
+            assert twin["state"] == "deduped"
+            assert twin["dedup_of"] == "n0"
+            for field in (
+                "status", "model", "iterations", "conflicts",
+                "qa_calls", "qpu_time_us",
+            ):
+                assert twin.get(field) == primary.get(field), field
+            kinds = [
+                (m["event"], m.get("attrs", {}).get("state"))
+                for m in seen[job_id] if m["type"] == "event"
+            ]
+            assert kinds == [
+                ("routed", None), ("started", None), ("done", "deduped"),
+            ]
+        assert server.ledger.spent_us(None) == pytest.approx(
+            primary["qpu_time_us"]
+        )
+        assert server.stats.jobs == {"done": 1, "deduped": 3}
+        jobs_total = obs.metrics.counter("hyqsat_gateway_jobs_total")
+        assert jobs_total.labels(state="deduped").value == 3
+        assert server.service.schedulers  # the primary's lattice arbiter
+        state = per_job_state(server)
+        assert not any(state.pop("fair_share").values())
+        assert not any(state.values()), state
+
+    def test_a_repeat_after_the_answer_is_a_cache_hit(
+        self, gateway_factory, tmp_path
+    ):
+        """The service is idle between the two submissions, so the done
+        primary is gone and the cache answers the repeat."""
+        server = gateway_factory(cache_db=str(tmp_path / "gw.sqlite"))
+        with GatewayClient(port=server.port) as client:
+            client.submit({"id": "first", "dimacs": DIMACS, "seed": 5})
+            client.drain(["first"])
+            client.submit({"id": "again", "dimacs": DIMACS, "seed": 5})
+            again = client.drain(["again"])["again"]
+        assert again["state"] == "done" and again["cached"] is True
+        assert "dedup_of" not in again
+
+
+class TestLiveIds:
+    def test_a_running_id_is_refused(self, gateway_factory, hold):
+        server = gateway_factory(workers=1)
+        hold.ids.add("x")
+        with GatewayClient(port=server.port) as first, GatewayClient(
+            port=server.port
+        ) as second:
+            first.submit({"id": "x", "dimacs": DIMACS, "seed": 5})
+            assert hold.started.wait(30)
+            with pytest.raises(GatewayReject) as exc:
+                second.submit({"id": "x", "dimacs": DIMACS, "seed": 6})
+            assert exc.value.code == "duplicate_id"
+            hold.release()
+            assert first.drain(["x"])["x"]["seed"] == 5
+        assert server.stats.jobs == {"done": 1}
+
+
+class TestWaitingJob:
+    """A job queued behind a busy worker stays in the queue: counted,
+    cancellable and expirable."""
+
+    def test_it_is_counted_and_cancellable(self, gateway_factory, hold):
+        server = gateway_factory(workers=1)
+        hold.ids.add("busy")
+        with GatewayClient(port=server.port) as client:
+            client.submit({"id": "busy", "dimacs": DIMACS, "seed": 5})
+            assert hold.started.wait(30)
+            client.submit({"id": "waiting", "dimacs": DIMACS, "seed": 6})
+            client.ping()  # the loop has run the pump the submit queued
+            cancelled = client.cancel("waiting")
+            assert cancelled["outcome"]["state"] == "cancelled"
+            client.submit({"id": "counted", "dimacs": DIMACS, "seed": 7})
+            client.ping()
+            assert len(server.service.queue) == 1
+            hold.release()
+            results = client.drain(["busy", "counted"])
+        assert {r["state"] for r in results.values()} == {"done"}
+        assert server.stats.jobs == {"done": 2, "cancelled": 1}
+
+    def test_it_expires_once_its_deadline_passes(self, gateway_factory, hold):
+        server = gateway_factory(workers=1)
+        hold.ids.add("busy")
+        with GatewayClient(port=server.port) as client:
+            client.submit({"id": "busy", "dimacs": DIMACS, "seed": 5})
+            assert hold.started.wait(30)
+            client.submit(
+                {"id": "late", "dimacs": DIMACS, "seed": 6, "deadline_s": 0.2}
+            )
+            time.sleep(0.4)
+            hold.release()
+            results = client.drain(["busy", "late"])
+        assert results["busy"]["state"] == "done"
+        assert results["late"]["state"] == "expired"
+        assert server.stats.jobs == {"done": 1, "expired": 1}
+
+
+class TestCancelOwnership:
+    def test_only_the_submitting_connection_may_cancel(
+        self, gateway_factory, hold
+    ):
+        server = gateway_factory(workers=1, api_keys=("team-a", "team-b"))
+        hold.ids.add("busy")
+        with GatewayClient(port=server.port, api_key="team-a") as owner, (
+            GatewayClient(port=server.port, api_key="team-b", timeout_s=10)
+        ) as other:
+            owner.submit({"id": "busy", "dimacs": DIMACS, "seed": 5})
+            assert hold.started.wait(30)
+            for job_id, seed in (("w1", 6), ("w2", 7)):
+                owner.submit({"id": job_id, "dimacs": DIMACS, "seed": seed})
+            with pytest.raises(GatewayReject) as exc:
+                other.cancel("w2")
+            assert exc.value.code == "unknown_job"
+            assert owner.cancel("w2")["outcome"]["state"] == "cancelled"
+            hold.release()
+            results = owner.drain(["busy", "w1"])
+        assert {r["state"] for r in results.values()} == {"done"}
+        assert server.stats.jobs == {"done": 2, "cancelled": 1}
+
+
+class TestServiceTelemetry:
+    def test_gateway_trace_follows_the_schema(self, gateway_factory, hold):
+        """The service's records in a gateway trace hang off the
+        connection's ``gateway.session`` span (docs/TELEMETRY.md)."""
+        obs = Observability.tracing(metrics=True)
+        server = gateway_factory(observability=obs)
+        hold.ids.update({"a", "b"})
+        with GatewayClient(port=server.port) as client:
+            client.submit({"id": "a", "dimacs": DIMACS, "seed": 5})
+            assert hold.started.wait(30)
+            client.submit({"id": "b", "dimacs": DIMACS, "seed": 5})
+            hold.release()
+            client.drain(["a", "b"])
+        records = obs.tracer.records
+        spans = {r["id"]: r for r in records if r["type"] == "span"}
+        names = lambda span_id: spans[span_id]["name"] if span_id else None
+        for span in spans.values():
+            assert span["name"] in SPAN_CHILDREN[names(span["parent"])], span
+        events = [r for r in records if r["type"] == "event"]
+        for event in events:
+            assert names(event["span"]) in EVENT_PARENTS[event["name"]], event
+        jobs = [s for s in spans.values() if s["name"] == "service.job"]
+        assert sorted(s["attrs"]["state"] for s in jobs) == ["deduped", "done"]
+        assert {names(s["parent"]) for s in jobs} == {"gateway.session"}
+        assert [e["attrs"]["primary"] for e in events
+                if e["name"] == "service.dedup"] == ["a"]
+
+
+class TestConnectCli:
+    def test_a_deduped_answer_counts_as_answered(
+        self, gateway_factory, hold, tmp_path
+    ):
+        from repro.cli import main
+
+        server = gateway_factory()
+        cnf = tmp_path / "twin.cnf"
+        cnf.write_text(DIMACS)
+        out = tmp_path / "twin.jsonl"
+        hold.ids.add("primary")
+        codes = []
+        with GatewayClient(port=server.port) as client:
+            client.submit({"id": "primary", "dimacs": DIMACS, "seed": 5})
+            assert hold.started.wait(30)
+            connect = threading.Thread(
+                target=lambda: codes.append(
+                    main([
+                        "connect", str(cnf), "--port", str(server.port),
+                        "--seed", "5", "-o", str(out),
+                    ])
+                )
+            )
+            connect.start()
+            deadline = time.monotonic() + 30
+            while not server.service._followers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            hold.release()
+            connect.join(60)
+            client.drain(["primary"])
+        (line,) = [json.loads(text) for text in out.read_text().splitlines()]
+        assert line["state"] == "deduped" and line["dedup_of"] == "primary"
+        assert codes == [0]
+
+
+class TestConcurrency:
+    def test_many_connections_and_workers_under_thread_switching(
+        self, gateway_factory
+    ):
+        """Eight connections and four workers (more than the host's
+        cores) under a short switch interval: every job is answered
+        exactly once, copies of one spec answer alike, every answer
+        equals its solo replay, and the idle service keeps nothing."""
+        server = gateway_factory(workers=4)
+        texts = [
+            to_dimacs(random_3sat(8, 24, np.random.default_rng(seed)))
+            for seed in range(3)
+        ]
+        results, placements, errors = {}, {}, []
+
+        def client_run(client_index: int) -> None:
+            jobs = [
+                {"id": f"c{client_index}-{k}", "dimacs": texts[k], "seed": k}
+                for k in range(3)
+            ]
+            try:
+                with GatewayClient(port=server.port) as client:
+                    for job in jobs:
+                        client.submit(job)
+
+                    def watch(message):
+                        if message.get("event") == "routed":
+                            placements[message["id"]] = message["attrs"]
+
+                    results.update(
+                        client.drain([j["id"] for j in jobs], on_message=watch)
+                    )
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=client_run, args=(index,))
+            for index in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 24
+        assert sum(server.stats.jobs.values()) == 24
+        for k in range(3):
+            copies = [results[f"c{c}-{k}"] for c in range(8)]
+            assert {o["state"] for o in copies} <= {"done", "deduped"}
+            placed = placements[f"c0-{k}"]
+            solo = run_job(
+                JobSpec(
+                    job_id="solo", dimacs=texts[k], seed=k,
+                    topology=placed["topology"], grid=placed["grid"],
+                )
+            )
+            for outcome in copies:
+                for field in ("status", "iterations", "conflicts", "qa_calls"):
+                    assert outcome.get(field) == getattr(solo, field), field
+                assert outcome.get("model") == solo.model
+        state = per_job_state(server)
+        assert not any(state.pop("fair_share").values())
+        assert not any(state.values()), state
+
+
+class TestBilling:
+    def test_a_disconnected_tenant_is_billed_for_its_job(
+        self, gateway_factory, hold
+    ):
+        """A job outlives the connection that submitted it; its modelled
+        QPU time still goes to that tenant, not to the anonymous one."""
+        server = gateway_factory(api_keys=("team-a",))
+        hold.ids.add("gone")
+        with GatewayClient(port=server.port, api_key="team-a") as client:
+            client.submit({"id": "gone", "dimacs": DIMACS, "seed": 5})
+            assert hold.started.wait(30)
+        hold.release()
+        deadline = time.monotonic() + 60
+        while not server.stats.jobs and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.stats.jobs == {"done": 1}
+        assert server.ledger.spent_us("team-a") > 0
+        assert server.ledger.spent_us(None) == 0

@@ -3,16 +3,20 @@ shared budget, lifecycle states, and service observability."""
 
 from __future__ import annotations
 
+import queue as queue_module
+
 import numpy as np
 import pytest
 
 import repro.service.service as service_module
 from repro.observability import Observability, read_trace
 from repro.service import (
+    AdmissionError,
     JobOutcome,
     JobSpec,
     SolverService,
     ServiceConfig,
+    read_journal,
     run_batch,
     run_job,
 )
@@ -342,3 +346,137 @@ class TestServiceObservability:
             metrics.counter("hyqsat_service_dedup_hits_total").value == 1
         )
         assert metrics.counter("hyqsat_service_qpu_grants_total").value > 0
+
+
+def drive(service, finished) -> None:
+    """Run the coordinator to idle by hand, as a front end does:
+    ``finished`` is the queue its ``wake`` posts job ids to."""
+    service.pump()
+    while service._inflight:
+        service.complete(finished.get(timeout=60))
+        service.pump()
+
+
+class TestCoordinator:
+    """The long-lived coordinator behind ``run`` and the gateway."""
+
+    def open(self, **config):
+        finished = queue_module.Queue()
+        outcomes = []
+        service = SolverService(
+            ServiceConfig(**config), on_outcome=outcomes.append
+        )
+        service.wake = finished.put
+        return service, finished, outcomes
+
+    def test_a_done_primary_answers_duplicates_until_idle(self):
+        service, finished, outcomes = self.open(workers=1, pool_mode="thread")
+        try:
+            for job_id in ("a", "b"):
+                service.submit(JobSpec(job_id=job_id, dimacs=DIMACS, seed=1))
+            drive(service, finished)
+            assert service.idle
+            assert service._primaries == {}
+            # After the idle point the repeat solves again.
+            service.submit(JobSpec(job_id="c", dimacs=DIMACS, seed=1))
+            drive(service, finished)
+        finally:
+            service.close()
+        by_id = {o.job_id: o for o in outcomes}
+        assert by_id["a"].state == "done"
+        assert by_id["b"].state == "deduped" and by_id["b"].dedup_of == "a"
+        assert by_id["c"].state == "done" and by_id["c"].dedup_of is None
+        assert solver_view(by_id["c"]) == solver_view(by_id["a"])
+        assert service.stats.dedup_hits == 1
+
+    def test_idle_service_keeps_nothing_per_job(self, instance_texts):
+        service, finished, _ = self.open(workers=2, pool_mode="thread")
+        try:
+            for index in range(3):
+                service.submit(
+                    JobSpec(
+                        job_id=f"j{index}", dimacs=instance_texts[0], seed=3
+                    )
+                )
+            service.pump()
+            assert service._followers and service._claims
+            drive(service, finished)
+            (scheduler,) = service.schedulers.values()
+            assert scheduler.stats.grants > 0
+            assert scheduler.stats.spent_by_job == {}
+            for entries in (
+                service._live, service._inflight, service._claims,
+                service._followers, service._primaries,
+                service._worker_retries,
+            ):
+                assert not entries
+        finally:
+            service.close()
+
+    def test_a_queued_or_running_id_is_refused(self):
+        service, finished, _ = self.open(workers=1, pool_mode="thread")
+        try:
+            service.submit(JobSpec(job_id="x", dimacs=DIMACS, seed=1))
+            service.submit(JobSpec(job_id="y", dimacs=DIMACS, seed=2))
+            service.pump()
+            assert "x" in service._inflight and len(service.queue) == 1
+            for job_id in ("x", "y"):  # running, queued
+                with pytest.raises(AdmissionError, match="duplicate"):
+                    service.submit(JobSpec(job_id=job_id, dimacs=DIMACS))
+            drive(service, finished)
+            # Finalised ids are free again.
+            service.submit(JobSpec(job_id="x", dimacs=DIMACS, seed=3))
+            drive(service, finished)
+        finally:
+            service.close()
+
+    def test_one_arbiter_and_one_budget_per_lattice(self, instance_texts):
+        """A job file that mixes lattices gets a scheduler, and so a
+        QPU budget, per lattice: a budget one job's calls fit in
+        leaves every job of a three-lattice batch undegraded."""
+        pins = (("chimera", 8), ("pegasus", 8), (None, None))
+        specs = [
+            JobSpec(
+                job_id=f"j{index}", dimacs=instance_texts[index], seed=index,
+                topology=topology, grid=grid,
+            )
+            for index, (topology, grid) in enumerate(pins)
+        ]
+        lattices = (("chimera", 8), ("pegasus", 8), ("chimera", 16))
+        solo = {spec.job_id: run_job(spec) for spec in specs}
+        budget = max(o.qpu_time_us for o in solo.values()) + 1.0
+        service = SolverService(
+            ServiceConfig(workers=3, qpu_budget_us=budget)
+        )
+        outcomes = service.run(specs)
+        assert set(service.schedulers) == set(lattices)
+        for spec, lattice, outcome in zip(specs, lattices, outcomes):
+            assert solver_view(outcome) == solver_view(solo[spec.job_id])
+            grants = service.schedulers[lattice].stats.grants
+            assert grants == outcome.qa_calls > 0
+        assert service.stats.qpu_grants == sum(o.qa_calls for o in outcomes)
+
+    def test_unreadable_jobs_are_never_dispatched(self, monkeypatch, tmp_path):
+        """One read per popped job, classic jobs included: an
+        unreadable instance fails on the coordinator with the reader's
+        error and never reaches a worker or the journal's ``start``."""
+        dispatched = []
+
+        def recording(spec, *args):
+            dispatched.append(spec.job_id)
+            return run_job(spec, *args)
+
+        monkeypatch.setattr(service_module, "run_job", recording)
+        bad = "p cnf 2 1\n1 x 0\n"
+        specs = [
+            JobSpec(job_id="bad", dimacs=bad),
+            JobSpec(job_id="bad-classic", dimacs=bad, classic=True),
+            JobSpec(job_id="good", dimacs=DIMACS),
+        ]
+        journal = str(tmp_path / "journal.jsonl")
+        outcomes, stats = run_batch(specs, workers=1, journal_path=journal)
+        assert [o.state for o in outcomes] == ["failed", "failed", "done"]
+        assert all(o.error.startswith("DimacsError: ") for o in outcomes[:2])
+        assert dispatched == ["good"]
+        records, _, _ = read_journal(journal)
+        assert [r["id"] for r in records if r["k"] == "start"] == ["good"]
