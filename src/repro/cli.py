@@ -417,18 +417,8 @@ def _run_service(args: argparse.Namespace, specs) -> int:
     :class:`~repro.service.SolverService`, streaming result JSONL."""
     from repro.service import ServiceConfig, SolverService
 
-    observability = _service_observability(args)
-    out = sys.stdout if args.output in (None, "-") else open(
-        args.output, "w", encoding="utf-8"
-    )
-    owns_out = out is not sys.stdout
-
-    def emit(outcome) -> None:
-        out.write(outcome.to_json() + "\n")
-        out.flush()
-
-    service = SolverService(
-        ServiceConfig(
+    try:
+        config = ServiceConfig(
             workers=max(1, args.jobs),
             pool_mode=args.pool,
             max_depth=args.max_depth,
@@ -439,9 +429,20 @@ def _run_service(args: argparse.Namespace, specs) -> int:
             cache_path=None if args.no_cache else args.cache_db,
             cache_cap=args.cache_cap,
             cache_ttl_s=args.cache_ttl_s,
-        ),
-        observability=observability,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error))
+    observability = _service_observability(args)
+    out = sys.stdout if args.output in (None, "-") else open(
+        args.output, "w", encoding="utf-8"
     )
+    owns_out = out is not sys.stdout
+
+    def emit(outcome) -> None:
+        out.write(outcome.to_json() + "\n")
+        out.flush()
+
+    service = SolverService(config, observability=observability)
     interrupted = False
     outcomes = []
     try:
@@ -464,7 +465,6 @@ def _run_service(args: argparse.Namespace, specs) -> int:
         )
         print(
             f"c qpu_grants={stats.qpu_grants} "
-            f"qpu_coalesced={stats.qpu_coalesced} "
             f"qpu_busy_us={stats.qpu_busy_us:.1f} "
             f"wall_seconds={stats.wall_seconds:.3f}",
             file=summary,
@@ -980,8 +980,8 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         "--qpu-budget-us",
         type=float,
         default=None,
-        help="modelled-microsecond budget across every job's QA calls "
-        "on one hardware lattice",
+        help="positive modelled-microsecond budget across every job's QA "
+        "calls on one hardware lattice (thread and inline pools only)",
     )
     parser.add_argument(
         "--journal",

@@ -64,12 +64,18 @@ class GatewayClient:
         #: Out-of-band event/result messages that arrived while a
         #: command was waiting for its reply; replayed by drain().
         self._buffer: List[Dict[str, Any]] = []
-        self._send(protocol.hello(api_key))
-        first = self._read()
-        if first.get("type") == "error":
-            raise GatewayError(first.get("code", "bad_message"), first.get("reason", ""))
-        if first.get("type") != "welcome":
-            raise GatewayError("bad_message", f"expected welcome, got {first}")
+        try:
+            self._send(protocol.hello(api_key))
+            first = self._read()
+            if first.get("type") == "error":
+                raise GatewayError(
+                    first.get("code", "bad_message"), first.get("reason", "")
+                )
+            if first.get("type") != "welcome":
+                raise GatewayError("bad_message", f"expected welcome, got {first}")
+        except BaseException:
+            self._disconnect()
+            raise
         self.welcome = first
 
     def __enter__(self) -> "GatewayClient":
@@ -187,9 +193,14 @@ class GatewayClient:
         except (GatewayError, protocol.ProtocolError, OSError):
             pass
         finally:
-            try:
-                self._file.close()
-                self._sock.close()
-            except OSError:
-                pass
+            self._disconnect()
         return goodbye
+
+    def _disconnect(self) -> None:
+        """Close the stream, then the socket (even if the stream's
+        final flush fails)."""
+        try:
+            self._file.close()
+        except OSError:
+            pass
+        self._sock.close()

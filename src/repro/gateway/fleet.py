@@ -8,14 +8,15 @@ router only places jobs; the solver service arbitrates each lattice's
 anneal requests with its own
 :class:`~repro.service.scheduler.QpuScheduler`.
 
-Routing is topology-aware, following the paper's own embedding
-model: the HyQSAT line embedder (Section IV-B) decides how many of a
-formula's clauses fit a given lattice, so the router runs exactly
-that embedder against each device, cheapest-first, and places the job
-on the **smallest device whose embedding fully fits** (Bian et al.
-2018's sizing rule).  When nothing fully fits, the job falls back to
-the device embedding the most clauses — the frontend batches the rest
-across QA calls, as it does on any undersized lattice.
+Routing follows the paper's own embedding model: the HyQSAT line
+embedder (Section IV-B) gives every formula variable its own vertical
+line of qubits, so one QA call on a lattice with L vertical lines
+places at most L variables.  The router places a job on the
+**smallest device whose vertical lines cover the formula's
+variables** (Bian et al. 2018's sizing rule).  When no device has
+that many lines, the job falls back to the device with the most — the
+frontend batches the clauses across QA calls, as it does on any
+undersized lattice.
 
 A placement pins ``topology``/``grid`` on the job's
 :class:`~repro.service.JobSpec`, which is what makes a gateway solve
@@ -25,12 +26,7 @@ replayable bit-identically as ``hyqsat solve --topology T --grid N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-#: Probe results a router keeps, one per (fingerprint, device); past
-#: it the oldest is evicted.  Far above a workload's working set: a
-#: 30 s ``gateway-zipf`` run routes 41 distinct instances on 3 devices.
-PROBE_CACHE_ENTRIES = 4096
+from typing import Dict, List
 
 #: Fleet-spec grammar: comma-separated ``topology:grid`` atoms, e.g.
 #: ``chimera:8,chimera:16,pegasus:8``.
@@ -96,74 +92,41 @@ def parse_fleet_spec(spec: str) -> List[GatewayQpu]:
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    """Where one formula landed and how well it embedded there."""
+    """Where one formula landed."""
 
     qpu: GatewayQpu
-    #: Clauses the HyQSAT embedder placed on this lattice in one pass.
-    embedded_clauses: int
-    total_clauses: int
-    #: True when every clause fit (the smallest-fit rule applied);
-    #: False means best-partial fallback.
+    #: True when the device's vertical lines cover every variable (the
+    #: smallest-fit rule applied); False means the most-lines fallback.
     fits: bool
 
 
 class FleetRouter:
-    """Places jobs on the smallest fleet device they embed into.
-
-    Capacity probes run the real HyQSAT line embedder per (formula,
-    device) and are memoised by the fingerprint the caller passes, so
-    a stream of identical instances costs one probe per device; the
-    memo keeps the newest :data:`PROBE_CACHE_ENTRIES` probes.  Used
-    from one thread (the service's coordinator).
-    """
+    """Places jobs on the smallest fleet device whose vertical lines
+    cover their variables."""
 
     def __init__(self, qpus: List[GatewayQpu]):
-        if not qpus:
-            raise ValueError("fleet must have at least one QPU")
-        self.qpus = list(qpus)
-        # Probe order: smallest lattice first; denser topology wins
-        # ties (same capacity for the line embedder, shorter chains).
-        self._probe_order = sorted(
-            self.qpus,
-            key=lambda q: (q.num_qubits, 0 if q.topology == "pegasus" else 1),
-        )
-        self._probe_cache: Dict[Tuple[str, str], Tuple[int, int]] = {}
-
-    def _probe(self, formula, fp: str, qpu: GatewayQpu) -> Tuple[int, int]:
-        """(embedded, total) clauses of one formula on one device."""
-        key = (fp, qpu.name)
-        cached = self._probe_cache.get(key)
-        if cached is not None:
-            return cached
-        from repro.embedding import HyQSatEmbedder
-        from repro.qubo import encode_formula
-        from repro.sat.cnf import ClauseTable
         from repro.topology import build_hardware
 
-        # Both CDCL engines drop tautologies, so the frontend never
-        # deploys one: probe only the clauses it can.
-        table = formula.table
-        encoding = encode_formula(
-            ClauseTable(table.lits[~table.tautological()]), formula.num_vars
+        if not qpus:
+            raise ValueError("fleet must have at least one QPU")
+        # Smallest lattice first; the denser topology wins ties (same
+        # line count, shorter chains), then fleet order.
+        order = sorted(
+            qpus,
+            key=lambda q: (q.num_qubits, 0 if q.topology == "pegasus" else 1),
         )
-        hardware = build_hardware(qpu.topology, qpu.grid)
-        embedded = HyQSatEmbedder(hardware).embed(encoding)
-        placed = (embedded.num_embedded, len(encoding.clauses))
-        self._probe_cache[key] = placed
-        while len(self._probe_cache) > PROBE_CACHE_ENTRIES:
-            del self._probe_cache[next(iter(self._probe_cache))]
-        return placed
+        self._lines = [
+            (build_hardware(q.topology, q.grid).num_vertical_lines, q)
+            for q in order
+        ]
+        # max() keeps the first of equal maxima: ties stay in order.
+        self._fallback = max(self._lines, key=lambda entry: entry[0])[1]
 
-    def route(self, formula, fp: str) -> RoutingDecision:
-        """Pick the device for ``formula``, whose fingerprint is
-        ``fp``: the smallest full fit, else the best partial."""
-        best: Optional[RoutingDecision] = None
-        for qpu in self._probe_order:
-            embedded, total = self._probe(formula, fp, qpu)
-            if embedded >= total:
-                best = RoutingDecision(qpu, embedded, total, fits=True)
-                break
-            if best is None or embedded > best.embedded_clauses:
-                best = RoutingDecision(qpu, embedded, total, fits=False)
-        assert best is not None  # fleet is non-empty
-        return best
+    def route(self, formula) -> RoutingDecision:
+        """Pick the device for ``formula``: the first in size order
+        with a vertical line per variable, else the one with the most
+        lines."""
+        for lines, qpu in self._lines:
+            if lines >= formula.num_vars:
+                return RoutingDecision(qpu, fits=True)
+        return RoutingDecision(self._fallback, fits=False)

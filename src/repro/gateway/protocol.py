@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional, Tuple
 
 #: Protocol identifier a ``hello`` must present, bumped on any
 #: incompatible wire change.
-PROTOCOL_VERSION = "hyqsat-gateway/1"
+PROTOCOL_VERSION = "hyqsat-gateway/2"
 
 #: Message types a client may send.
 CLIENT_MESSAGE_TYPES: Tuple[str, ...] = (

@@ -14,8 +14,10 @@ device's lattice, so per seed a gateway solve is bit-identical to
 
 Observability follows the service's single-threaded rule: spans,
 events, and metrics are emitted only from the event loop thread
-(worker threads never touch the bundle), under the ``gateway.session``
-root span documented in docs/TELEMETRY.md.
+(worker threads never touch the bundle).  Each connection's handler
+is its own asyncio task, so its ``gateway.session`` span is a root of
+its own however connections overlap, and each coordinator step runs
+in the context of the connection it serves (docs/TELEMETRY.md).
 
 Backpressure and fairness are admission-time: the tenant ledger
 answers ``rate_limited``/``quota_exhausted`` and a full queue answers
@@ -29,6 +31,7 @@ results, then close.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
@@ -106,6 +109,9 @@ class _Connection:
         self.tenant: Optional[str] = None
         self.job_ids: Set[str] = set()
         self.closed = False
+        #: The handler's context, taken with its ``gateway.session``
+        #: span open: coordinator steps for this connection run in it.
+        self.context = contextvars.copy_context()
 
     def send(self, message: Dict[str, Any]) -> None:
         """Write one message; messages leave in call order."""
@@ -222,8 +228,17 @@ class GatewayServer:
     def _complete(self, job_id: str) -> None:
         """A worker finished ``job_id`` (runs on the loop)."""
         if self._loop is not None:
-            self.service.complete(job_id)
-            self.service.pump()
+            conn = self._owners.get(job_id)
+            self._in_session(conn, self.service.complete, job_id)
+            self._in_session(conn, self.service.pump)
+
+    @staticmethod
+    def _in_session(conn: Optional[_Connection], step, *args) -> None:
+        """Run a coordinator step with its trace records under
+        ``conn``'s ``gateway.session`` span, or at the trace root once
+        that connection has closed."""
+        live = conn is not None and not conn.closed
+        (conn.context if live else contextvars.Context()).run(step, *args)
 
     # ------------------------------------------------------------------
     # Observability helpers (event loop thread only)
@@ -265,9 +280,9 @@ class GatewayServer:
     ) -> None:
         peername = writer.get_extra_info("peername")
         peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        conn = _Connection(writer, peer)
         tracer = self.observability.tracer
         span = tracer.start_span("gateway.session", peer=peer)
+        conn = _Connection(writer, peer)
         self.stats.connections += 1
         self.stats.active_connections += 1
         counter = self._metric("hyqsat_gateway_connections_total")
@@ -477,7 +492,7 @@ class GatewayServer:
             conn, protocol.ack(spec.job_id, queue_depth=len(self.service.queue))
         )
         if self._loop is not None:
-            self._loop.call_soon(self.service.pump)
+            self._loop.call_soon(self._in_session, conn, self.service.pump)
 
     def _handle_cancel(self, conn: _Connection, payload: Dict[str, Any]) -> None:
         job_id = payload.get("id")
@@ -521,8 +536,6 @@ class GatewayServer:
                         device=decision.qpu.name,
                         topology=decision.qpu.topology,
                         grid=decision.qpu.grid,
-                        embedded_clauses=decision.embedded_clauses,
-                        total_clauses=decision.total_clauses,
                         fits=decision.fits,
                     ),
                 )

@@ -36,15 +36,15 @@ from repro.observability.metrics import (
 #: Legal span nesting of one hybrid solve.  Key = parent span name
 #: (None = trace root), value = allowed child span names.
 SPAN_CHILDREN: Dict[Optional[str], FrozenSet[str]] = {
-    # A gateway job that finalises once every connection has closed
-    # emits its ``service.job`` span with no parent.
+    # A gateway job finalised in a coordinator step whose connection
+    # has closed emits its ``service.job`` span with no parent.
     None: frozenset({"solve", "service.batch", "gateway.session", "service.job"}),
-    # One gateway connection, hello to disconnect.  Like
-    # ``service.job`` spans it is emitted from a single thread (the
-    # gateway's event loop).  The service coordinator the gateway
-    # drives attaches its records to the innermost open span, so a
-    # session carries ``service.job`` spans and ``service.*`` events of
-    # whichever jobs finalise while it is open.
+    # One gateway connection, hello to disconnect, always a root: each
+    # connection's handler nests its spans in its own context.  The
+    # gateway runs each coordinator step in the context of the
+    # connection it serves (the submitter, or the owner of the job a
+    # worker finished), so a session carries the ``service.job`` spans
+    # and ``service.*`` events of the steps run for it while it is open.
     "gateway.session": frozenset({"service.job"}),
     # One service run (a batch or a serve session).  ``service.job``
     # spans are emitted retrospectively by the service coordinator as
@@ -76,11 +76,12 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
 # ---------------------------------------------------------------------------
 
 #: Where the service coordinator's events attach: its batch span under
-#: ``hyqsat batch``/``serve``, a connection's span under the gateway.
-_SERVICE_EVENT_PARENTS = frozenset({"service.batch", "gateway.session"})
+#: ``hyqsat batch``/``serve``; under the gateway, the session of the
+#: connection the step serves, or the root once that one has closed.
+_SERVICE_EVENT_PARENTS = frozenset({"service.batch", "gateway.session", None})
 
-#: Which span each event may be attached to.
-EVENT_PARENTS: Dict[str, FrozenSet[str]] = {
+#: Which span each event may be attached to (None = the trace root).
+EVENT_PARENTS: Dict[str, FrozenSet[Optional[str]]] = {
     "cdcl.propagate": frozenset({"iteration"}),
     "cdcl.conflict": frozenset({"iteration"}),
     "cdcl.restart": frozenset({"iteration"}),
@@ -272,11 +273,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "hyqsat_service_qpu_grants_total", "counter", (), "grants",
-        "Exclusive QPU windows granted (a coalesced group counts once)",
-    ),
-    MetricSpec(
-        "hyqsat_service_qpu_coalesced_total", "counter", (), "requests",
-        "Anneal requests served by joining an identical request's window",
+        "Exclusive QPU windows granted, one anneal request each",
     ),
     MetricSpec(
         "hyqsat_service_qpu_busy_us", "gauge", (), "microseconds",
@@ -392,7 +389,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "hyqsat_fleet_routing_fallbacks_total", "counter", (), "jobs",
-        "Jobs that fit no device fully and took the best partial embedding",
+        "Jobs with more variables than any device has vertical lines",
     ),
 )
 

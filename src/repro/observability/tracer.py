@@ -14,11 +14,14 @@ enclosing span) — with two clocks per record:
 
 Spans nest through an explicit stack: ``start_span`` parents the new
 span under the innermost open span, so call sites never pass parent
-ids around.  Records are handed to a *sink* — an in-memory list
-(:class:`ListSink`) or a JSONL file (:class:`JsonlSink`) — when the
-span **ends** (children therefore appear before their parents in the
-stream, as in most trace formats; :mod:`repro.analysis.trace_report`
-rebuilds the tree from ids).
+ids around.  The stack lives in a context variable, so each thread and
+each asyncio task nests its own spans: the gateway's overlapping
+connections each keep a root ``gateway.session`` span of their own.
+Records are handed to a *sink* — an in-memory list (:class:`ListSink`)
+or a JSONL file (:class:`JsonlSink`) — when the span **ends**
+(children therefore appear before their parents in the stream, as in
+most trace formats; :mod:`repro.analysis.trace_report` rebuilds the
+tree from ids).
 
 The complete record schema — every span name, event name, attribute,
 and unit — is documented in ``docs/TELEMETRY.md`` and mirrored in
@@ -34,9 +37,10 @@ overhead (acceptance: <= 2% on the hybrid solve hot path).
 
 from __future__ import annotations
 
+import contextvars
 import json
 import time
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional
+from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple
 
 #: Trace format identifier written in the leading meta record; bump on
 #: any breaking change to the record schema.
@@ -232,7 +236,10 @@ class Tracer:
         self._qpu_clock: Callable[[], float] = qpu_clock or (lambda: 0.0)
         self._t0 = time.perf_counter()
         self._next_id = 1
-        self._stack: List[Span] = []
+        #: The current context's open spans, innermost last.
+        self._stack: "contextvars.ContextVar[Tuple[Span, ...]]" = (
+            contextvars.ContextVar("hyqsat_open_spans", default=())
+        )
         self._closed = False
         self.sink.write(
             {
@@ -259,7 +266,8 @@ class Tracer:
     @property
     def current_span_id(self) -> Optional[int]:
         """Id of the innermost open span (None at the root)."""
-        return self._stack[-1].span_id if self._stack else None
+        stack = self._stack.get()
+        return stack[-1].span_id if stack else None
 
     def start_span(self, name: str, **attrs: Any) -> Span:
         """Open a span under the innermost open span."""
@@ -273,7 +281,7 @@ class Tracer:
             attrs=dict(attrs),
         )
         self._next_id += 1
-        self._stack.append(span)
+        self._stack.set(self._stack.get() + (span,))
         return span
 
     #: ``with tracer.span("name"): ...`` — Span is its own context
@@ -281,12 +289,14 @@ class Tracer:
     span = start_span
 
     def _end_span(self, span: Span) -> None:
-        # Tolerate out-of-order ends (e.g. an exception skipped a
-        # child's end): close every span opened after this one first.
-        while self._stack and self._stack[-1] is not span:
-            self._stack.pop().end()
-        if self._stack:
-            self._stack.pop()
+        stack = self._stack.get()
+        if span in stack:
+            # Tolerate out-of-order ends (e.g. an exception skipped a
+            # child's end): close every span opened after this one first.
+            index = stack.index(span)
+            self._stack.set(stack[:index])
+            for child in reversed(stack[index + 1 :]):
+                child.end()
         self.sink.write(
             {
                 "type": "span",
@@ -327,8 +337,9 @@ class Tracer:
         """End dangling spans and flush/close the sink."""
         if self._closed:
             return
-        while self._stack:
-            self._stack[-1].end()
+        stack = self._stack.get()
+        if stack:
+            stack[0].end()
         self._closed = True
         self.sink.close()
 

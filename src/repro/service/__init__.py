@@ -6,8 +6,8 @@ deadlines and admission control feeds a
 :class:`~repro.service.pool.WorkerPool`; every worker's anneal
 requests are multiplexed across the simulated annealer of their
 hardware lattice by a fair-share
-:class:`~repro.service.scheduler.QpuScheduler` (with identical-request
-coalescing and a shared device-time budget); and the
+:class:`~repro.service.scheduler.QpuScheduler` (one request at a time,
+with a shared device-time budget); and the
 :class:`~repro.service.service.SolverService` coordinator — the one
 dispatcher behind ``hyqsat batch``/``serve`` and the gateway —
 deduplicates jobs whose canonical CNF fingerprint and solve options

@@ -6,7 +6,7 @@ Three interchangeable modes behind one ``submit`` API:
   ThreadPoolExecutor`.  Workers share the process, so each job's
   :class:`~repro.service.scheduler.ScheduledDevice` talks to the live
   :class:`~repro.service.scheduler.QpuScheduler` and QPU multiplexing
-  (fair share, coalescing, shared budget) is enforced in real time.
+  (fair share, shared budget) is enforced in real time.
   The solver holds no global mutable state, so thread workers are safe.
 - ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
   True OS-level isolation; jobs are shipped as picklable
@@ -14,7 +14,8 @@ Three interchangeable modes behind one ``submit`` API:
   :func:`~repro.service.jobs.run_job`, seeded per job, so results are
   bit-identical to thread/inline runs.  The scheduler cannot arbitrate
   across address spaces, so its accounting is *replayed* from each
-  outcome's counters instead.
+  outcome's counters instead, and a shared budget is refused
+  (:class:`~repro.service.service.ServiceConfig`).
 - ``inline`` — runs the job synchronously inside ``submit`` (the
   ``--jobs 1`` path and the reference behaviour tests compare against).
 

@@ -3,19 +3,12 @@
 The simulator models **one** annealer, but the service runs many jobs
 at once; :class:`QpuScheduler` is the arbiter between them.  Each job's
 device stack is wrapped in a :class:`ScheduledDevice`, so every
-``run(request)`` first acquires the shared QPU:
+``run(request)`` first acquires the shared QPU, one request at a time:
 
 - **Fair share** — when several jobs are waiting, the grant goes to
   the job that has consumed the least cumulative modelled QPU time so
   far (FIFO between ties), so a QA-heavy job cannot starve its
   siblings.
-- **Coalescing** — waiters whose requests are bit-identical (same
-  device seed, same call index, same problem content) are granted in
-  one shared window.  Each still runs its *own* seeded device — by
-  determinism they produce identical samples, so per-job RNG and
-  call-count bookkeeping stay exactly as in a solo run — but the
-  window is billed to the shared timeline once, which is how duplicate
-  jobs that bypass result-level dedup still share device time.
 - **Shared budget** — an optional pool-wide cap on modelled QPU
   microseconds; once spent, further grants are refused with
   :class:`~repro.resilience.QaUnavailable` (``budget_exhausted``),
@@ -23,6 +16,10 @@ device stack is wrapped in a :class:`ScheduledDevice`, so every
   degrading to pure CDCL.  Per-job budgets/breakers live in each job's
   own :class:`~repro.resilience.ResilientDevice`, so one job's faults
   never trip another job's breaker.
+
+With dedup on (the default), identical jobs never anneal side by
+side: the service's coordinator solves each solve key once and hands
+its outcome to the duplicates.
 
 All accounting uses the modelled device clock
 (:class:`~repro.annealer.timing.QpuTimingModel`), never wall time.
@@ -32,81 +29,28 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 
 @dataclass
 class SchedulerStats:
     """Counters of one scheduler lifetime (service metrics source)."""
 
-    #: Exclusive QPU windows granted (a coalesced group counts once).
+    #: Exclusive QPU windows granted, one request each.
     grants: int = 0
-    #: Requests served by joining another request's window.
-    coalesced: int = 0
     #: Grants refused because the shared pool budget was spent.
     budget_denied: int = 0
-    #: Total modelled µs the QPU was occupied (coalesced windows once).
+    #: Total modelled µs the QPU was occupied.
     busy_us: float = 0.0
-    #: Modelled µs billed per job (each member of a coalesced window
-    #: is billed individually here — this drives fair share).
+    #: Modelled µs billed per job (this drives fair share).
     spent_by_job: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def requests(self) -> int:
-        """Total requests served (grants + coalesced joiners)."""
-        return self.grants + self.coalesced
 
 
 @dataclass
 class _Waiter:
     job_id: str
-    key: Tuple
     seq: int
     granted: bool = False
-
-
-@dataclass
-class _Grant:
-    key: Tuple
-    pending: int
-    window_us: float = 0.0
-
-
-def request_key(device, request) -> Tuple:
-    """Coalescing identity of a device call.
-
-    Two calls coalesce only when they are *provably* going to produce
-    identical results: same device seed, same per-call index (the
-    device derives each call's RNG from ``(seed, call_count)``), same
-    read count and energy scale, and the same logical objective
-    content.  Anything less would break per-job bit-identity.
-    """
-    terms = request.terms
-    names = terms.variables
-    linear_vars = names[terms.linear_index]
-    by_var = np.argsort(linear_vars)
-    u, v = names[terms.quadratic_rows], names[terms.quadratic_cols]
-    by_pair = np.lexsort((v, u))
-    # The objective's sorted (key, value) items, read off its arrays.
-    content = (
-        round(terms.offset, 12),
-        tuple(zip(linear_vars[by_var].tolist(), terms.linear[by_var].tolist())),
-        tuple(
-            zip(
-                zip(u[by_pair].tolist(), v[by_pair].tolist()),
-                terms.quadratic[by_pair].tolist(),
-            )
-        ),
-    )
-    return (
-        getattr(device, "seed", None),
-        getattr(device, "_call_count", 0) + 1,
-        request.num_reads,
-        request.energy_scale,
-        content,
-    )
 
 
 class QpuScheduler:
@@ -118,14 +62,12 @@ class QpuScheduler:
     """
 
     def __init__(self, budget_us: Optional[float] = None):
-        if budget_us is not None and budget_us <= 0:
-            raise ValueError("budget_us must be positive when set")
         self.budget_us = budget_us
         self.stats = SchedulerStats()
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._waiters: List[_Waiter] = []
-        self._active: Optional[_Grant] = None
+        self._holder: Optional[_Waiter] = None
         self._seq = 0
 
     # -- accounting ----------------------------------------------------
@@ -152,8 +94,8 @@ class QpuScheduler:
 
     # -- the lease -----------------------------------------------------
 
-    def acquire(self, job_id: str, key: Tuple, estimate_us: float):
-        """Block until this request holds the QPU (or a shared window).
+    def acquire(self, job_id: str, estimate_us: float):
+        """Block until this request holds the QPU.
 
         Returns an opaque token for :meth:`release`.  Raises
         :class:`~repro.resilience.QaUnavailable` (reason
@@ -173,56 +115,41 @@ class QpuScheduler:
                     f"shared QA pool spent ({self.stats.busy_us:.0f}us of "
                     f"{self.budget_us:.0f}us); request refused",
                 )
-            waiter = _Waiter(job_id=job_id, key=key, seq=self._seq)
+            waiter = _Waiter(job_id=job_id, seq=self._seq)
             self._seq += 1
             self._waiters.append(waiter)
-            if self._active is None:
+            if self._holder is None:
                 self._promote_locked()
             while not waiter.granted:
                 self._cv.wait()
             return waiter
 
     def release(self, token, cost_us: float) -> None:
-        """Return the QPU after a granted call.
-
-        ``cost_us`` is the call's *actual* modelled device time (reads
-        billed even on faulted calls, as hardware does).  The job is
-        billed individually for fair share; the shared window is billed
-        once per coalesced group, at the widest member's cost.
-        """
+        """Return the QPU after a granted call and bill its *actual*
+        modelled device time ``cost_us`` (reads billed even on faulted
+        calls, as hardware does) to the job and the shared timeline."""
         with self._cv:
+            if token is not self._holder:
+                raise RuntimeError("release without a matching grant")
             self.stats.spent_by_job[token.job_id] = (
                 self.stats.spent_by_job.get(token.job_id, 0.0) + cost_us
             )
-            grant = self._active
-            if grant is None or token.key != grant.key:
-                raise RuntimeError("release without a matching grant")
-            grant.window_us = max(grant.window_us, cost_us)
-            grant.pending -= 1
-            if grant.pending == 0:
-                self.stats.busy_us += grant.window_us
-                self._active = None
-                self._promote_locked()
+            self.stats.busy_us += cost_us
+            self._holder = None
+            self._promote_locked()
 
     def _promote_locked(self) -> None:
-        """Grant the next window: pick the fairest waiter, then pull in
-        every waiter with an identical request.  Caller holds the lock."""
+        """Grant the QPU to the fairest waiter.  Caller holds the lock."""
         if not self._waiters:
             return
-        leader = min(
+        holder = min(
             self._waiters,
-            key=lambda w: (
-                self.stats.spent_by_job.get(w.job_id, 0.0),
-                w.seq,
-            ),
+            key=lambda w: (self.stats.spent_by_job.get(w.job_id, 0.0), w.seq),
         )
-        group = [w for w in self._waiters if w.key == leader.key]
-        self._waiters = [w for w in self._waiters if w.key != leader.key]
-        self._active = _Grant(key=leader.key, pending=len(group))
+        self._waiters.remove(holder)
+        self._holder = holder
         self.stats.grants += 1
-        self.stats.coalesced += len(group) - 1
-        for w in group:
-            w.granted = True
+        holder.granted = True
         self._cv.notify_all()
 
 
@@ -245,9 +172,8 @@ class ScheduledDevice:
         return getattr(self.inner, name)
 
     def run(self, request):
-        key = request_key(self.inner, request)
         estimate_us = self.inner.timing.total_us(request.num_reads)
-        token = self.scheduler.acquire(self.job_id, key, estimate_us)
+        token = self.scheduler.acquire(self.job_id, estimate_us)
         before_us = self.inner.total_modelled_us
         try:
             return self.inner.run(request)

@@ -75,6 +75,8 @@ class ServiceConfig:
     #: Queue admission cap (``None`` = unbounded).
     max_depth: Optional[int] = None
     #: Modelled-µs cap on each lattice's QPU (``None`` = unlimited).
+    #: Positive, and only on pools whose workers anneal through the
+    #: live scheduler (``thread``/``inline``).
     qpu_budget_us: Optional[float] = None
     #: Canonical-CNF result deduplication.
     dedup: bool = True
@@ -97,6 +99,18 @@ class ServiceConfig:
     #: TTL in seconds on exact-result rows (``None`` = no expiry).
     cache_ttl_s: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.qpu_budget_us is not None:
+            if self.qpu_budget_us <= 0:
+                raise ValueError("qpu_budget_us must be positive when set")
+            if self.pool_mode == "process":
+                # Process workers cannot be arbitrated live, and their
+                # usage is replayed only after each solve.
+                raise ValueError(
+                    "qpu_budget_us needs a thread or inline pool: process "
+                    "workers cannot be held to a shared budget"
+                )
+
 
 @dataclass
 class ServiceStats:
@@ -105,7 +119,6 @@ class ServiceStats:
     jobs_by_state: Dict[str, int] = field(default_factory=dict)
     dedup_hits: int = 0
     qpu_grants: int = 0
-    qpu_coalesced: int = 0
     qpu_busy_us: float = 0.0
     wall_seconds: float = 0.0
     cache_hits: int = 0
@@ -365,17 +378,12 @@ class SolverService:
             stats.cache_errors = cache_stats.errors
         schedulers = [s.stats for s in self.schedulers.values()]
         stats.qpu_grants = sum(s.grants for s in schedulers)
-        stats.qpu_coalesced = sum(s.coalesced for s in schedulers)
         stats.qpu_busy_us = sum(s.busy_us for s in schedulers)
         if obs.metrics is not None:
             metrics = obs.metrics
             if stats.qpu_grants:
                 metrics.counter("hyqsat_service_qpu_grants_total").inc(
                     stats.qpu_grants
-                )
-            if stats.qpu_coalesced:
-                metrics.counter("hyqsat_service_qpu_coalesced_total").inc(
-                    stats.qpu_coalesced
                 )
             metrics.gauge("hyqsat_service_qpu_busy_us").set(stats.qpu_busy_us)
             if self.cache is not None:
@@ -493,17 +501,16 @@ class SolverService:
         try:
             formula = spec.load_formula()
             if not spec.classic:
-                fp = fingerprint(formula)
                 if self.router is not None and (
                     spec.topology is None and spec.grid is None
                 ):
                     # Pin the placement so the solve (and any solo
                     # replay of it) builds exactly the routed device.
-                    decision = self.router.route(formula, fp)
+                    decision = self.router.route(formula)
                     spec.topology = decision.qpu.topology
                     spec.grid = decision.qpu.grid
                 if self.config.dedup or self.cache is not None:
-                    key = spec.solve_key(fp)
+                    key = spec.solve_key(fingerprint(formula))
         except Exception as error:  # noqa: BLE001 — unreadable instance
             self._finalise(
                 JobOutcome(

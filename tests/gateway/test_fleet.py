@@ -7,7 +7,7 @@ import pytest
 
 from repro.benchgen.random_ksat import random_3sat
 from repro.gateway.fleet import FleetRouter, GatewayQpu, parse_fleet_spec
-from repro.sat.cnf import CNF, Clause, fingerprint
+from repro.sat.cnf import CNF, Clause
 
 
 class TestParseFleetSpec:
@@ -41,79 +41,58 @@ class TestParseFleetSpec:
 
 @pytest.fixture(scope="module")
 def router():
+    # 16, 16 and 32 vertical lines.
     return FleetRouter(parse_fleet_spec("chimera:4,pegasus:4,chimera:8"))
-
-
-def route(router, formula):
-    return router.route(formula, fingerprint(formula))
 
 
 class TestRouting:
     def test_small_formula_lands_on_smallest_device(self, router):
         formula = random_3sat(6, 12, np.random.default_rng(1))
-        decision = route(router, formula)
+        decision = router.route(formula)
         assert decision.fits
-        # pegasus4 and chimera4 tie on qubit count; the denser lattice
-        # is probed first and fits, so the job must not reach chimera8.
-        assert decision.qpu.grid == 4
+        # pegasus4 and chimera4 tie on qubits and lines; the denser
+        # lattice comes first, and the job must not reach chimera8.
+        assert decision.qpu.name == "pegasus4"
 
     def test_medium_formula_escalates_to_larger_device(self, router):
-        formula = random_3sat(10, 30, np.random.default_rng(1))
-        decision = route(router, formula)
+        formula = random_3sat(20, 86, np.random.default_rng(1))
+        decision = router.route(formula)
         assert decision.fits
         assert decision.qpu.name == "chimera8"
-        assert decision.embedded_clauses == decision.total_clauses == 30
 
     def test_oversized_formula_falls_back_to_best_partial(self, router):
-        formula = random_3sat(30, 129, np.random.default_rng(1))
-        decision = route(router, formula)
+        """More variables than any device has lines: the device with
+        the most lines, which places the most variables per call."""
+        formula = random_3sat(40, 170, np.random.default_rng(1))
+        decision = router.route(formula)
         assert not decision.fits
-        assert 0 < decision.embedded_clauses < decision.total_clauses
-        assert decision.qpu.name == "chimera8"  # most clauses placed
+        assert decision.qpu.name == "chimera8"
+
+    def test_fallback_ties_go_to_the_first_in_size_order(self):
+        router = FleetRouter(parse_fleet_spec("chimera:4,chimera:8,pegasus:8"))
+        formula = random_3sat(40, 170, np.random.default_rng(1))
+        decision = router.route(formula)
+        assert not decision.fits
+        assert decision.qpu.name == "pegasus8"
 
     def test_tautologies_are_not_probed(self, router):
-        """Both CDCL engines drop tautological clauses, so the frontend
-        never deploys one and the probe must not try to encode it."""
+        """The router reads only the variable count: tautological
+        clauses (which both CDCL engines drop) never move a job."""
         base = random_3sat(6, 12, np.random.default_rng(1))
         clauses = list(base.clauses) + [Clause([1, -1, 2]), Clause([-3, 3])]
-        decision = route(router, CNF(clauses, num_vars=base.num_vars))
-        assert decision == route(router, base)
-        assert decision.fits and decision.total_clauses == 12
+        decision = router.route(CNF(clauses, num_vars=base.num_vars))
+        assert decision == router.route(base)
+        assert decision.qpu.name == "pegasus4" and decision.fits
 
-    def test_probe_cache_hits_on_identical_formula(self):
-        router = FleetRouter(parse_fleet_spec("chimera:4,pegasus:4,chimera:8"))
-        formula = random_3sat(10, 30, np.random.default_rng(1))
-        first = route(router, formula)
-        probes = dict(router._probe_cache)
-        assert probes  # the first route probed
-        second = route(router, formula)
-        assert first == second
-        # The second route added no probe: every (fingerprint, device)
-        # pair it needed was already memoised.
-        assert router._probe_cache == probes
-
-    def test_probe_cache_keeps_the_newest_probes(self, monkeypatch):
-        import repro.gateway.fleet as fleet
-
-        monkeypatch.setattr(fleet, "PROBE_CACHE_ENTRIES", 4)
-        router = FleetRouter(parse_fleet_spec("chimera:4"))
-        formulas = [
-            random_3sat(6, 12, np.random.default_rng(seed)) for seed in range(10)
-        ]
-        decisions = [route(router, formula) for formula in formulas]
-        assert len(router._probe_cache) == 4
-        assert list(router._probe_cache) == [
-            (fingerprint(formula), "chimera4") for formula in formulas[-4:]
-        ]
-        probes = dict(router._probe_cache)
-        assert route(router, formulas[-1]) == decisions[-1]
-        assert router._probe_cache == probes  # no probe added
-
-    def test_probes_are_keyed_on_the_given_fingerprint(self):
-        router = FleetRouter(parse_fleet_spec("chimera:4"))
-        formula = random_3sat(6, 12, np.random.default_rng(1))
-        router.route(formula, "fp-from-caller")
-        assert list(router._probe_cache) == [("fp-from-caller", "chimera4")]
+    def test_routes_on_the_line_count_not_the_clauses(self, router):
+        """Only ``num_vars`` and the lattices' vertical lines decide:
+        a 16-variable formula fits the 16-line devices whatever its
+        clause count, a 17-variable one does not."""
+        for clauses in (1, 64, 400):
+            formula = random_3sat(16, clauses, np.random.default_rng(clauses))
+            assert router.route(formula).qpu.name == "pegasus4"
+        formula = random_3sat(17, 8, np.random.default_rng(3))
+        assert router.route(formula).qpu.name == "chimera8"
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):

@@ -82,7 +82,7 @@ class TestParseValidation:
 
 class TestRegistries:
     def test_version_string(self):
-        assert PROTOCOL_VERSION == "hyqsat-gateway/1"
+        assert PROTOCOL_VERSION == "hyqsat-gateway/2"
 
     def test_no_type_overlap(self):
         assert not set(CLIENT_MESSAGE_TYPES) & set(SERVER_MESSAGE_TYPES)

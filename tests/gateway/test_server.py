@@ -13,12 +13,14 @@ dispatcher.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import socket
 import sqlite3
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -35,6 +37,28 @@ from repro.service.jobs import JobSpec, run_job
 from repro.sat.dimacs import to_dimacs
 
 DIMACS = to_dimacs(random_3sat(8, 24, np.random.default_rng(2)))
+
+
+def checked_spans(records) -> dict:
+    """Span records by id, after asserting that every span and event
+    hangs off a parent ``SPAN_CHILDREN``/``EVENT_PARENTS`` allow."""
+    spans = {r["id"]: r for r in records if r["type"] == "span"}
+    names = lambda span_id: spans[span_id]["name"] if span_id else None
+    for span in spans.values():
+        assert span["name"] in SPAN_CHILDREN[names(span["parent"])], span
+    for event in (r for r in records if r["type"] == "event"):
+        assert names(event["span"]) in EVENT_PARENTS[event["name"]], event
+    return spans
+
+
+def wait_for_connections(server, count: int, timeout_s: float = 30.0) -> None:
+    """Wait until ``server`` has ``count`` open connections.  A closed
+    connection's ``gateway.session`` span is recorded by then: a client
+    can read ``goodbye`` before the server has ended the span."""
+    deadline = time.monotonic() + timeout_s
+    while server.stats.active_connections != count:
+        assert time.monotonic() < deadline, server.stats.active_connections
+        time.sleep(0.01)
 
 
 class TestHandshake:
@@ -81,6 +105,40 @@ class TestHandshake:
             GatewayClient(port=server.port)  # key required, none given
         with GatewayClient(port=server.port, api_key="team-a") as client:
             assert client.welcome["type"] == "welcome"
+
+    def test_a_failed_handshake_closes_the_client_socket(self, gateway_factory):
+        """Every handshake failure (refused key, another protocol
+        version, a first reply that is not ``welcome``) closes the
+        client's socket before raising: no ResourceWarning once the
+        half-built client is collected."""
+        server = gateway_factory(api_keys=("team-a",))
+        replies = [
+            protocol.error("unsupported_protocol", "server speaks hyqsat-gateway/9"),
+            protocol.pong(1),
+        ]
+
+        def answer_once(listener, reply) -> None:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as stream:
+                stream.readline()
+                stream.write(protocol.encode(reply))
+                stream.flush()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for key in ("wrong", None):
+                with pytest.raises(GatewayError, match="unauthorized"):
+                    GatewayClient(port=server.port, api_key=key)
+            for reply, code in zip(replies, ("unsupported_protocol", "bad_message")):
+                with socket.create_server(("127.0.0.1", 0)) as listener:
+                    fake = threading.Thread(target=answer_once, args=(listener, reply))
+                    fake.start()
+                    with pytest.raises(GatewayError, match=code):
+                        GatewayClient(port=listener.getsockname()[1])
+                    fake.join(10)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]
 
 
 class TestSolveRoundTrip:
@@ -133,7 +191,10 @@ class TestSolveRoundTrip:
             seen = []
             outcome = client.drain(["taut"], on_message=seen.append)["taut"]
         routed = next(m for m in seen if m.get("event") == "routed")
-        assert routed["attrs"]["total_clauses"] == 24
+        # 8 variables fit chimera4's 16 vertical lines.
+        assert routed["attrs"] == {
+            "device": "chimera4", "topology": "chimera", "grid": 4, "fits": True,
+        }
         assert outcome["state"] == "done"
         solo = run_job(
             JobSpec(
@@ -325,12 +386,14 @@ class TestFleetMetrics:
     ):
         """The gateway's own ``hyqsat_fleet_*`` counters are the one
         record of routing: one ``routed`` count per placement, one
-        fallback per placement that fits no device fully."""
+        fallback per formula with more variables than any device has
+        vertical lines."""
         obs = Observability.profiling()
         server = gateway_factory(
             observability=obs, fleet="chimera:4,pegasus:4,chimera:8"
         )
-        sizes = ((6, 12), (10, 30), (30, 129))  # grid 4, chimera8, none
+        # 16, 16 and 32 vertical lines: pegasus4, chimera8, none fits.
+        sizes = ((6, 12), (20, 86), (40, 170))
         jobs = {
             f"f{index}": to_dimacs(
                 random_3sat(num_vars, clauses, np.random.default_rng(1))
@@ -644,19 +707,48 @@ class TestServiceTelemetry:
             client.submit({"id": "b", "dimacs": DIMACS, "seed": 5})
             hold.release()
             client.drain(["a", "b"])
+        wait_for_connections(server, 0)
         records = obs.tracer.records
-        spans = {r["id"]: r for r in records if r["type"] == "span"}
+        spans = checked_spans(records)
         names = lambda span_id: spans[span_id]["name"] if span_id else None
-        for span in spans.values():
-            assert span["name"] in SPAN_CHILDREN[names(span["parent"])], span
-        events = [r for r in records if r["type"] == "event"]
-        for event in events:
-            assert names(event["span"]) in EVENT_PARENTS[event["name"]], event
         jobs = [s for s in spans.values() if s["name"] == "service.job"]
         assert sorted(s["attrs"]["state"] for s in jobs) == ["deduped", "done"]
         assert {names(s["parent"]) for s in jobs} == {"gateway.session"}
-        assert [e["attrs"]["primary"] for e in events
-                if e["name"] == "service.dedup"] == ["a"]
+        assert [r["attrs"]["primary"] for r in records
+                if r["type"] == "event" and r["name"] == "service.dedup"] == ["a"]
+
+    def test_overlapping_sessions_are_separate_roots(self, gateway_factory):
+        """A connects, B connects, A closes, then B solves a job and
+        closes: each ``gateway.session`` is a root span that ends at its
+        own close with its own attributes, and B's job hangs off B."""
+        obs = Observability.tracing(metrics=True)
+        server = gateway_factory(observability=obs)
+        first = GatewayClient(port=server.port, api_key="tenant-a")
+        second = GatewayClient(port=server.port, api_key="tenant-b")
+        first.close()
+        wait_for_connections(server, 1)
+        second.submit({"id": "b1", "dimacs": DIMACS, "seed": 5})
+        assert second.drain(["b1"])["b1"]["state"] == "done"
+        second.close()
+        wait_for_connections(server, 0)
+
+        spans = checked_spans(obs.tracer.records)
+        sessions = {
+            s["attrs"]["tenant"]: s
+            for s in spans.values() if s["name"] == "gateway.session"
+        }
+        assert set(sessions) == {"tenant-a", "tenant-b"}
+        assert all(s["parent"] is None for s in sessions.values())
+        # hello aside, A sent only ``bye``; B sent ``submit`` and ``bye``.
+        assert sessions["tenant-a"]["attrs"]["messages"] == 1
+        assert sessions["tenant-b"]["attrs"]["messages"] == 2
+        ends = {
+            tenant: s["t_wall_s"] + s["wall_dur_s"]
+            for tenant, s in sessions.items()
+        }
+        (job,) = [s for s in spans.values() if s["name"] == "service.job"]
+        assert job["parent"] == sessions["tenant-b"]["id"]
+        assert ends["tenant-a"] < job["t_wall_s"] <= ends["tenant-b"]
 
 
 class TestConnectCli:

@@ -173,6 +173,18 @@ class TestSubmitServe:
         with pytest.raises(SystemExit, match="no \\*.cnf"):
             main(["batch", str(tmp_path)])
 
+    @pytest.mark.parametrize("flags,reason", [
+        (["--qpu-budget-us", "0"], "positive"),
+        (["--pool", "process", "--qpu-budget-us", "1"], "thread or inline"),
+    ], ids=["zero", "process-pool"])
+    def test_an_unusable_qpu_budget_is_a_one_line_error(
+        self, cnf_dir, tmp_path, flags, reason
+    ):
+        results_path = tmp_path / "results.jsonl"
+        with pytest.raises(SystemExit, match=reason):
+            main(["batch", str(cnf_dir), "-o", str(results_path), *flags])
+        assert not results_path.exists()  # refused before any job ran
+
 
 class TestSuiteJobs:
     """``hyqsat suite --jobs N`` must print the identical table."""

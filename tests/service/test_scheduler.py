@@ -1,4 +1,4 @@
-"""QpuScheduler: fair share, coalescing, shared budget, makespan model."""
+"""QpuScheduler: one holder at a time, fair share, shared budget."""
 
 from __future__ import annotations
 
@@ -6,20 +6,11 @@ import threading
 import time
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from repro.benchgen import random_3sat
-from repro.core.frontend import Frontend
 from repro.qubo.ising import LogicalArrays, QuadraticObjective
 from repro.resilience import QaUnavailable
 from repro.service import QpuScheduler, ScheduledDevice
-from repro.service.scheduler import request_key
-from repro.topology.chimera import ChimeraGraph
-
-KEY_A = ("devA", 1, 1, 1.0, ((), ()))
-KEY_B = ("devB", 1, 1, 1.0, ((), ()))
-KEY_C = ("devC", 1, 1, 1.0, ((), ()))
 
 
 def wait_for(predicate, timeout=5.0):
@@ -33,7 +24,7 @@ def wait_for(predicate, timeout=5.0):
 class TestLease:
     def test_idle_acquire_grants_immediately(self):
         sched = QpuScheduler()
-        token = sched.acquire("a", KEY_A, 100.0)
+        token = sched.acquire("a", 100.0)
         sched.release(token, 140.0)
         assert sched.stats.grants == 1
         assert sched.stats.busy_us == 140.0
@@ -41,29 +32,59 @@ class TestLease:
 
     def test_release_without_grant_raises(self):
         sched = QpuScheduler()
-        bogus = SimpleNamespace(job_id="x", key=KEY_A)
+        bogus = SimpleNamespace(job_id="x")
         with pytest.raises(RuntimeError):
             sched.release(bogus, 0.0)
+
+    def test_waiters_are_granted_one_at_a_time(self):
+        """Two waiters behind a holder each get a window of their own,
+        billed to the timeline one after the other."""
+        sched = QpuScheduler()
+        holder = sched.acquire("holder", 0.0)
+        holding, peak = [], []
+
+        def worker(job_id):
+            token = sched.acquire(job_id, 100.0)
+            holding.append(job_id)
+            peak.append(len(holding))
+            time.sleep(0.01)
+            holding.remove(job_id)
+            sched.release(token, 140.0)
+
+        threads = [
+            threading.Thread(target=worker, args=(name,)) for name in ("a", "b")
+        ]
+        for thread in threads:
+            thread.start()
+        wait_for(lambda: len(sched._waiters) == 2)
+        sched.release(holder, 0.0)
+        for thread in threads:
+            thread.join(timeout=5)
+
+        assert peak == [1, 1]
+        assert sched.stats.grants == 3
+        assert sched.stats.busy_us == 280.0
+        assert sched.stats.spent_by_job == {"holder": 0.0, "a": 140.0, "b": 140.0}
 
 
 class TestFairShare:
     def test_least_spent_job_granted_first(self):
         sched = QpuScheduler()
         sched.replay("rich", 1, 1000.0)  # bias: rich has spent a lot
-        holder = sched.acquire("holder", KEY_C, 0.0)
+        holder = sched.acquire("holder", 0.0)
 
         order = []
 
-        def worker(job_id, key):
-            token = sched.acquire(job_id, key, 0.0)
+        def worker(job_id):
+            token = sched.acquire(job_id, 0.0)
             order.append(job_id)
             sched.release(token, 0.0)
 
         # rich queues FIRST (lower seq) but poor must still win.
-        rich = threading.Thread(target=worker, args=("rich", KEY_A))
+        rich = threading.Thread(target=worker, args=("rich",))
         rich.start()
         wait_for(lambda: len(sched._waiters) == 1)
-        poor = threading.Thread(target=worker, args=("poor", KEY_B))
+        poor = threading.Thread(target=worker, args=("poor",))
         poor.start()
         wait_for(lambda: len(sched._waiters) == 2)
 
@@ -73,66 +94,22 @@ class TestFairShare:
         assert order == ["poor", "rich"]
 
 
-class TestCoalescing:
-    def test_identical_requests_share_one_window(self):
-        sched = QpuScheduler()
-        holder = sched.acquire("holder", KEY_C, 0.0)
-
-        done = []
-
-        def worker(job_id):
-            token = sched.acquire(job_id, KEY_A, 100.0)
-            sched.release(token, 140.0)
-            done.append(job_id)
-
-        threads = [
-            threading.Thread(target=worker, args=(name,))
-            for name in ("a", "b")
-        ]
-        for t in threads:
-            t.start()
-        wait_for(lambda: len(sched._waiters) == 2)
-        sched.release(holder, 0.0)
-        for t in threads:
-            t.join(timeout=5)
-
-        assert sorted(done) == ["a", "b"]
-        # holder + ONE coalesced window, not three grants
-        assert sched.stats.grants == 2
-        assert sched.stats.coalesced == 1
-        # the shared window is billed once to the timeline...
-        assert sched.stats.busy_us == 140.0
-        # ...but each member individually for fair share
-        assert sched.stats.spent_by_job["a"] == 140.0
-        assert sched.stats.spent_by_job["b"] == 140.0
-
-    def test_different_keys_do_not_coalesce(self):
-        sched = QpuScheduler()
-        token = sched.acquire("a", KEY_A, 0.0)
-        sched.release(token, 10.0)
-        token = sched.acquire("b", KEY_B, 0.0)
-        sched.release(token, 10.0)
-        assert sched.stats.grants == 2
-        assert sched.stats.coalesced == 0
-        assert sched.stats.busy_us == 20.0
-
-
 class TestSharedBudget:
     def test_over_budget_acquire_is_refused(self):
         sched = QpuScheduler(budget_us=100.0)
         with pytest.raises(QaUnavailable) as excinfo:
-            sched.acquire("a", KEY_A, 200.0)
+            sched.acquire("a", 200.0)
         assert excinfo.value.reason == "budget_exhausted"
         assert excinfo.value.persistent
         assert sched.stats.budget_denied == 1
 
     def test_budget_tracks_billed_time(self):
         sched = QpuScheduler(budget_us=100.0)
-        token = sched.acquire("a", KEY_A, 50.0)
+        token = sched.acquire("a", 50.0)
         sched.release(token, 60.0)
         assert sched.budget_remaining_us() == pytest.approx(40.0)
         with pytest.raises(QaUnavailable):
-            sched.acquire("a", KEY_B, 50.0)
+            sched.acquire("a", 50.0)
 
     def test_unlimited_budget(self):
         sched = QpuScheduler()
@@ -178,27 +155,6 @@ def _request():
     )
 
 
-def test_key_reads_the_objective_arrays():
-    """The key built from a request's arrays equals the one built from
-    its dict objective's sorted items."""
-    formula = random_3sat(30, 128, np.random.default_rng(4))
-    prepared = Frontend(formula, ChimeraGraph(8, 8, 4)).prepare(list(range(40)))
-    request = prepared.request
-    objective = request.terms.to_objective()
-    device = SimpleNamespace(seed=5, _call_count=2)
-    assert request_key(device, request) == (
-        5,
-        3,
-        request.num_reads,
-        request.energy_scale,
-        (
-            round(objective.offset, 12),
-            tuple(sorted(objective.linear.items())),
-            tuple(sorted(objective.quadratic.items())),
-        ),
-    )
-
-
 class TestScheduledDevice:
     def test_run_goes_through_the_scheduler(self):
         sched = QpuScheduler()
@@ -219,6 +175,6 @@ class TestScheduledDevice:
             device.run(_request())
         # billed (hardware charges faulted calls) and the lease is free
         assert sched.stats.busy_us == 140.0
-        token = sched.acquire("other", KEY_B, 0.0)
+        token = sched.acquire("other", 0.0)
         sched.release(token, 0.0)
 

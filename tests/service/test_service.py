@@ -245,6 +245,18 @@ class TestSharedBudget:
             assert outcome.qa_calls == 0
         assert stats.qpu_busy_us == 0.0
 
+    @pytest.mark.parametrize("config", [
+        {"qpu_budget_us": 0.0},
+        {"qpu_budget_us": -5.0},
+        {"qpu_budget_us": 1.0, "pool_mode": "process", "workers": 2},
+    ], ids=["zero", "negative", "process-pool"])
+    def test_a_budget_that_cannot_hold_is_refused_at_build(self, config):
+        """A non-positive budget, or one a process pool could only
+        bill after the solves had spent it, fails when the service is
+        built, before any job is admitted."""
+        with pytest.raises(ValueError, match="qpu_budget_us"):
+            SolverService(ServiceConfig(**config))
+
 
 class TestLifecycle:
     def test_rejected_over_max_depth(self):
