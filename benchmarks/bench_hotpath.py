@@ -11,11 +11,16 @@ residual embedded on the C16 lattice):
    (1 read, 1 restart) and at 8 and 16 replicas: whole
    ``AnnealResult``s must be identical (energies by ``float.hex``), and
    the library must load and not be slower.
-2. **Native embed** — ``HyQSatEmbedder.embed`` in the frontend
-   library (``core/frontend.c``) against its Python loops, on the
-   clause queues a uf170 hybrid solve embeds: every result must be
-   identical (arrays, clause split, chains and coupler map in order),
-   and the library must load and not be slower.
+2. **Native frontend miss** — the Eq. 5 encode
+   (``encode_formula``), the Section IV-C adjustment
+   (``adjust_coefficients``), the Section IV-B embed
+   (``HyQSatEmbedder.embed``) and the chain compile
+   (``build_embedded_problem``) in the frontend library
+   (``core/frontend.c``) against their NumPy or Python paths, on the
+   calls a uf170 hybrid solve makes: every result must be identical
+   (every array by dtype, shape and ``float.hex``; for the embed also
+   the clause split, chains and coupler map in order), and the library
+   must load and not be slower.
 3. **Frontend compile cache** — cold ``Frontend.prepare`` against a
    cache hit for the identical (queue, trail) pair.
 4. **Full-solve acceptance** — a 100-variable random 3-SAT instance
@@ -28,8 +33,8 @@ Run with ``make bench`` or::
 
 Writes ``BENCH_hotpath.json`` (see ``--output``) and exits non-zero if
 a library did not load, changed a result or is slower than the
-NumPy/Python read-out or the Python embed, or if the acceptance checks
-fail.  Timings are
+NumPy/Python read-out or the frontend's NumPy/Python paths, or if the
+acceptance checks fail.  Timings are
 medians over several rounds; results and solver outcomes are fully
 deterministic for a fixed ``--seed``.
 """
@@ -46,6 +51,7 @@ from unittest import mock
 
 import numpy as np
 
+import repro.core.frontend as frontend_module
 from repro.annealer.device import AnnealerDevice, AnnealResult
 from repro.annealer.sampler import SamplerConfig
 from repro.benchgen.random_ksat import random_3sat
@@ -146,24 +152,95 @@ def _embed_view(result):
     )
 
 
-def captured_queues(seed: int) -> List:
-    """The encoded clause queues a uf170 hybrid solve embeds (one per
-    frontend miss)."""
+def _arrays_view(*arrays):
+    """Each array's dtype, shape and values (floats by ``float.hex``)."""
+    return [
+        (a.dtype.str, a.shape, [float(v).hex() for v in a.ravel().tolist()])
+        for a in arrays
+    ]
+
+
+def _encoding_view(encoding):
+    return _arrays_view(
+        encoding.clauses.lits, encoding.aux, encoding.alpha, *encoding.layout
+    )
+
+
+def _adjust_view(adjustment):
+    return adjustment.d_star.hex(), _encoding_view(adjustment.encoding)
+
+
+def _compile_view(problem):
+    return _arrays_view(
+        problem.qubit_ids, problem.linear, problem.indptr, problem.indices,
+        problem.data, problem.chain_variables, problem.chain_starts,
+        problem.chain_couplers, *problem.programmed,
+    ) + [problem.offset.hex(), problem.chain_strength]
+
+
+def captured_calls(seed: int) -> Dict[str, List]:
+    """The arguments of every frontend miss's encode, adjust, embed and
+    compile call in a uf170 hybrid solve."""
     formula = random_3sat(170, 724, np.random.default_rng(seed))
-    captured = []
+    captured: Dict[str, List] = {"encode": [], "adjust": [], "embed": [], "compile": []}
+
+    def capture(name, function):
+        def recorded(*args, **kwargs):
+            captured[name].append((args, kwargs))
+            return function(*args, **kwargs)
+
+        return recorded
+
     embed = HyQSatEmbedder.embed
-
-    def capture(embedder, encoding):
-        captured.append(encoding)
-        return embed(embedder, encoding)
-
-    with mock.patch.object(HyQSatEmbedder, "embed", capture):
+    with mock.patch.object(
+        frontend_module, "encode_formula",
+        capture("encode", frontend_module.encode_formula),
+    ), mock.patch.object(
+        frontend_module, "adjust_coefficients",
+        capture("adjust", frontend_module.adjust_coefficients),
+    ), mock.patch.object(
+        frontend_module, "build_embedded_problem",
+        capture("compile", frontend_module.build_embedded_problem),
+    ), mock.patch.object(
+        HyQSatEmbedder, "embed",
+        lambda embedder, encoding: capture("embed", embed)(embedder, encoding),
+    ):
         HyQSatSolver(
             formula,
             device=AnnealerDevice(seed=seed),
             config=HyQSatConfig(seed=seed),
         ).solve()
     return captured
+
+
+def bench_twins(function, calls, view, rounds: int) -> Dict:
+    """``function`` with the frontend library against it blocked, over
+    the captured ``calls``, timed in alternating rounds (median per
+    call)."""
+
+    def timed():
+        start = time.perf_counter()
+        for args, kwargs in calls:
+            function(*args, **kwargs)
+        return (time.perf_counter() - start) / len(calls)
+
+    native_views = [view(function(*args, **kwargs)) for args, kwargs in calls]
+    with mock.patch.object(native, "load_frontend_kernel", lambda: None):
+        numpy_views = [view(function(*args, **kwargs)) for args, kwargs in calls]
+    native_samples, numpy_samples = [], []
+    for _ in range(rounds):
+        native_samples.append(timed())
+        with mock.patch.object(native, "load_frontend_kernel", lambda: None):
+            numpy_samples.append(timed())
+    native_s = float(np.median(native_samples))
+    numpy_s = float(np.median(numpy_samples))
+    return {
+        "queues": len(calls),
+        "identical": native_views == numpy_views,
+        "native_us": round(native_s * 1e6, 1),
+        "numpy_us": round(numpy_s * 1e6, 1),
+        "speedup": round(numpy_s / native_s, 2),
+    }
 
 
 def bench_embed(hardware, encodings, rounds: int) -> Dict:
@@ -282,10 +359,30 @@ def main(argv=None) -> int:
         )
 
     frontend_loaded = native.load_frontend_kernel() is not None
-    embed_row = (
-        bench_embed(hardware, captured_queues(32), rounds) if frontend_loaded else {}
-    )
+    twin_rows: Dict[str, Dict] = {}
+    embed_row: Dict = {}
+    if frontend_loaded:
+        calls = captured_calls(32)
+        twin_rows["encode"] = bench_twins(
+            frontend_module.encode_formula, calls["encode"], _encoding_view, rounds
+        )
+        twin_rows["adjust"] = bench_twins(
+            frontend_module.adjust_coefficients, calls["adjust"], _adjust_view, rounds
+        )
+        embed_row = bench_embed(
+            hardware, [args[1] for args, _ in calls["embed"]], rounds
+        )
+        twin_rows["compile"] = bench_twins(
+            frontend_module.build_embedded_problem, calls["compile"],
+            _compile_view, rounds,
+        )
     print(f"native frontend loaded: {frontend_loaded}")
+    for name, row in twin_rows.items():
+        print(
+            f"{name} uf170 ({{queues}} calls): numpy {{numpy_us}} us, "
+            "native {native_us} us, speedup {speedup}x, "
+            "identical={identical}".format(**row)
+        )
     if embed_row:
         print(
             "embed uf170 ({queues} queues of {queue_clauses} clauses): "
@@ -311,11 +408,14 @@ def main(argv=None) -> int:
     embed_passed = (
         frontend_loaded and embed_row["identical"] and embed_row["speedup"] >= 1.0
     )
+    frontend_passed = embed_passed and all(
+        row["identical"] and row["speedup"] >= 1.0 for row in twin_rows.values()
+    )
     passed = (
         kernel_loaded
         and kernel_identical
         and kernel_never_slower
-        and embed_passed
+        and frontend_passed
         and solve_row["statuses_match"]
         and solve_row["model_valid"]
         and solve_row["cache_hits"] > 0
@@ -331,7 +431,10 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "seed": args.seed,
         "readout": kernel_rows,
+        "encode": twin_rows.get("encode", {}),
+        "adjust": twin_rows.get("adjust", {}),
         "embed": embed_row,
+        "compile": twin_rows.get("compile", {}),
         "frontend_cache": cache_row,
         "solve_acceptance": solve_row,
         "kernel_loaded": kernel_loaded,
@@ -339,6 +442,7 @@ def main(argv=None) -> int:
         "kernel_never_slower": kernel_never_slower,
         "frontend_loaded": frontend_loaded,
         "embed_passed": embed_passed,
+        "frontend_passed": frontend_passed,
         "passed": passed,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

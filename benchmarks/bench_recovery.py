@@ -1,13 +1,15 @@
 """Durability overhead benchmark: what does the journal cost?
 
 Runs one fixed job set (uniform random 3-SAT near the threshold,
-seeded) through :func:`repro.service.run_batch` twice per repeat —
-once bare, once with the write-ahead journal (and checkpointing
-enabled on every job) — and compares best-of-N wall times.  The
-durability tier's contract is that crash safety is effectively free
-on the batch path: the journal writes a handful of small fsync-batched
-records per job, so its overhead must stay within
-``OVERHEAD_CEILING`` of the bare run.
+seeded) through :func:`repro.service.run_batch` twice per pair — once
+bare, once with the write-ahead journal (and checkpointing enabled on
+every job) — and gates the median of the per-pair ratios.  The side
+that runs first alternates from pair to pair, so a warm-up or a drift
+in the host's speed loads both sides alike.  The durability tier's
+contract is that crash safety is effectively free on the batch path:
+the journal writes a handful of small fsync-batched records per job,
+so its median overhead must stay within ``OVERHEAD_CEILING`` of the
+bare run.
 
 Also asserts the journaled run stays bit-identical to the bare run
 (durability must never change answers) and reports the journal's own
@@ -75,8 +77,8 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None, help="job count")
     parser.add_argument("--vars", type=int, default=None, help="variables per job")
     parser.add_argument("--seed", type=int, default=100)
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats (best-of)")
+    parser.add_argument("--pairs", type=int, default=11,
+                        help="bare/journaled timing pairs (median ratio)")
     parser.add_argument("--output", default="BENCH_recovery.json")
     args = parser.parse_args(argv)
 
@@ -86,50 +88,56 @@ def main(argv=None) -> int:
 
     bare_times: List[float] = []
     journaled_times: List[float] = []
-    bare_views = journaled_views = None
+    views: Dict[str, List] = {}
     journal_stats: Dict = {}
 
     with tempfile.TemporaryDirectory() as tmp:
-        for repeat in range(args.repeats):
+
+        def bare(pair: int) -> None:
             start = time.perf_counter()
             outcomes, _ = run_batch(specs)
             bare_times.append(time.perf_counter() - start)
-            bare_views = [solver_view(o) for o in outcomes]
+            views["bare"] = [solver_view(o) for o in outcomes]
 
-            journal = os.path.join(tmp, f"journal-{repeat}.jsonl")
-            ckpts = os.path.join(tmp, f"ckpts-{repeat}")
+        def journaled(pair: int) -> None:
+            journal = os.path.join(tmp, f"journal-{pair}.jsonl")
+            ckpts = os.path.join(tmp, f"ckpts-{pair}")
             start = time.perf_counter()
             outcomes, _ = run_batch(
                 specs, journal_path=journal, checkpoint_dir=ckpts
             )
             journaled_times.append(time.perf_counter() - start)
-            journaled_views = [solver_view(o) for o in outcomes]
-
+            views["journaled"] = [solver_view(o) for o in outcomes]
             records, _, torn = read_journal(journal)
-            journal_stats = {
-                "records": len(records),
-                "records_per_job": round(len(records) / num_jobs, 2),
-                "torn_records": torn,
-                "bytes": os.path.getsize(journal),
-            }
+            journal_stats.update(
+                records=len(records),
+                records_per_job=round(len(records) / num_jobs, 2),
+                torn_records=torn,
+                bytes=os.path.getsize(journal),
+            )
 
-    bare_s = min(bare_times)
-    journaled_s = min(journaled_times)
-    overhead = journaled_s / bare_s - 1.0
-    identical = bare_views == journaled_views
+        for pair in range(args.pairs):
+            sides = (bare, journaled) if pair % 2 == 0 else (journaled, bare)
+            for side in sides:
+                side(pair)
+
+    ratios = [j / b for j, b in zip(journaled_times, bare_times)]
+    overhead = float(np.median(ratios)) - 1.0
+    identical = views["bare"] == views["journaled"]
 
     report = {
         "workload": {
             "jobs": num_jobs,
             "vars_per_job": num_vars,
             "seed": args.seed,
-            "repeats": args.repeats,
+            "pairs": args.pairs,
         },
-        "bare": {"best_wall_s": round(bare_s, 3),
+        "bare": {"median_wall_s": round(float(np.median(bare_times)), 3),
                  "all_wall_s": [round(t, 3) for t in bare_times]},
-        "journaled": {"best_wall_s": round(journaled_s, 3),
+        "journaled": {"median_wall_s": round(float(np.median(journaled_times)), 3),
                       "all_wall_s": [round(t, 3) for t in journaled_times],
                       **journal_stats},
+        "pair_ratios": [round(r, 4) for r in ratios],
         "acceptance": {
             "overhead_ceiling": OVERHEAD_CEILING,
             "journal_overhead": round(overhead, 4),
@@ -142,10 +150,10 @@ def main(argv=None) -> int:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")
 
-    print(f"bare:      {bare_s:.3f}s best of {args.repeats}")
+    print(f"bare:      {np.median(bare_times):.3f}s median of {args.pairs}")
     print(
-        f"journaled: {journaled_s:.3f}s "
-        f"({overhead:+.1%} overhead, "
+        f"journaled: {np.median(journaled_times):.3f}s "
+        f"({overhead:+.1%} median pair overhead, "
         f"{journal_stats['records_per_job']} records/job), "
         f"bit_identical={identical}"
     )

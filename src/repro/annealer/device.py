@@ -106,13 +106,18 @@ class AnnealRequest:
         chains = self.placement
         if not chains.variables.size:
             raise ValueError("embedding is empty")
-        missing = np.setdiff1d(variables, chains.variables)
-        if missing.size:
+        # Both variable arrays are ascending: a lookup, not a set
+        # difference.
+        at = np.searchsorted(chains.variables, variables)
+        found = chains.variables.take(at, mode="clip") == variables
+        if not found.all():
+            missing = variables[~found]
             raise ValueError(
                 f"objective variables without a chain: {missing[:5].tolist()}"
             )
-        empty = chains.variables[chains.order][chains.sizes[chains.order] == 0]
-        if empty.size:
+        starts = chains.starts
+        if (starts[1:] <= starts[:-1]).any() or starts[-1] >= len(chains.qubits):
+            empty = chains.variables[chains.order][chains.sizes[chains.order] == 0]
             raise ValueError(
                 f"embedding has empty chains for variables: {empty[:5].tolist()}"
             )

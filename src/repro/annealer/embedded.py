@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cdcl import native
 from repro.embedding.base import EmbeddingArrays
 from repro.qubo.ising import LogicalArrays
 from repro.topology.chimera import ChimeraGraph
@@ -317,11 +318,20 @@ def build_embedded_problem(
     rows with both ends in one chain.  The couplings go straight into
     the symmetric CSR.
 
+    The frontend library's ``compile_run`` does all of it in one call,
+    with the :class:`ProgrammedArrays` the sweeps read; the NumPy body
+    below is the no-compiler path, and both give identical arrays.
+
     Raises ``ValueError`` if the objective mentions an unembedded
     variable or a quadratic term has no realising coupler.
     """
     if chain_strength <= 0:
         raise ValueError(f"chain_strength must be positive, got {chain_strength}")
+    kernel = native.load_frontend_kernel()
+    if kernel is not None:
+        problem = _compile_native(kernel, terms, placement, hardware, chain_strength)
+        if problem is not None:
+            return problem
     variables = placement.variables
     chain_of = np.searchsorted(variables, terms.variables)
     found = np.append(variables, -1)[chain_of] == terms.variables
@@ -415,3 +425,84 @@ def build_embedded_problem(
         chain_strength=chain_strength,
         logical=terms,
     )
+
+
+def _compile_native(
+    kernel,
+    terms: LogicalArrays,
+    placement: EmbeddingArrays,
+    hardware: ChimeraGraph,
+    chain_strength: float,
+) -> Optional[EmbeddedProblem]:
+    """:func:`build_embedded_problem` in ``compile_run``, its
+    :class:`ProgrammedArrays` filled in; ``None`` when the placement
+    misses a variable or an edge (the NumPy path raises which) or the
+    summed couplers outgrow ``capacity``."""
+    ints64 = [
+        terms.variables, terms.linear_index, terms.quadratic_rows,
+        terms.quadratic_cols, placement.variables, placement.starts,
+        placement.qubits, placement.edges, placement.coupler_starts,
+        placement.couplers, hardware.coupler_rows, hardware.coupler_array[1],
+    ]
+    inputs = [np.ascontiguousarray(x, np.int64) for x in ints64] + [
+        np.ascontiguousarray(terms.linear, float),
+        np.ascontiguousarray(terms.quadratic, float),
+    ]
+    (variables, linear_index, rows, cols, chains, starts, qubits, edges,
+     coupler_starts, couplers, hw_rows, hw_ends, linear, quadratic) = map(
+        native.address, inputs
+    )
+    n = len(placement.qubits)
+    # Each problem coupler and each hardware coupler at most once, when
+    # no two quadratic terms share an edge (the NumPy path takes the
+    # rest).
+    capacity = len(placement.couplers) + len(inputs[11])
+    ints = np.empty(2 + 2 * capacity, np.int64)
+    csr = np.empty(n + 1 + 2 * capacity, np.int32)
+    floats = np.empty(n + 2 * capacity)
+    singles = np.empty(2 * n + 4 * capacity, np.float32)
+    status = kernel.compile_run(
+        len(inputs[0]), variables, len(inputs[1]), linear_index, linear,
+        len(inputs[2]), rows, cols, quadratic,
+        len(inputs[4]), chains, starts, n, qubits,
+        len(inputs[7]), edges, coupler_starts, len(inputs[9]), couplers,
+        hardware.num_qubits, hw_rows, hw_ends, chain_strength,
+        capacity, native.address(ints), native.address(csr),
+        native.address(floats), native.address(singles),
+    )
+    if status == -1:
+        raise MemoryError("compile_run could not allocate its tables")
+    if status:
+        return None
+    couplings, chain_couplers = ints[:2].tolist()
+    nnz = 2 * couplings
+    # Exact-size copies: a cached problem keeps only what it uses.
+    floats = floats[: n + nnz].copy()
+    csr = csr[: n + 1 + nnz].copy()
+    singles = singles[: 2 * n + 2 * nnz].copy()
+    linear, data = floats[:n], floats[n:]
+    indptr, indices = csr[: n + 1], csr[n + 1 :]
+    problem = EmbeddedProblem(
+        placement.qubits,
+        linear,
+        indptr,
+        indices,
+        data,
+        chain_variables=placement.variables,
+        chain_starts=placement.starts,
+        chain_couplers=ints[2 : 2 + 2 * chain_couplers].reshape(-1, 2).copy(),
+        offset=terms.offset,
+        chain_strength=chain_strength,
+        logical=terms,
+    )
+    problem.__dict__["programmed"] = ProgrammedArrays(
+        linear,
+        indptr,
+        indices,
+        data,
+        singles[:n],
+        singles[2 * n : 2 * n + nnz],
+        singles[2 * n + nnz :],
+        singles[n : 2 * n],
+    )
+    return problem

@@ -1,6 +1,7 @@
 """Build and bind the native kernels: CDCL (``kernel.c``), the anneal
-read-out (``repro/annealer/sweep.c``) and the frontend's embed and term
-sum (``repro/core/frontend.c``).
+read-out (``repro/annealer/sweep.c``) and the frontend's cache miss
+(``repro/core/frontend.c``: trail conditioning, encode, coefficient
+adjustment, embed, term sum and chain compile).
 
 Each kernel is compiled on demand with the system C compiler into a
 shared library cached under ``build/cdcl-kernel/`` at the repository
@@ -11,8 +12,9 @@ involved — just ``cc -O2 -shared`` and :mod:`ctypes`.
 
 Float determinism: every kernel must reproduce its Python twin's
 IEEE-754 arithmetic bit for bit (CPython doubles for the CDCL kernel
-and the term sum, NumPy float32 for the sweeps and descent, float64
-for the logical pass).  ``-ffp-contract=off`` keeps the
+and the term sum, NumPy float64 for the coefficient adjustment, the
+compile and the logical pass, NumPy float32 for the sweeps, the descent
+and the compile's programmed forms).  ``-ffp-contract=off`` keeps the
 compiler from fusing ``a*b+c`` into FMA, and we deliberately avoid
 ``-ffast-math`` and ``-march=native``.  The sweep kernel adds
 ``-fno-trapping-math -fvect-cost-model=dynamic`` so GCC vectorises its
@@ -200,12 +202,26 @@ _SWEEP_SIGNATURES = [
 
 #: The frontend library's exports: (name, restype, argtypes).
 _FRONTEND_SIGNATURES = [
+    ("condition_run", _I64, [_I64] * 3 + [_PTR] * 2 + [_I64] + [_PTR] * 3),
+    ("encode_run", _I64, [_I64, _I64, _PTR, _I64, _I64] + [_PTR] * 6 + [_I64] + [_PTR] * 2),
+    ("adjust_run", _I64, [_I64] + [_PTR] * 3 + [_I64] + [_PTR] * 4),
     ("embed_run", _I64, [_I64] * 2 + [_PTR] * 2 + [_I64] * 4 + [_PTR]),
     ("sum_terms", _I64, [_I64] + [_PTR] * 4 + [_I64] + [_PTR] * 5),
+    (
+        "compile_run",
+        _I64,
+        # terms, placement, hardware, chain strength, outputs
+        [_I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR]
+        + [_I64, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR]
+        + [_I64, _PTR, _PTR, ctypes.c_double, _I64]
+        + [_PTR] * 4,
+    ),
 ]
 
 
 _NO_BYTES = ctypes.c_char * 0
+_from_buffer = _NO_BYTES.from_buffer
+_addressof = ctypes.addressof
 
 
 def address(array) -> int:
@@ -216,7 +232,7 @@ def address(array) -> int:
     through ``array.ctypes.data``.
     """
     try:
-        return ctypes.addressof(_NO_BYTES.from_buffer(array))
+        return _addressof(_from_buffer(array))
     except TypeError:
         return array.ctypes.data
 
@@ -329,9 +345,11 @@ def load_sweep_kernel() -> Optional[ctypes.CDLL]:
 
 
 def load_frontend_kernel() -> Optional[ctypes.CDLL]:
-    """The bound frontend library (the Section IV-B embed and the
-    embedded objective's term sum), building it on the first frontend
-    miss; ``None`` means both run their Python loops."""
+    """The bound frontend library (the trail conditioning, the Eq. 5
+    encode, the Section IV-C adjustment, the Section IV-B embed, the
+    embedded objective's term sum and the chain compile), building it on
+    the first frontend miss; ``None`` means each runs its NumPy or
+    Python path."""
     return _load_once(_FRONTEND_SOURCE, _CFLAGS, _FRONTEND_SIGNATURES)
 
 

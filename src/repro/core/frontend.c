@@ -1,9 +1,14 @@
-/* Native frontend for a QA call's cache miss: the Section IV-B embedder
- * (HyQSatEmbedder.embed) and the sum of the embedded clauses' weighted
- * terms (FormulaEncoding.terms_over).
+/* Native frontend for a QA call's cache miss, one call per step: the
+ * trail conditioning (ClauseTable.conditioned), the Eq. 5 encode
+ * (encode_formula), the Section IV-C coefficient adjustment
+ * (adjust_coefficients), the Section IV-B embedder
+ * (HyQSatEmbedder.embed), the sum of the embedded clauses' weighted
+ * terms (FormulaEncoding.terms_over) and the chain compile
+ * (build_embedded_problem).
  *
  * Each function must return exactly what its Python twin returns (the
- * no-compiler path and the oracle):
+ * no-compiler path and the oracle); each is described above its
+ * definition, the embed and the term sum here:
  *
  * embed_run.  HyQSatEmbedder._embed_loops on one encoded clause queue.
  * Step 1 gives each new variable the next vertical line, in queue
@@ -37,9 +42,11 @@
  *
  * Build without FP contraction or -ffast-math (see
  * repro/cdcl/native.py): every product and sum must round as CPython's
- * float arithmetic does.
+ * or NumPy's float arithmetic does (the compile's float32 row sums as
+ * NumPy's pairwise add reduction forms them).
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -778,4 +785,547 @@ done:
     dict_free(&quad);
     map_free(&pairs);
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* encode_run                                                          */
+/* ------------------------------------------------------------------ */
+
+/* Encode ``n`` rows of ``width`` signed literals (zero-padded on the
+ * right), numbering the auxiliaries of width-3 rows from
+ * ``first_aux``.  Each row's shape picks its entries of the per-shape
+ * tables of ``_shapes()``: ``num_subs`` (parts), ``parts`` (offset and
+ * d_ij of each of two parts), ``count`` (terms, in the first of ``k``
+ * slots), and per slot ``slots`` (two template slots), ``part`` and
+ * ``coeff``.  ``iout``
+ * receives the sub-objective and term counts S and T, then back to
+ * back: the rows' first three literal columns (3n), the auxiliaries
+ * (n), sub_clause and sub_part (S each), the keys (2T) and sub (T);
+ * ``fout`` receives offset and d_value (S each), then coeff (T).  Needs
+ * 2 + 4n + 2 * max parts * n + 3 * k * n and 2 * max parts * n + k * n
+ * slots.  Returns 0, or 1 when a variable exceeds ``num_vars`` or a
+ * row is empty, wider than three or tautological (the NumPy path then
+ * raises the reason). */
+i64 encode_run(i64 n, i64 width, const i64 *lits, i64 num_vars, i64 first_aux,
+               const i64 *num_subs, const double *parts, const i64 *count,
+               const i64 *slots, const i64 *part, const double *coeff, i64 k,
+               i64 *iout, double *fout)
+{
+    i64 *out_lits = iout + 2, *out_aux = out_lits + 3 * n;
+    i64 n_subs = 0, n_terms = 0;
+    /* Validate and take each row's shape (held in out_aux for now). */
+    for (i64 r = 0; r < n; r++) {
+        const i64 *row = lits + r * width;
+        i64 w = 0, signs = 0;
+        for (i64 j = 0; j < width; j++) {
+            if (llabs(row[j]) > num_vars)
+                return 1;
+            if (j && row[j] && llabs(row[j]) == llabs(row[j - 1]))
+                return 1;
+            w += row[j] != 0;
+            if (j < 3 && row[j] > 0)
+                signs += (i64)1 << j;
+        }
+        if (w == 0 || w > 3)
+            return 1;
+        i64 shape = ((i64)1 << w) - 2 + signs;
+        out_aux[r] = shape;
+        n_subs += num_subs[shape];
+        n_terms += count[shape];
+    }
+    i64 *sub_clause = out_aux + n, *sub_part = sub_clause + n_subs;
+    i64 *keys = sub_part + n_subs, *sub = keys + 2 * n_terms;
+    double *offset = fout, *d_value = fout + n_subs, *out_coeff = d_value + n_subs;
+    i64 s = 0, term = 0, aux = first_aux;
+    for (i64 r = 0; r < n; r++) {
+        const i64 *row = lits + r * width;
+        i64 shape = out_aux[r], vars[4];
+        for (i64 j = 0; j < 3; j++) {
+            out_lits[3 * r + j] = j < width ? row[j] : 0;
+            vars[j] = llabs(out_lits[3 * r + j]);
+        }
+        vars[3] = num_subs[shape] == 2 ? aux++ : 0;
+        out_aux[r] = vars[3];
+        for (i64 at = shape * k; at < shape * k + count[shape]; at++) {
+            keys[2 * term] = vars[slots[2 * at]];
+            keys[2 * term + 1] = vars[slots[2 * at + 1]];
+            sub[term] = s + part[at];
+            out_coeff[term++] = coeff[at];
+        }
+        for (i64 p = 0; p < num_subs[shape]; p++, s++) {
+            sub_clause[s] = r;
+            sub_part[s] = p + 1;
+            offset[s] = parts[(shape * 2 + p) * 2];
+            d_value[s] = parts[(shape * 2 + p) * 2 + 1];
+        }
+    }
+    iout[0] = n_subs;
+    iout[1] = n_terms;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* adjust_run                                                          */
+/* ------------------------------------------------------------------ */
+
+/* adjust_coefficients on an encoding's terms: term i adds
+ * ``coeff[i]``, weighted by the α of sub-objective ``sub[i]``, to key
+ * ``keys[i]`` (a variable (v, v), bound 2, or a pair, bound 1).  Each
+ * key's sum runs in term order from 0.0, as np.bincount's does; d* is
+ * the largest |sum| / bound at ``alpha_in``.  Every sub-objective with
+ * d_ij > 0 gets α = max(1, d* / d_ij); when that raises a sum above
+ * d* (1 + 1e-9), the boost is scaled back by the closed-form s*,
+ * rounded down to a multiple of 2^-30 and clamped to [0, 1 - 2^-30].
+ * Writes the α of each of ``n_subs`` sub-objectives to ``alpha`` and
+ * d* to ``d_star``.  Returns 0, -1 when memory ran out, or 1 on a NaN
+ * or non-finite scale (the NumPy path then raises). */
+i64 adjust_run(i64 n_terms, const i64 *keys, const i64 *sub, const double *coeff,
+               i64 n_subs, const double *alpha_in, const double *d_value,
+               double *alpha, double *d_star)
+{
+    i64 span = 1;
+    for (i64 i = 0; i < 2 * n_terms; i++)
+        if (keys[i] >= span)
+            span = keys[i] + 1;
+    i64 status = -1;
+    Map codes;
+    i64 *term = malloc((size_t)(n_terms + 1) * sizeof(i64));
+    double *sums = malloc(5 * (size_t)(n_terms + 1) * sizeof(double));
+    if (!term || !sums || map_init(&codes, n_terms)) {
+        if (term && sums)
+            map_free(&codes);
+        goto done;
+    }
+    double *bound = sums + (n_terms + 1), *raised = bound + (n_terms + 1);
+    double *a = raised + (n_terms + 1), *b = a + (n_terms + 1);
+
+    /* Number the keys (a variable, or a pair coded above every
+     * variable) and sum each at the input coefficients. */
+    i64 size = 0;
+    for (i64 i = 0; i < n_terms; i++) {
+        i64 u = keys[2 * i], v = keys[2 * i + 1];
+        i64 code = u == v ? u : span * u + v;
+        i64 slot = map_slot(&codes, code);
+        if (codes.keys[slot] == -1) {
+            codes.keys[slot] = code;
+            codes.vals[slot] = size;
+            sums[size] = 0.0;
+            bound[size++] = code < span ? 2.0 : 1.0;
+        }
+        term[i] = codes.vals[slot];
+        sums[term[i]] += alpha_in[sub[i]] * coeff[i];
+    }
+    double top = 0.0;
+    for (i64 t = 0; t < size; t++) {
+        double x = fabs(sums[t]) / bound[t];
+        if (x != x) {
+            status = 1;
+            goto freed;
+        }
+        if (x > top)
+            top = x;
+    }
+    for (i64 j = 0; j < n_subs; j++)
+        alpha[j] = 1.0;
+    if (top > 0.0) {
+        /* Only ever increase weak coefficients. */
+        for (i64 j = 0; j < n_subs; j++)
+            if (d_value[j] > 0.0) {
+                double q = top / d_value[j];
+                alpha[j] = q > 1.0 ? q : 1.0;
+            }
+        double limit = top * (1.0 + 1e-9), over = 0.0;
+        memset(raised, 0, (size_t)size * sizeof(double));
+        for (i64 i = 0; i < n_terms; i++)
+            raised[term[i]] += alpha[sub[i]] * coeff[i];
+        for (i64 t = 0; t < size; t++) {
+            double x = fabs(raised[t]) / bound[t];
+            if (x != x) {
+                status = 1;
+                goto freed;
+            }
+            if (x > over)
+                over = x;
+        }
+        if (over > limit) {
+            memset(a, 0, (size_t)size * sizeof(double));
+            memset(b, 0, (size_t)size * sizeof(double));
+            for (i64 i = 0; i < n_terms; i++) {
+                a[term[i]] += coeff[i];
+                b[term[i]] += (alpha[sub[i]] - 1.0) * coeff[i];
+            }
+            double s_star = 0.0;
+            int moving = 0;
+            for (i64 t = 0; t < size; t++) {
+                if (b[t] == 0.0)
+                    continue;
+                double room = bound[t] * limit - (b[t] > 0.0 ? 1.0 : -1.0) * a[t];
+                double x = room / fabs(b[t]);
+                if (x != x) {
+                    status = 1;
+                    goto freed;
+                }
+                if (!moving || x < s_star)
+                    s_star = x;
+                moving = 1;
+            }
+            /* floor(s* 2^30), clamped to [0, 2^30 - 1]; an infinite
+             * s* is an error in Python's math.floor. */
+            const double steps = 1073741824.0;
+            double x = s_star * steps;
+            if (x - x != 0.0) {
+                status = 1;
+                goto freed;
+            }
+            double taken = x <= 0.0 ? 0.0 : x >= steps - 1.0 ? steps - 1.0 : (double)(i64)x;
+            double scale = taken / steps;
+            for (i64 j = 0; j < n_subs; j++)
+                alpha[j] = 1.0 + scale * (alpha[j] - 1.0);
+        }
+    }
+    *d_star = top;
+    status = 0;
+
+freed:
+    map_free(&codes);
+done:
+    free(term);
+    free(sums);
+    return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* compile_run                                                         */
+/* ------------------------------------------------------------------ */
+
+/* The sum of ``n`` float32 values as NumPy's float add reduction forms
+ * it (its pairwise sum: eight running sums over blocks of eight, split
+ * in halves above 128 values). */
+static float pairwise_sum(const float *a, i64 n)
+{
+    if (n < 8) {
+        float res = -0.0f;
+        for (i64 i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        float r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        i64 i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        float res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    i64 half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* build_embedded_problem on arrays.  The objective's terms: ``n_vars``
+ * ascending variables, ``n_lin`` linear terms (variable index, value)
+ * and ``n_quad`` quadratic ones (row and column indices, value).  The
+ * placement: ``n_chains`` chains (ascending variables, each the run of
+ * ``qubits`` (n in all) from its start), ``n_edges`` edges (u, v) with
+ * the start of each one's couplers (``n_couplers`` (horizontal,
+ * vertical) qubit pairs).  The hardware: ``hw_qubits`` qubits and its
+ * couplers, each listed once under its lower qubit: qubit q's upper
+ * ends are ``hw_b[hw_rows[q]]`` up to ``hw_b[hw_rows[q + 1]]``.
+ *
+ * Each linear value is spread over its chain's qubits, each quadratic
+ * value over its edge's couplers, and every hardware coupler inside a
+ * chain gets ``chain_strength`` on both ends and -2 ``chain_strength``
+ * on the coupler, added in that order (np.bincount's).  Couplers are
+ * summed in that order from 0.0; one summing to exactly 0.0 is
+ * dropped.  ``iout`` receives the coupling count C and the chain
+ * coupler count M, then the chain couplers as ascending (i, j) pairs
+ * (2M); ``csr`` the symmetric CSR's indptr (n + 1) and indices (2C),
+ * in scipy's layout; ``fout`` the biases (n) and the CSR data (2C);
+ * ``f32`` the biases and ``linear32 + rowsum(data32) / 2`` (n each),
+ * then the data and ``-0.5`` times it (2C each), as float32, each row
+ * summed as np.add.reduceat sums it.  ``capacity`` bounds the summed
+ * problem and chain couplers (the outputs hold twice as many
+ * couplings).  Returns 0; -1 when memory ran out; 1 when a variable
+ * has no chain, an edge no coupler, a qubit lies outside the hardware
+ * or the chains, or the couplers exceed ``capacity`` (the NumPy path
+ * then raises or compiles). */
+i64 compile_run(i64 n_vars, const i64 *variables, i64 n_lin,
+                const i64 *linear_index, const double *linear, i64 n_quad,
+                const i64 *quad_rows, const i64 *quad_cols,
+                const double *quadratic, i64 n_chains, const i64 *chain_vars,
+                const i64 *chain_starts, i64 n, const i64 *qubits,
+                i64 n_edges, const i64 *edges, const i64 *coupler_starts,
+                i64 n_couplers, const i64 *couplers, i64 hw_qubits,
+                const i64 *hw_rows, const i64 *hw_b, double chain_strength,
+                i64 capacity, i64 *iout, int32_t *csr, double *fout,
+                float *f32)
+{
+    i64 status = -1, span = 1;
+    Map edge_map;
+    memset(&edge_map, 0, sizeof edge_map);
+    for (i64 i = 0; i < 2 * n_edges; i++)
+        if (edges[i] >= span)
+            span = edges[i] + 1;
+    for (i64 i = 0; i < n_vars; i++)
+        if (variables[i] >= span)
+            span = variables[i] + 1;
+    i64 *index_of = malloc((size_t)(2 * hw_qubits + n_vars + n_quad + 1) * sizeof(i64));
+    if (!index_of || map_init(&edge_map, n_edges))
+        goto done;
+    i64 *owner = index_of + hw_qubits, *chain_of = owner + hw_qubits;
+    i64 *edge_of = chain_of + n_vars;
+    for (i64 q = 0; q < hw_qubits; q++)
+        index_of[q] = owner[q] = -1;
+    status = 1;
+    for (i64 c = 0; c < n_chains; c++) {
+        i64 end = c + 1 < n_chains ? chain_starts[c + 1] : n;
+        for (i64 i = chain_starts[c]; i < end; i++) {
+            if (qubits[i] < 0 || qubits[i] >= hw_qubits)
+                goto done;
+            index_of[qubits[i]] = i;
+            owner[qubits[i]] = c;
+        }
+    }
+    /* Each variable's chain (binary search of the ascending chains). */
+    for (i64 i = 0; i < n_vars; i++) {
+        i64 lo = 0, hi = n_chains;
+        while (lo < hi) {
+            i64 mid = (lo + hi) / 2;
+            if (chain_vars[mid] < variables[i])
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo == n_chains || chain_vars[lo] != variables[i])
+            goto done;
+        chain_of[i] = lo;
+    }
+    /* Each quadratic term's edge, and the problem couplings' count. */
+    for (i64 e = 0; e < n_edges; e++) {
+        i64 code = edges[2 * e] * span + edges[2 * e + 1];
+        i64 slot = map_slot(&edge_map, code);
+        if (edge_map.keys[slot] == -1) {
+            edge_map.keys[slot] = code;
+            edge_map.vals[slot] = e;
+        }
+    }
+    i64 problem = 0;
+    for (i64 k = 0; k < n_quad; k++) {
+        i64 code = variables[quad_rows[k]] * span + variables[quad_cols[k]];
+        i64 slot = map_slot(&edge_map, code);
+        if (edge_map.keys[slot] == -1)
+            goto done;
+        i64 e = edge_map.vals[slot];
+        i64 end = e + 1 < n_edges ? coupler_starts[e + 1] : n_couplers;
+        if (end <= coupler_starts[e])
+            goto done;
+        edge_of[k] = e;
+        problem += end - coupler_starts[e];
+    }
+
+    i64 entries_cap = problem + 1;
+    for (i64 i = 0; i < n; i++)
+        entries_cap += hw_rows[qubits[i] + 1] - hw_rows[qubits[i]];
+    i64 *lo_of = malloc((size_t)(3 * entries_cap + 2 * (n + 1)) * sizeof(i64));
+    double *weight = malloc((size_t)entries_cap * sizeof(double));
+    uint8_t *is_chain = malloc((size_t)entries_cap);
+    if (!lo_of || !weight || !is_chain) {
+        status = -1;
+        goto entries_done;
+    }
+    i64 *hi_of = lo_of + entries_cap, *order = hi_of + entries_cap;
+    i64 *row_at = order + entries_cap, *upper = row_at + (n + 1);
+
+    /* Linear biases spread uniformly over chains. */
+    double *bias = fout;
+    for (i64 q = 0; q < n; q++)
+        bias[q] = 0.0;
+    for (i64 t = 0; t < n_lin; t++) {
+        i64 c = chain_of[linear_index[t]];
+        i64 end = c + 1 < n_chains ? chain_starts[c + 1] : n;
+        double share = linear[t] / (double)(end - chain_starts[c]);
+        for (i64 i = chain_starts[c]; i < end; i++)
+            bias[i] += share;
+    }
+    /* Problem couplings spread over the realising couplers. */
+    i64 n_entries = 0;
+    for (i64 k = 0; k < n_quad; k++) {
+        i64 e = edge_of[k];
+        i64 end = e + 1 < n_edges ? coupler_starts[e + 1] : n_couplers;
+        double w = quadratic[k] / (double)(end - coupler_starts[e]);
+        for (i64 c = coupler_starts[e]; c < end; c++) {
+            i64 a = couplers[2 * c], b = couplers[2 * c + 1];
+            if (a < 0 || a >= hw_qubits || b < 0 || b >= hw_qubits ||
+                index_of[a] < 0 || index_of[b] < 0) {
+                status = 1;
+                goto entries_done;
+            }
+            i64 ia = index_of[a], ib = index_of[b];
+            lo_of[n_entries] = ia < ib ? ia : ib;
+            hi_of[n_entries] = ia < ib ? ib : ia;
+            weight[n_entries] = w;
+            is_chain[n_entries++] = 0;
+        }
+    }
+    /* Chain equality penalties on every intra-chain hardware coupler
+     * (their order does not matter: each adds the same values). */
+    for (i64 ia = 0; ia < n; ia++) {
+        i64 q = qubits[ia];
+        if (owner[q] < 0 || index_of[q] != ia)
+            continue;
+        for (i64 h = hw_rows[q]; h < hw_rows[q + 1]; h++) {
+            if (owner[hw_b[h]] != owner[q])
+                continue;
+            i64 ib = index_of[hw_b[h]];
+            bias[ia] += chain_strength;
+            bias[ib] += chain_strength;
+            lo_of[n_entries] = ia < ib ? ia : ib;
+            hi_of[n_entries] = ia < ib ? ib : ia;
+            weight[n_entries] = -2.0 * chain_strength;
+            is_chain[n_entries++] = 1;
+        }
+    }
+    if (n_entries > capacity) {
+        status = 1;
+        goto entries_done;
+    }
+
+    /* Sort the entries by (i, j), stably: by row, then insertion sort
+     * within each row (a qubit has a handful of couplers). */
+    memset(row_at, 0, (size_t)(n + 1) * sizeof(i64));
+    for (i64 x = 0; x < n_entries; x++)
+        row_at[lo_of[x] + 1]++;
+    for (i64 r = 0; r < n; r++)
+        row_at[r + 1] += row_at[r];
+    memcpy(upper, row_at, (size_t)(n + 1) * sizeof(i64));
+    for (i64 x = 0; x < n_entries; x++)
+        order[upper[lo_of[x]]++] = x;
+    for (i64 r = 0; r < n; r++) {
+        i64 *run = order + row_at[r], size = row_at[r + 1] - row_at[r];
+        for (i64 i = 1; i < size; i++) {
+            i64 x = run[i], j = i;
+            while (j > 0 && hi_of[run[j - 1]] > hi_of[x]) {
+                run[j] = run[j - 1];
+                j--;
+            }
+            run[j] = x;
+        }
+    }
+
+    /* Sum each coupler's entries in input order; keep the nonzero sums
+     * (in place of the sorted entries) and list the chain couplers. */
+    i64 *chains_out = iout + 2, kept = 0, m = 0;
+    for (i64 p = 0; p < n_entries;) {
+        i64 x = order[p], i = lo_of[x], j = hi_of[x];
+        double sum = 0.0;
+        int chain = 0;
+        for (; p < n_entries && lo_of[order[p]] == i && hi_of[order[p]] == j; p++) {
+            sum += weight[order[p]];
+            chain |= is_chain[order[p]];
+        }
+        if (chain) {
+            chains_out[2 * m] = i;
+            chains_out[2 * m++ + 1] = j;
+        }
+        if (sum != 0.0) {
+            order[kept] = x;
+            weight[x] = sum;
+            kept++;
+        }
+    }
+
+    /* The symmetric CSR: row r holds its couplers to lower indices,
+     * then to higher ones, each ascending. */
+    int32_t *indptr = csr, *indices = csr + n + 1;
+    double *data = fout + n;
+    memset(row_at, 0, (size_t)(n + 1) * sizeof(i64));
+    memset(upper, 0, (size_t)(n + 1) * sizeof(i64));
+    for (i64 p = 0; p < kept; p++) {
+        row_at[hi_of[order[p]]]++; /* lower neighbours of row j */
+        upper[lo_of[order[p]]]++;
+    }
+    indptr[0] = 0;
+    for (i64 r = 0; r < n; r++) {
+        i64 lower = row_at[r];
+        indptr[r + 1] = (int32_t)(indptr[r] + lower + upper[r]);
+        row_at[r] = indptr[r];         /* next lower slot */
+        upper[r] = indptr[r] + lower;  /* next upper slot */
+    }
+    for (i64 p = 0; p < kept; p++) {
+        i64 x = order[p], i = lo_of[x], j = hi_of[x];
+        indices[upper[i]] = (int32_t)j;
+        data[upper[i]++] = weight[x];
+        indices[row_at[j]] = (int32_t)i;
+        data[row_at[j]++] = weight[x];
+    }
+
+    /* The float32 forms the sweeps read. */
+    i64 nnz = 2 * kept;
+    float *linear32 = f32, *c = f32 + n, *data32 = f32 + 2 * n;
+    float *scaled = data32 + nnz;
+    for (i64 p = 0; p < nnz; p++) {
+        data32[p] = (float)data[p];
+        scaled[p] = data32[p] * -0.5f;
+    }
+    for (i64 r = 0; r < n; r++) {
+        i64 start = indptr[r], size = indptr[r + 1] - start;
+        float rowsum = 0.0f;
+        if (size)
+            rowsum = data32[start] + pairwise_sum(data32 + start + 1, size - 1);
+        linear32[r] = (float)bias[r];
+        c[r] = linear32[r] + 0.5f * rowsum;
+    }
+    iout[0] = kept;
+    iout[1] = m;
+    status = 0;
+
+entries_done:
+    free(lo_of);
+    free(weight);
+    free(is_chain);
+done:
+    free(index_of);
+    map_free(&edge_map);
+    return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* condition_run                                                       */
+/* ------------------------------------------------------------------ */
+
+/* ClauseTable.conditioned: rows ``rows`` (n) of the ``m`` x ``width``
+ * table ``lits`` less the literals of assigned variables (``assigned``
+ * nonzero, ``n_assigned`` entries), each row's survivors slid left in
+ * order and zero-padded; a row left empty is dropped.  Writes the kept
+ * rows to ``out`` (width each) and their indices to ``kept``.  Returns
+ * the kept count, or -1 for a row or variable outside the tables (the
+ * NumPy path then decides). */
+i64 condition_run(i64 n, i64 m, i64 width, const i64 *lits, const i64 *rows,
+                  i64 n_assigned, const uint8_t *assigned, i64 *out, i64 *kept)
+{
+    i64 count = 0;
+    for (i64 r = 0; r < n; r++) {
+        if (rows[r] < 0 || rows[r] >= m)
+            return -1;
+        const i64 *row = lits + rows[r] * width;
+        i64 *dst = out + count * width, filled = 0;
+        for (i64 j = 0; j < width; j++) {
+            i64 var = llabs(row[j]);
+            if (var >= n_assigned)
+                return -1;
+            if (row[j] && !assigned[var])
+                dst[filled++] = row[j];
+        }
+        if (!filled)
+            continue;
+        while (filled < width)
+            dst[filled++] = 0;
+        kept[count++] = rows[r];
+    }
+    return count;
 }

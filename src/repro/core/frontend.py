@@ -18,8 +18,11 @@ Pipeline per QA call, on index arrays rather than per-clause objects:
    device (when the device's chain strength is known), from the terms
    and the embedder's chain and coupler arrays.
 
-Steps 4 and 5 run in the frontend library (``core/frontend.c``) when
-it builds.  The result carries everything the device needs (an
+Each step is one call into the frontend library (``core/frontend.c``)
+when it builds, so a miss makes a fixed handful of NumPy calls whatever
+its term count; the NumPy and Python paths stay as the no-compiler
+path, with identical results.  The result carries everything the
+device needs (an
 :class:`~repro.annealer.device.AnnealRequest` of arrays, whose dict
 objective, :class:`~repro.embedding.base.Embedding` and coupler map are
 built only when read) plus the bookkeeping the backend needs (which
@@ -40,6 +43,9 @@ prepared call is therefore memoised in a bounded LRU keyed on
   trail growth does not spuriously invalidate entries, while any
   change to a relevant variable does.
 
+Both are the bytes of their arrays (the trail is one int8 per
+variable), so the key is built and hashed without a Python loop.
+
 A hit skips encode, coefficient adjustment, embed, normalise, *and*
 (via the ``compiled`` payload on the request) the device-side chain
 compile.  Hit/miss counters are exposed for
@@ -57,12 +63,13 @@ import numpy as np
 
 from repro.annealer.device import AnnealRequest
 from repro.annealer.embedded import build_embedded_problem
+from repro.cdcl import native
 from repro.embedding.hyqsat_embed import HyQSatEmbedder, HyQSatEmbeddingResult
 from repro.qubo.coefficients import adjust_coefficients
 from repro.qubo.encoding import FormulaEncoding, encode_formula
 from repro.qubo.normalization import normalize
 from repro.sat.assignment import Assignment
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, ClauseTable
 from repro.topology.chimera import ChimeraGraph
 
 #: The request object a prepared (and possibly cached) frontend call
@@ -70,9 +77,10 @@ from repro.topology.chimera import ChimeraGraph
 #: about "prepared requests" without importing the annealer layer.
 PreparedRequest = AnnealRequest
 
-#: Cache key: (sorted queue clause indices, ((var, value), ...) trail
-#: restriction over the queue's variables).
-CacheKey = Tuple[Tuple[int, ...], Tuple[Tuple[int, bool], ...]]
+#: Cache key: the sorted queue clause indices, and the trail
+#: restriction over the queue's variables (those variables, ascending,
+#: then their values), each as the bytes of its array.
+CacheKey = Tuple[bytes, bytes]
 
 #: Sentinel distinguishing "not cached" from a cached ``None`` result.
 _MISSING = object()
@@ -94,17 +102,13 @@ class FrontendResult:
     embedding_result: HyQSatEmbeddingResult
     encoding: FormulaEncoding
     elapsed_seconds: float
+    #: Formula variables involved in the embedded clauses, ascending.
+    embedded_variables: Tuple[int, ...]
 
     @property
     def num_embedded(self) -> int:
         """Count of formula clauses embedded for this call."""
         return len(self.formula_clauses)
-
-    @property
-    def embedded_variables(self) -> Tuple[int, ...]:
-        """Formula variables involved in the embedded clauses."""
-        lits = self.encoding.clauses.lits[list(self.embedding_result.embedded_clauses)]
-        return tuple(v for v in np.unique(np.abs(lits)).tolist() if v)
 
 
 class Frontend:
@@ -151,6 +155,7 @@ class Frontend:
         self._cache: "OrderedDict[CacheKey, Optional[FrontendResult]]" = OrderedDict()
         self._embedder = HyQSatEmbedder(hardware)
         self._table = formula.table
+        self._lits = np.ascontiguousarray(self._table.lits, np.int64)
 
     def reset_cache(self) -> None:
         """Drop all cached entries and zero the hit/miss counters."""
@@ -183,9 +188,10 @@ class Frontend:
         obs = self.observability
         metrics = obs.metrics
         with obs.tracer.span("embed", queue_clauses=len(queue)) as span:
+            state = None if assignment is None else self._trail(assignment)
             key: Optional[CacheKey] = None
             if self.cache_size > 0:
-                key = self._cache_key(queue, assignment)
+                key = self._cache_key(queue, state)
                 cached = self._cache.get(key, _MISSING)
                 if cached is not _MISSING:
                     self._cache.move_to_end(key)
@@ -206,7 +212,7 @@ class Frontend:
                 self.cache_misses += 1
                 if metrics is not None:
                     metrics.counter("hyqsat_frontend_cache_misses_total").inc()
-            result = self._prepare_uncached(queue, assignment, start)
+            result = self._prepare_uncached(queue, assignment, start, state)
             span.set(
                 cache_hit=False,
                 embedded=0 if result is None else result.num_embedded,
@@ -217,30 +223,65 @@ class Frontend:
                     self._cache.popitem(last=False)
             return result
 
+    def _trail(self, assignment: "Assignment") -> np.ndarray:
+        """The trail snapshot as one int8 per variable: -1 when
+        unassigned, else its value."""
+        size = len(assignment)
+        variables = np.fromiter(assignment.keys(), np.int64, size)
+        state = np.full(
+            max(self.formula.num_vars, variables.max(initial=0)) + 1, -1, np.int8
+        )
+        state[variables] = np.fromiter(assignment.values(), np.int8, size)
+        return state
+
     def _cache_key(
-        self, queue: Sequence[int], assignment: Optional["Assignment"]
+        self, queue: Sequence[int], state: Optional[np.ndarray]
     ) -> CacheKey:
         """(queue fingerprint, trail restriction) — see module docs."""
-        fingerprint = tuple(sorted(queue))
-        if assignment is None:
-            return fingerprint, ()
-        variables = np.unique(np.abs(self._table.lits[list(fingerprint)]))
-        return fingerprint, tuple(
-            (var, assignment[var]) for var in variables.tolist() if var in assignment
-        )
+        rows = np.sort(np.asarray(queue, np.int64))
+        if state is None:
+            return rows.tobytes(), b""
+        present = np.zeros(len(state), bool)
+        present[np.abs(self._table.lits[rows])] = True
+        present[0] = False
+        variables = np.flatnonzero(present & (state >= 0))
+        return rows.tobytes(), variables.tobytes() + state[variables].tobytes()
+
+    def _condition(self, queue: Sequence[int], assigned: np.ndarray):
+        """:meth:`ClauseTable.conditioned` of the queue, in the frontend
+        library's ``condition_run`` when it loads."""
+        kernel = native.load_frontend_kernel()
+        if kernel is not None:
+            table = self._lits
+            rows = np.asarray(queue, np.int64)
+            m, width = table.shape
+            lits = np.empty((len(rows), width), np.int64)
+            kept = np.empty(len(rows), np.int64)
+            count = kernel.condition_run(
+                len(rows), m, width, native.address(table), native.address(rows),
+                len(assigned), native.address(assigned), native.address(lits),
+                native.address(kept),
+            )
+            if count >= 0:
+                return ClauseTable(lits[:count]), kept[:count]
+        return self._table.conditioned(queue, assigned)
 
     def _prepare_uncached(
         self,
         queue: Sequence[int],
         assignment: Optional["Assignment"],
         start: float,
+        state: Optional[np.ndarray],
     ) -> Optional[FrontendResult]:
-        trail = np.fromiter(assignment or (), np.int64)
-        assigned = np.zeros(max(self.formula.num_vars, trail.max(initial=0)) + 1, bool)
-        assigned[trail] = True
+        """A miss: ``state`` is :meth:`_trail` of ``assignment`` (None
+        without one)."""
+        if state is None:
+            assigned = np.zeros(self.formula.num_vars + 1, bool)
+        else:
+            assigned = state >= 0
         # A clause the trail falsified leaves no row: propagation
         # handles it.
-        clauses, kept = self._table.conditioned(queue, assigned)
+        clauses, kept = self._condition(queue, assigned)
         if not len(clauses):
             return None
         encoding = adjust_coefficients(
@@ -276,11 +317,15 @@ class Frontend:
             num_reads=self.num_reads,
             compiled=compiled,
         )
-        formula_clauses = tuple(kept[list(embed_result.embedded_clauses)].tolist())
+        embedded = list(embed_result.embedded_clauses)
+        present = np.zeros(len(assigned), bool)
+        present[np.abs(encoding.clauses.lits[embedded])] = True
+        present[0] = False
         return FrontendResult(
             request=request,
-            formula_clauses=formula_clauses,
+            formula_clauses=tuple(kept[embedded].tolist()),
             embedding_result=embed_result,
             encoding=encoding,
             elapsed_seconds=time.perf_counter() - start,
+            embedded_variables=tuple(np.flatnonzero(present).tolist()),
         )

@@ -26,6 +26,7 @@ replayable bit-identically as ``hyqsat solve --topology T --grid N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List
 
 #: Fleet-spec grammar: comma-separated ``topology:grid`` atoms, e.g.
@@ -41,9 +42,16 @@ class GatewayQpu:
     topology: str
     grid: int
 
+    @cached_property
+    def hardware(self):
+        """The member's lattice (built once per process and shared)."""
+        from repro.topology import build_hardware
+
+        return build_hardware(self.topology, self.grid)
+
     @property
     def num_qubits(self) -> int:
-        return self.grid * self.grid * 2 * 4
+        return self.hardware.num_qubits
 
     def describe(self) -> Dict[str, object]:
         """The ``welcome`` message's fleet entry."""
@@ -105,8 +113,6 @@ class FleetRouter:
     cover their variables."""
 
     def __init__(self, qpus: List[GatewayQpu]):
-        from repro.topology import build_hardware
-
         if not qpus:
             raise ValueError("fleet must have at least one QPU")
         # Smallest lattice first; the denser topology wins ties (same
@@ -115,10 +121,7 @@ class FleetRouter:
             qpus,
             key=lambda q: (q.num_qubits, 0 if q.topology == "pegasus" else 1),
         )
-        self._lines = [
-            (build_hardware(q.topology, q.grid).num_vertical_lines, q)
-            for q in order
-        ]
+        self._lines = [(q.hardware.num_vertical_lines, q) for q in order]
         # max() keeps the first of equal maxima: ties stay in order.
         self._fallback = max(self._lines, key=lambda entry: entry[0])[1]
 

@@ -21,9 +21,11 @@ term ``k``, so the largest admissible scale has a closed form::
 
 where ``t_k`` is ``2·d*`` for a linear and ``d*`` for a quadratic term.
 The encoding's term arrays give ``a``, ``b`` and ``t`` in one
-``np.bincount`` each, and :meth:`FormulaEncoding.with_coefficients`
-sets the new α without summing anything: the re-weighted objective is
-built if and when something reads it.
+``np.bincount`` each (or in one call of the frontend library's
+``adjust_run``, which sums in the same order), and
+:meth:`FormulaEncoding.with_coefficients` sets the new α without
+summing anything: the re-weighted objective is built if and when
+something reads it.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.cdcl import native
 from repro.qubo.encoding import FormulaEncoding
 
 #: Relative slack on ``d*`` (absorbs float rounding in the sums).
@@ -91,6 +94,11 @@ def adjust_coefficients(encoding: FormulaEncoding) -> CoefficientAdjustment:
     of the module docstring, rounded down to a multiple of 2^-30 (the
     resolution the tests pin α at), and clamped to ``[0, 1 − 2^-30]``.
     """
+    kernel = native.load_frontend_kernel()
+    if kernel is not None:
+        adjustment = _adjust_native(kernel, encoding)
+        if adjustment is not None:
+            return adjustment
     layout = encoding.layout
     # Number the summed terms: a variable, or a pair coded above every
     # variable.  Terms run in sub-objective order, so np.bincount sums
@@ -133,4 +141,31 @@ def adjust_coefficients(encoding: FormulaEncoding) -> CoefficientAdjustment:
 
     return CoefficientAdjustment(
         encoding=encoding.with_coefficients(alpha), d_star=d_star
+    )
+
+
+def _adjust_native(kernel, encoding: FormulaEncoding) -> Optional[CoefficientAdjustment]:
+    """:func:`adjust_coefficients` in the frontend library's
+    ``adjust_run`` (the same sums in the same order); ``None`` on a NaN
+    or infinite scale, which the NumPy path reports."""
+    layout = encoding.layout
+    inputs = [
+        np.ascontiguousarray(layout.keys, np.int64),
+        np.ascontiguousarray(layout.sub, np.int64),
+        np.ascontiguousarray(layout.coeff, float),
+        np.ascontiguousarray(encoding.alpha, float),
+        np.ascontiguousarray(layout.d_value, float),
+    ]
+    alpha, d_star = np.empty(len(layout.d_value)), np.empty(1)
+    pointers = [native.address(a) for a in inputs]
+    status = kernel.adjust_run(
+        len(inputs[2]), *pointers[:3], len(alpha), *pointers[3:],
+        native.address(alpha), native.address(d_star),
+    )
+    if status < 0:
+        raise MemoryError("adjust_run could not allocate its tables")
+    if status:
+        return None
+    return CoefficientAdjustment(
+        encoding=encoding.with_coefficients(alpha), d_star=float(d_star[0])
     )

@@ -22,14 +22,17 @@ variables; encoding a :class:`~repro.sat.cnf.ClauseTable` gathers each
 clause's shape terms with its own variables in place.  Summing adds the
 gathered terms one at a time, in sub-objective order: the values and
 dict key order of adding each sub-objective's dict in turn.  The
-frontend sums into :class:`~repro.qubo.ising.LogicalArrays` through the
-frontend library (``core/frontend.c``), which replays those dict adds.
+frontend library (``core/frontend.c``) does both when it loads: its
+``encode_run`` gathers the shape terms of a whole table in one call,
+and its ``sum_terms`` replays those dict adds into
+:class:`~repro.qubo.ising.LogicalArrays`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -117,6 +120,24 @@ def _shapes():
                 True, np.subtract(pair, 1), j, c,
             )
     return np.array([len(subs) for subs in shapes]), parts, (ok, slots, part, coeff)
+
+
+@lru_cache(maxsize=None)
+def _shape_tables():
+    """:func:`_shapes` as the contiguous arrays the frontend library's
+    ``encode_run`` reads (kept alive here), their addresses, the term
+    slots per shape and the most parts of a shape."""
+    num_subs, parts, (ok, slots, part, coeff) = _shapes()
+    tables = (
+        np.ascontiguousarray(num_subs, np.int64),
+        np.ascontiguousarray(parts, float),
+        np.count_nonzero(ok, axis=1).astype(np.int64),  # ok is a prefix
+        np.ascontiguousarray(slots, np.int64),
+        np.ascontiguousarray(part, np.int64),
+        np.ascontiguousarray(coeff, float),
+    )
+    pointers = [native.address(table) for table in tables]
+    return tables, pointers, ok.shape[1], int(num_subs.max())
 
 
 def _gather(shape: np.ndarray, variables: np.ndarray) -> Layout:
@@ -350,6 +371,12 @@ def encode_formula(
     ``first_aux_var``, by default ``num_formula_vars + 1``.
     """
     table = clauses if isinstance(clauses, ClauseTable) else ClauseTable.of(clauses)
+    first = num_formula_vars + 1 if first_aux_var is None else first_aux_var
+    kernel = native.load_frontend_kernel()
+    if kernel is not None:
+        encoding = _encode_native(kernel, table, num_formula_vars, first)
+        if encoding is not None:
+            return encoding
     variables = np.abs(table.lits)
     max_mentioned = int(variables.max(initial=0))
     if max_mentioned > num_formula_vars:
@@ -364,7 +391,6 @@ def encode_formula(
     lits = np.ascontiguousarray(np.pad(table.lits, ((0, 0), (0, 3)))[:, :3])
     shape = (1 << width) - 2 + (lits > 0) @ np.array([1, 2, 4])
     has_aux = width == 3
-    first = num_formula_vars + 1 if first_aux_var is None else first_aux_var
     aux = np.where(has_aux, first + np.cumsum(has_aux) - 1, 0)
     layout = _gather(shape, np.column_stack([np.abs(lits), aux]))
     return FormulaEncoding(
@@ -373,6 +399,44 @@ def encode_formula(
         alpha=np.ones(len(layout.sub_clause)),
         num_formula_vars=num_formula_vars,
         layout=layout,
+    )
+
+
+def _encode_native(
+    kernel, table: ClauseTable, num_formula_vars: int, first: int
+) -> Optional[FormulaEncoding]:
+    """:func:`encode_formula` in the frontend library's ``encode_run``:
+    the same arrays, each a view of one of two output buffers; ``None``
+    when a row is invalid (the NumPy path raises the reason) or the
+    table is not int64 (the NumPy path keeps its dtype)."""
+    if table.lits.dtype != np.int64:
+        return None
+    lits = np.ascontiguousarray(table.lits)
+    n, width = lits.shape
+    _, pointers, slots, most = _shape_tables()
+    ints = np.empty(2 + (4 + 2 * most + 3 * slots) * n, np.int64)
+    floats = np.empty((2 * most + slots) * n)
+    if kernel.encode_run(
+        n, width, native.address(lits), num_formula_vars, first, *pointers,
+        slots, native.address(ints), native.address(floats),
+    ):
+        return None
+    subs, terms = ints[:2].tolist()
+    ends = list(accumulate([2, 3 * n, n, subs, subs, 2 * terms, terms]))
+    return FormulaEncoding(
+        clauses=ClauseTable(ints[ends[0] : ends[1]].reshape(n, 3)),
+        aux=ints[ends[1] : ends[2]],
+        alpha=np.ones(subs),
+        num_formula_vars=num_formula_vars,
+        layout=Layout(
+            sub_clause=ints[ends[2] : ends[3]],
+            sub_part=ints[ends[3] : ends[4]],
+            offset=floats[:subs],
+            d_value=floats[subs : 2 * subs],
+            keys=ints[ends[4] : ends[5]].reshape(terms, 2),
+            sub=ints[ends[5] : ends[6]],
+            coeff=floats[2 * subs : 2 * subs + terms],
+        ),
     )
 
 

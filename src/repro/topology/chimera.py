@@ -220,6 +220,13 @@ class ChimeraGraph:
         ordered = first < second
         return first[ordered], second[ordered]
 
+    @cached_property
+    def coupler_rows(self) -> np.ndarray:
+        """Where each qubit's rows of :attr:`coupler_array` (those with
+        it as the lower end) start, then the row count."""
+        first, _ = self.coupler_array
+        return np.searchsorted(first, np.arange(self.num_qubits + 1))
+
     # ------------------------------------------------------------------
     # Line abstraction (HyQSAT embedding, Section IV-B)
     # ------------------------------------------------------------------

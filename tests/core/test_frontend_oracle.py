@@ -15,8 +15,14 @@ benchgen family and of uniform random 3-SAT at 170 variables, each
 prepared on C16, Chimera 8x8, Pegasus 8x8 and a C16 with broken
 qubits; a last test runs whole hybrid solves with the oracle patched
 into :class:`~repro.core.frontend.Frontend`.  Each test runs with the
-frontend library (native embed and term sum) as it loads, and its
-``..._with_the_library_blocked`` twin with the Python loops.
+frontend library (native conditioning, encode, coefficient adjustment,
+embed, term sum and compile) as it loads, and its
+``..._with_the_library_blocked`` twin with the NumPy and Python paths.
+With the library loaded, every prepared call must also equal the
+blocked one array for array (dtype, shape and ``float.hex``), the
+compiled problem's float32 programmed arrays included; the edge cases
+(narrow clauses only, d* = 0, the clamped s*, a coupler summing to 0.0
+and the compile's two ``ValueError``s) are hand-built.
 """
 
 from __future__ import annotations
@@ -31,7 +37,11 @@ from scipy import sparse
 
 import repro.core.frontend as frontend_module
 from repro.annealer.device import AnnealerDevice, AnnealRequest
-from repro.annealer.embedded import EmbeddedProblem
+from repro.annealer.embedded import (
+    EmbeddedProblem,
+    ProgrammedArrays,
+    build_embedded_problem,
+)
 from repro.benchgen import random_3sat
 from repro.benchgen.suites import BENCHMARKS
 from repro.cdcl import native
@@ -41,11 +51,12 @@ from repro.core.clause_queue import ClauseQueueGenerator
 from repro.core.config import HyQSatConfig
 from repro.core.frontend import Frontend
 from repro.core.hyqsat import HyQSatSolver
-from repro.embedding.base import Embedding
+from repro.embedding.base import Embedding, EmbeddingArrays
 from repro.embedding.crl import ConnectionRequirementList
-from repro.qubo.encoding import SubClauseObjective, encode_clause
-from repro.qubo.ising import QuadraticObjective
-from repro.sat.cnf import Clause
+from repro.qubo.coefficients import adjust_coefficients
+from repro.qubo.encoding import SubClauseObjective, encode_clause, encode_formula
+from repro.qubo.ising import LogicalArrays, QuadraticObjective
+from repro.sat.cnf import CNF, Clause, ClauseTable
 from repro.topology.chimera import ChimeraGraph, QubitCoord
 from repro.topology.pegasus import PegasusGraph
 
@@ -535,7 +546,7 @@ class _OracleResult:
         return len(self.formula_clauses)
 
 
-def _oracle_prepare_uncached(self, queue, assignment, start):
+def _oracle_prepare_uncached(self, queue, assignment, start, state):
     prepared = oracle_prepare(
         self.formula, self.hardware, queue, assignment or {}, self.chain_strength
     )
@@ -605,3 +616,227 @@ def test_whole_solves_match_with_the_oracle_frontend(num_vars, seed, monkeypatch
 def test_whole_solves_match_with_the_library_blocked(num_vars, seed, monkeypatch):
     _block_library(monkeypatch)
     _whole_solves_match(num_vars, seed, monkeypatch)
+
+
+# ----------------------------------------------------------------------
+# The library against its NumPy twins, array for array
+# ----------------------------------------------------------------------
+
+
+def _arrays(*arrays):
+    """Each array's dtype, shape and values (floats by ``float.hex``)."""
+    return [
+        (a.dtype.str, a.shape, [float(v).hex() for v in a.ravel().tolist()])
+        for a in arrays
+    ]
+
+
+def _prepared_arrays(result):
+    """Every array a prepared call holds, its programmed forms included."""
+    if result is None:
+        return None
+    encoding, compiled = result.encoding, result.request.compiled
+    return (
+        result.formula_clauses,
+        result.embedded_variables,
+        _arrays(encoding.clauses.lits, encoding.aux, encoding.alpha, *encoding.layout),
+        _arrays(
+            compiled.qubit_ids, compiled.linear, compiled.indptr, compiled.indices,
+            compiled.data, compiled.chain_variables, compiled.chain_starts,
+            compiled.chain_couplers,
+        ),
+        _arrays(*compiled.programmed),
+    )
+
+
+def _twins_match(formula, queues, monkeypatch):
+    """Prepare each call with the library and with it blocked."""
+    if native.load_frontend_kernel() is None:
+        pytest.skip("no C compiler for the frontend library")
+    embedded = 0
+    for hw in HARDWARE.values():
+        for queue, trail in queues:
+            frontend = Frontend(formula, hw, cache_size=0, chain_strength=CHAIN_STRENGTH)
+            ours = frontend.prepare(queue, trail)
+            if ours is not None:
+                # The library filled in the programmed arrays; NumPy
+                # builds the same from the problem's own.
+                compiled = ours.request.compiled
+                assert _arrays(*compiled.programmed) == _arrays(
+                    *ProgrammedArrays.build(
+                        compiled.linear, compiled.indptr, compiled.indices,
+                        compiled.data,
+                    )
+                )
+                embedded += 1
+            with monkeypatch.context() as patch:
+                _block_library(patch)
+                theirs = frontend.prepare(queue, trail)
+            assert _prepared_arrays(ours) == _prepared_arrays(theirs)
+    assert embedded
+
+
+@pytest.mark.parametrize("family", ["BP", "CRY", "GC1", "II"])
+def test_family_queues_match_the_numpy_twins(family, monkeypatch):
+    formula = BENCHMARKS[family].generate(0, seed=0)
+    _twins_match(formula, trail_queues(formula, seed=1, snapshots=3), monkeypatch)
+
+
+def test_uf170_queues_match_the_numpy_twins(monkeypatch):
+    formula = random_3sat(170, 724, np.random.default_rng(0))
+    _twins_match(formula, trail_queues(formula, seed=0, snapshots=2), monkeypatch)
+
+
+# ----------------------------------------------------------------------
+# Hand-built edge cases, with the library loaded and blocked
+# ----------------------------------------------------------------------
+
+
+def _narrow_queue_matches(monkeypatch):
+    """Width-1 and width-2 clauses only: no auxiliary anywhere."""
+    formula = CNF([[1, -2], [2, 3], [-4], [3, -4], [4, 1], [5], [-5, 6]])
+    for hw in HARDWARE.values():
+        assert assert_matches_oracle(
+            formula, hw, list(range(formula.num_clauses)), {}, monkeypatch
+        )
+        assert assert_matches_oracle(formula, hw, [0, 1, 3, 6], {2: True}, monkeypatch)
+    encoding = encode_formula(formula.table, formula.num_vars)
+    assert not encoding.aux.any()
+
+
+def test_narrow_queue_matches_the_dict_pipeline(monkeypatch):
+    _narrow_queue_matches(monkeypatch)
+
+
+def test_narrow_queue_matches_with_the_library_blocked(monkeypatch):
+    _block_library(monkeypatch)
+    _narrow_queue_matches(monkeypatch)
+
+
+def _adjust_matches_oracle(clauses, num_vars, alpha_in):
+    """Adjust an encoding at coefficients ``alpha_in``; returns its α."""
+    encoding = encode_formula(ClauseTable.of(clauses), num_vars)
+    base = dict_encode(clauses, num_vars)
+    if alpha_in is not None:
+        encoding = encoding.with_coefficients(np.array(alpha_in))
+        base = dict_encode(
+            None, None, dict(zip(encoding.sub_keys, alpha_in)), base=base
+        )
+    adjustment = adjust_coefficients(encoding)
+    _, d_star, alphas = dict_adjust(base)
+    assert adjustment.d_star.hex() == d_star.hex()
+    assert list(adjustment.alphas) == list(alphas)
+    assert _hexes(adjustment.encoding.alpha) == _hexes(alphas.values())
+    return adjustment
+
+
+def _zero_d_star_matches(monkeypatch):
+    """x1 and not x1: every summed coefficient cancels, so d* = 0 and
+    nothing is raised; the frontend then skips the call."""
+    clauses = [Clause([1]), Clause([-1])]
+    adjustment = _adjust_matches_oracle(clauses, 1, None)
+    assert adjustment.d_star == 0.0
+    assert adjustment.encoding.alpha.tolist() == [1.0, 1.0]
+    formula = CNF([[1], [-1]])
+    assert Frontend(formula, HARDWARE["c16"], cache_size=0).prepare([0, 1]) is None
+    assert oracle_prepare(formula, HARDWARE["c16"], [0, 1], {}) is None
+
+
+def test_zero_d_star_matches_the_dict_pipeline(monkeypatch):
+    _zero_d_star_matches(monkeypatch)
+
+
+def test_zero_d_star_matches_with_the_library_blocked(monkeypatch):
+    _block_library(monkeypatch)
+    _zero_d_star_matches(monkeypatch)
+
+
+def _clamped_scale_matches(monkeypatch):
+    """The s* branch with s* above 1: (x1 or x2 or x3) at α 0.5 on its
+    first part keeps d* at 1, so its (aux, x1) sum -2 overshoots at any
+    scale, while the unit clause x7's only term has room for s* ~ 1.
+    The scale is clamped to 1 - 2^-30."""
+    clauses = [Clause([1, 2, 3]), Clause([7])]
+    adjustment = _adjust_matches_oracle(clauses, 7, [0.5, 1.0, 1.0])
+    assert adjustment.d_star == 1.0
+    assert adjustment.encoding.alpha.tolist() == [1.0, 1.0, 2.0 - 2.0**-30]
+
+
+def test_clamped_scale_matches_the_dict_pipeline(monkeypatch):
+    _clamped_scale_matches(monkeypatch)
+
+
+def test_clamped_scale_matches_with_the_library_blocked(monkeypatch):
+    _block_library(monkeypatch)
+    _clamped_scale_matches(monkeypatch)
+
+
+def _placement(chains, edge_couplers):
+    return EmbeddingArrays.from_embedding(Embedding(chains), edge_couplers)
+
+
+def _cancelling_coupler_matches(monkeypatch):
+    """A problem coupler listed inside chain 1, where its weight 1.0 and
+    the chain penalty -2 * 0.5 sum to exactly 0.0: it leaves the CSR
+    (and the dict compile's couplings) but stays a chain coupler."""
+    hw = HARDWARE["c16"]
+    objective = QuadraticObjective(0.5, {1: 0.25, 2: -1.0}, {(1, 2): 1.0})
+    embedding = Embedding({1: [0, 4], 2: [1]})
+    edge_couplers = {(1, 2): ((0, 4),)}
+    problem = build_embedded_problem(
+        LogicalArrays.from_objective(objective),
+        _placement({1: [0, 4], 2: [1]}, edge_couplers),
+        hw,
+        chain_strength=0.5,
+    )
+    qubits, linear, couplings, chain_edges, chain_of_index = dict_compile(
+        objective, embedding, hw, edge_couplers, 0.5
+    )
+    assert list(problem.qubits) == qubits
+    assert _hexes(problem.linear) == _hexes(linear)
+    assert [(i, j, w.hex()) for i, j, w in problem.couplings] == [
+        (i, j, w.hex()) for i, j, w in couplings
+    ]
+    # Qubits 0 and 4 are indices 0 and 1: a chain coupler, and no
+    # coupling left at all.
+    assert problem.chain_edges == chain_edges == ((0, 1),)
+    assert problem.couplings == couplings == ()
+    assert problem.chain_of_index == chain_of_index
+    assert problem.indptr.tolist() == [0, 0, 0, 0]
+    assert _arrays(*problem.programmed) == _arrays(
+        *ProgrammedArrays.build(
+            problem.linear, problem.indptr, problem.indices, problem.data
+        )
+    )
+
+
+def test_cancelling_coupler_leaves_the_csr(monkeypatch):
+    _cancelling_coupler_matches(monkeypatch)
+
+
+def test_cancelling_coupler_leaves_the_csr_with_the_library_blocked(monkeypatch):
+    _block_library(monkeypatch)
+    _cancelling_coupler_matches(monkeypatch)
+
+
+def _compile_errors_match(monkeypatch):
+    hw = HARDWARE["c16"]
+    placement = _placement({1: [0], 2: [4]}, {(1, 2): ((4, 0),)})
+    unembedded = QuadraticObjective(0.0, {1: 1.0, 3: -1.0}, {(1, 3): 0.5})
+    with pytest.raises(ValueError, match=r"^objective variables not embedded: \[3\]$"):
+        build_embedded_problem(LogicalArrays.from_objective(unembedded), placement, hw)
+    no_coupler = QuadraticObjective(0.0, {1: 1.0}, {(1, 2): 0.5})
+    bare = _placement({1: [0], 2: [4]}, {})
+    with pytest.raises(
+        ValueError, match=r"^no hardware coupler realises problem edge \(1, 2\)$"
+    ):
+        build_embedded_problem(LogicalArrays.from_objective(no_coupler), bare, hw)
+
+
+def test_compile_errors_match(monkeypatch):
+    _compile_errors_match(monkeypatch)
+
+
+def test_compile_errors_match_with_the_library_blocked(monkeypatch):
+    _block_library(monkeypatch)
+    _compile_errors_match(monkeypatch)

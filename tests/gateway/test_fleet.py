@@ -8,6 +8,7 @@ import pytest
 from repro.benchgen.random_ksat import random_3sat
 from repro.gateway.fleet import FleetRouter, GatewayQpu, parse_fleet_spec
 from repro.sat.cnf import CNF, Clause
+from repro.topology import build_hardware
 
 
 class TestParseFleetSpec:
@@ -28,6 +29,14 @@ class TestParseFleetSpec:
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(ValueError):
             parse_fleet_spec(spec)
+
+    @pytest.mark.parametrize("topology", ["chimera", "pegasus"])
+    @pytest.mark.parametrize("grid", [4, 8, 16])
+    def test_welcome_qubits_are_the_lattice_count(self, topology, grid):
+        (qpu,) = parse_fleet_spec(f"{topology}:{grid}")
+        lattice = build_hardware(topology, grid)
+        assert qpu.describe()["qubits"] == lattice.num_qubits == grid * grid * 8
+        assert qpu.hardware is lattice
 
     def test_describe_matches_welcome_shape(self):
         (qpu,) = parse_fleet_spec("pegasus:4")
