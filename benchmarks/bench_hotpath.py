@@ -23,7 +23,13 @@ residual embedded on the C16 lattice):
    must load and not be slower.
 3. **Frontend compile cache** — cold ``Frontend.prepare`` against a
    cache hit for the identical (queue, trail) pair.
-4. **Full-solve acceptance** — a 100-variable random 3-SAT instance
+4. **Native read** — a gateway cache read's own steps on one instance
+   of each ``gateway-zipf`` family (BP, GC1, II, IF2, CRY, CFA):
+   ``parse_dimacs`` and ``fingerprint`` with the formula-read library
+   (``sat/table.c``) loaded against it blocked (the NumPy paths), and
+   ``JobOutcome.as_dict`` against ``dataclasses.asdict``: each must be
+   identical (the table by dtype, shape and values) and not slower.
+5. **Full-solve acceptance** — a 100-variable random 3-SAT instance
    solved cache-on and cache-off must agree in status (and model
    validity), and the cached run must actually hit.
 
@@ -33,8 +39,8 @@ Run with ``make bench`` or::
 
 Writes ``BENCH_hotpath.json`` (see ``--output``) and exits non-zero if
 a library did not load, changed a result or is slower than the
-NumPy/Python read-out or the frontend's NumPy/Python paths, or if the
-acceptance checks fail.  Timings are
+NumPy/Python read-out or the frontend's or the read's NumPy/Python
+paths, or if the acceptance checks fail.  Timings are
 medians over several rounds; results and solver outcomes are fully
 deterministic for a fixed ``--seed``.
 """
@@ -54,12 +60,15 @@ import numpy as np
 import repro.core.frontend as frontend_module
 from repro.annealer.device import AnnealerDevice, AnnealResult
 from repro.annealer.sampler import SamplerConfig
+from repro.benchgen import BENCHMARKS
 from repro.benchgen.random_ksat import random_3sat
 from repro.cdcl import native
 from repro.core.config import HyQSatConfig
 from repro.core.frontend import Frontend
 from repro.core.hyqsat import HyQSatSolver
 from repro.embedding.hyqsat_embed import HyQSatEmbedder
+from repro.sat import fingerprint, parse_dimacs, to_dimacs
+from repro.service.jobs import JobOutcome
 from repro.topology.chimera import ChimeraGraph
 
 #: Read-out shapes: the hybrid call (R = 1), then R = 8 and 16.
@@ -69,10 +78,19 @@ KERNEL_SHAPES = [(1, 1), (8, 1), (4, 4)]
 #: precompiled problem.
 CHAIN_STRENGTH = 2.0
 
+#: The ``gateway-zipf`` families (perfbench/workloads.py) whose reads
+#: the read rows time, one instance each.
+READ_FAMILIES = ("BP", "GC1", "II", "IF2", "CRY", "CFA")
+
 
 def _numpy_readout():
     """The device's no-compiler path: the native library blocked."""
     return mock.patch.object(native, "load_sweep_kernel", lambda: None)
+
+
+def _numpy_read():
+    """The read's no-compiler path: the formula-read library blocked."""
+    return mock.patch.object(native, "load_table_kernel", lambda: None)
 
 
 def _result_view(result: AnnealResult):
@@ -274,6 +292,80 @@ def bench_embed(hardware, encodings, rounds: int) -> Dict:
     }
 
 
+def _sample_us(call, reps: int, samples: List[float]) -> None:
+    start = time.perf_counter()
+    for _ in range(reps):
+        call()
+    samples.append((time.perf_counter() - start) / reps * 1e6)
+
+
+def bench_read_pair(call, view, rounds: int, reps: int) -> Dict:
+    """``call`` with the formula-read library against it blocked, timed
+    in alternating rounds (median per call)."""
+    native_view = view(call())
+    with _numpy_read():
+        numpy_view = view(call())
+    native_samples: List[float] = []
+    numpy_samples: List[float] = []
+    for _ in range(rounds):
+        _sample_us(call, reps, native_samples)
+        with _numpy_read():
+            _sample_us(call, reps, numpy_samples)
+    native_us = float(np.median(native_samples))
+    numpy_us = float(np.median(numpy_samples))
+    return {
+        "identical": native_view == numpy_view,
+        "native_us": round(native_us, 1),
+        "numpy_us": round(numpy_us, 1),
+        "speedup": round(numpy_us / native_us, 2),
+    }
+
+
+def _table_view(formula):
+    lits = formula.table.lits
+    return formula.num_vars, lits.dtype.str, lits.shape, lits.tobytes()
+
+
+def bench_reads(rounds: int, reps: int) -> Dict[str, Dict]:
+    """Per family: the parse, the fingerprint and the outcome dict of a
+    cache read, each against its old path."""
+    rows: Dict[str, Dict] = {}
+    for family in READ_FAMILIES:
+        generated = BENCHMARKS[family].generate(0, seed=32)
+        text = to_dimacs(generated)
+        formula = parse_dimacs(text)
+        outcome = JobOutcome(
+            job_id=family, status="sat", iterations=12, conflicts=3,
+            model=[v if v % 3 else -v for v in range(1, formula.num_vars + 1)],
+            cached=True, cache_kind="exact",
+        )
+        fields_samples: List[float] = []
+        asdict_samples: List[float] = []
+        for _ in range(rounds):
+            _sample_us(outcome.as_dict, reps, fields_samples)
+            _sample_us(lambda: dataclasses.asdict(outcome), reps, asdict_samples)
+        fields_us = float(np.median(fields_samples))
+        asdict_us = float(np.median(asdict_samples))
+        rows[family] = {
+            "num_vars": formula.num_vars,
+            "num_clauses": formula.num_clauses,
+            "dimacs_bytes": len(text),
+            "parse": bench_read_pair(
+                lambda: parse_dimacs(text), _table_view, rounds, reps
+            ),
+            "fingerprint": bench_read_pair(
+                lambda: fingerprint(formula), lambda fp: fp, rounds, reps
+            ),
+            "outcome_dict": {
+                "identical": outcome.as_dict() == dataclasses.asdict(outcome),
+                "fields_us": round(fields_us, 1),
+                "asdict_us": round(asdict_us, 1),
+                "speedup": round(asdict_us / fields_us, 2),
+            },
+        }
+    return rows
+
+
 def bench_frontend_cache(formula, hardware, queue, rounds: int) -> Dict:
     miss_samples, hit_samples = [], []
     for _ in range(rounds):
@@ -390,6 +482,20 @@ def main(argv=None) -> int:
             "speedup {speedup}x, identical={identical}".format(**embed_row)
         )
 
+    table_loaded = native.load_table_kernel() is not None
+    read_rows = bench_reads(rounds, 20 if args.quick else 50) if table_loaded else {}
+    print(f"native read loaded: {table_loaded}")
+    for family, row in read_rows.items():
+        print(
+            f"{family} read ({row['num_vars']} vars, {row['num_clauses']} "
+            "clauses): parse numpy {numpy_us} us, native {native_us} us, "
+            "identical={identical}; ".format(**row["parse"])
+            + "fingerprint numpy {numpy_us} us, native {native_us} us, "
+            "identical={identical}; ".format(**row["fingerprint"])
+            + "outcome dict asdict {asdict_us} us, fields {fields_us} us, "
+            "identical={identical}".format(**row["outcome_dict"])
+        )
+
     cache_row = bench_frontend_cache(formula, hardware, queue, rounds)
     print(
         "frontend cache: miss {miss_ms} ms, hit {hit_ms} ms, "
@@ -411,11 +517,17 @@ def main(argv=None) -> int:
     frontend_passed = embed_passed and all(
         row["identical"] and row["speedup"] >= 1.0 for row in twin_rows.values()
     )
+    reads_passed = table_loaded and all(
+        row[name]["identical"] and row[name]["speedup"] >= 1.0
+        for row in read_rows.values()
+        for name in ("parse", "fingerprint", "outcome_dict")
+    )
     passed = (
         kernel_loaded
         and kernel_identical
         and kernel_never_slower
         and frontend_passed
+        and reads_passed
         and solve_row["statuses_match"]
         and solve_row["model_valid"]
         and solve_row["cache_hits"] > 0
@@ -435,6 +547,7 @@ def main(argv=None) -> int:
         "adjust": twin_rows.get("adjust", {}),
         "embed": embed_row,
         "compile": twin_rows.get("compile", {}),
+        "reads": read_rows,
         "frontend_cache": cache_row,
         "solve_acceptance": solve_row,
         "kernel_loaded": kernel_loaded,
@@ -443,6 +556,8 @@ def main(argv=None) -> int:
         "frontend_loaded": frontend_loaded,
         "embed_passed": embed_passed,
         "frontend_passed": frontend_passed,
+        "table_loaded": table_loaded,
+        "reads_passed": reads_passed,
         "passed": passed,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

@@ -1,7 +1,8 @@
 """Build and bind the native kernels: CDCL (``kernel.c``), the anneal
-read-out (``repro/annealer/sweep.c``) and the frontend's cache miss
+read-out (``repro/annealer/sweep.c``), the frontend's cache miss
 (``repro/core/frontend.c``: trail conditioning, encode, coefficient
-adjustment, embed, term sum and chain compile).
+adjustment, embed, term sum and chain compile) and the formula read
+(``repro/sat/table.c``: the DIMACS read and a clause table's row text).
 
 Each kernel is compiled on demand with the system C compiler into a
 shared library cached under ``build/cdcl-kernel/`` at the repository
@@ -20,9 +21,10 @@ compiler from fusing ``a*b+c`` into FMA, and we deliberately avoid
 ``-fno-trapping-math -fvect-cost-model=dynamic`` so GCC vectorises its
 decision loop; neither flag changes a result.
 
-:func:`load_kernel`, :func:`load_sweep_kernel` and
-:func:`load_frontend_kernel` return the bound library (or ``None`` when
-no compiler is available or the cache is unusable);
+:func:`load_kernel`, :func:`load_sweep_kernel`,
+:func:`load_frontend_kernel` and :func:`load_table_kernel` return the
+bound library (or ``None`` when no compiler is available or the cache
+is unusable);
 :func:`native_available` is the cheap feature probe the engine registry
 uses.
 """
@@ -42,6 +44,7 @@ from typing import Dict, List, Optional
 _SOURCE = Path(__file__).with_name("kernel.c")
 _SWEEP_SOURCE = Path(__file__).parents[1] / "annealer" / "sweep.c"
 _FRONTEND_SOURCE = Path(__file__).parents[1] / "core" / "frontend.c"
+_TABLE_SOURCE = Path(__file__).parents[1] / "sat" / "table.c"
 
 _CFLAGS = ["-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared"]
 _SWEEP_CFLAGS = _CFLAGS + ["-fno-trapping-math", "-fvect-cost-model=dynamic"]
@@ -218,6 +221,14 @@ _FRONTEND_SIGNATURES = [
     ),
 ]
 
+#: The formula-read library's exports: (name, restype, argtypes).  The
+#: document goes in as a ``bytes`` object, which ctypes passes without
+#: a copy.
+_TABLE_SIGNATURES = [
+    ("dimacs_read", _I64, [ctypes.c_char_p, _I64, _I64, _I64, _PTR, _PTR]),
+    ("table_text", _I64, [_I64, _I64, _PTR, _I64, _I64, _PTR]),
+]
+
 
 _NO_BYTES = ctypes.c_char * 0
 _from_buffer = _NO_BYTES.from_buffer
@@ -351,6 +362,13 @@ def load_frontend_kernel() -> Optional[ctypes.CDLL]:
     the first frontend miss; ``None`` means each runs its NumPy or
     Python path."""
     return _load_once(_FRONTEND_SOURCE, _CFLAGS, _FRONTEND_SIGNATURES)
+
+
+def load_table_kernel() -> Optional[ctypes.CDLL]:
+    """The bound formula-read library (the DIMACS read and a clause
+    table's row text), building it on the first read; ``None`` means
+    both run their NumPy paths."""
+    return _load_once(_TABLE_SOURCE, _CFLAGS, _TABLE_SIGNATURES)
 
 
 def native_available() -> bool:

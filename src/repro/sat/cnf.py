@@ -248,10 +248,31 @@ class ClauseTable(SequenceABC):
             (variables[:, 1:] == variables[:, :-1]) & (variables[:, 1:] != 0)
         ).any(axis=1)
 
-    def text(self) -> bytes:
+    def text(self, sort: bool = False) -> bytes:
         """Every row as one ASCII line: its literals in decimal, joined
-        by single spaces (a DIMACS clause line without the ``0``)."""
+        by single spaces (a DIMACS clause line without the ``0``).  With
+        ``sort``, the rows go in Python tuple order (a row that prefixes
+        another first), as :func:`fingerprint` hashes them.
+
+        An int64 table is written by the formula-read library's
+        ``table_text`` when it loads, else by the NumPy path below."""
+        from repro.cdcl import native  # repro.cdcl imports this module
+
         lits = self.lits
+        kernel = native.load_table_kernel()
+        if kernel is not None and lits.dtype == np.int64:
+            lits = np.ascontiguousarray(lits)
+            m, w = lits.shape
+            out = np.empty(m * (21 * w + 1), np.uint8)  # sign, 19 digits, space
+            size = kernel.table_text(
+                m, w, native.address(lits), sort, len(out), native.address(out)
+            )
+            if size >= 0:
+                return out[:size].tobytes()
+        if sort and lits.shape[1]:
+            # Padding sorts below every literal.
+            keys = np.where(lits != 0, lits, np.iinfo(np.int64).min)
+            lits = lits[np.lexsort(keys.T[::-1])]
         size = np.abs(lits)[..., None]
         places = 10 ** np.arange(len(str(size.max(initial=0))) - 1, -1, -1)
         digits = np.where(size >= places, size // places % 10 + ord("0"), 0)
@@ -526,18 +547,12 @@ def fingerprint(formula: CNF) -> str:
     distinct instance once.
 
     The hashed bytes are ``p cnf <num_vars> <num_clauses>`` and then
-    one line per sorted row of :attr:`CNF.table`, as
-    :meth:`ClauseTable.text` writes it; the cache DB and the dedup key
-    store these digests, so that byte stream must never change.
+    one line per row of :attr:`CNF.table` in Python tuple order, as
+    ``ClauseTable.text(sort=True)`` writes them; the cache DB and the
+    dedup key store these digests, so that byte stream must never
+    change.
     """
-    lits = formula.table.lits
-    if lits.shape[1]:
-        # Python tuple order: a row that prefixes another sorts first,
-        # so padding sorts below every literal.
-        keys = np.where(lits != 0, lits, np.iinfo(np.int64).min)
-        lits = lits[np.lexsort(keys.T[::-1])]
-    digest = hashlib.sha256(
-        f"p cnf {formula.num_vars} {len(lits)}\n".encode()
-    )
-    digest.update(ClauseTable(lits).text())
+    table = formula.table
+    digest = hashlib.sha256(f"p cnf {formula.num_vars} {len(table)}\n".encode())
+    digest.update(table.text(sort=True))
     return digest.hexdigest()

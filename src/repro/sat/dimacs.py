@@ -21,7 +21,12 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.cdcl import native
 from repro.sat.cnf import CNF, MAX_VAR, ClauseTable
+
+#: ``dimacs_read`` statuses (keep in sync with table.c).
+_READ_OK = 0
+_READ_GROW = 1
 
 
 class DimacsError(ValueError):
@@ -45,7 +50,18 @@ def parse_dimacs(text: str, strict: bool = True) -> CNF:
     :class:`~repro.sat.cnf.ClauseTable`; no :class:`~repro.sat.cnf.Clause`
     is built until the formula's clauses are read.  A malformed body
     reports its first fault in document order, with its line number.
+
+    A document in the plain form (``repro/sat/table.c`` lists it) that
+    this function accepts is read by the formula-read library's
+    ``dimacs_read`` when it loads; every other document, and every
+    fault, goes through the NumPy path below.
     """
+    if text.isascii():
+        kernel = native.load_table_kernel()
+        if kernel is not None:
+            formula = _read_native(kernel, text.encode(), strict)
+            if formula is not None:
+                return formula
     lines = text.splitlines()
     num_vars, num_clauses, start = _problem_line(lines)
     tokens, duplicate = _body_tokens(lines, start)
@@ -90,6 +106,27 @@ def parse_dimacs(text: str, strict: bool = True) -> CNF:
     lits = np.zeros((len(ends), lengths.max(initial=0)), np.int64)
     lits[np.arange(lits.shape[1]) < lengths[:, None]] = values[values != 0]
     return CNF.from_table(ClauseTable.canonical(lits), num_vars=num_vars)
+
+
+def _read_native(kernel, data: bytes, strict: bool) -> Optional[CNF]:
+    """The formula ``dimacs_read`` reads from ``data``; None when the
+    document is not in the plain form or the NumPy path would reject
+    it."""
+    counts = np.empty(3, np.int64)
+    lits = np.empty(len(data) // 2 + 1, np.int64)
+    for _ in range(2):
+        status = kernel.dimacs_read(
+            data, len(data), strict, len(lits), native.address(lits),
+            native.address(counts),
+        )
+        if status != _READ_GROW:
+            break
+        lits = np.empty(counts[1] * counts[2], np.int64)
+    if status != _READ_OK:
+        return None
+    num_vars, rows, width = counts.tolist()
+    table = ClauseTable(lits[: rows * width].reshape(rows, width))
+    return CNF.from_table(table, num_vars=num_vars)
 
 
 def _problem_line(lines: List[str]) -> Tuple[int, int, int]:

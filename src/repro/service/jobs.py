@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Optional
 
@@ -167,8 +167,9 @@ class JobSpec:
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict view (all fields, JSON-able) — the journal's
-        record payload, compared field-for-field at recovery."""
-        return asdict(self)
+        record payload, compared field-for-field at recovery.  Every
+        field is a scalar, so this is ``dataclasses.asdict``'s dict."""
+        return {name: getattr(self, name) for name in _SPEC_FIELDS}
 
     def to_json(self) -> str:
         """One job-JSONL line (defaults omitted for readability)."""
@@ -260,8 +261,15 @@ class JobOutcome:
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict view (all fields, JSON-able) — the journal's
-        ``done`` record payload."""
-        return asdict(self)
+        ``done`` record payload, the cache's stored outcome and the
+        gateway's ``result``.  It equals ``dataclasses.asdict``'s dict:
+        the model and each learned clause are copied lists."""
+        data = {name: getattr(self, name) for name in _OUTCOME_FIELDS}
+        if self.model is not None:
+            data["model"] = list(self.model)
+        if self.learned is not None:
+            data["learned"] = [list(clause) for clause in self.learned]
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobOutcome":
@@ -270,7 +278,7 @@ class JobOutcome:
         return cls(**data)
 
     def to_json(self) -> str:
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
+        payload = {k: v for k, v in self.as_dict().items() if v is not None}
         payload["id"] = payload.pop("job_id")
         return json.dumps(payload, sort_keys=True)
 
@@ -284,13 +292,20 @@ class JobOutcome:
         """A copy of ``primary``'s solver fields credited to this job:
         ``deduped`` when the primary is ``done``, else the primary's
         own state (a follower of a failed solve got no answer)."""
-        twin = JobOutcome(**asdict(primary))
+        twin = JobOutcome(**primary.as_dict())
         twin.job_id = job_id
         twin.state = "deduped" if primary.state == "done" else primary.state
         twin.dedup_of = primary.job_id
         twin.wait_seconds = self.wait_seconds
         twin.run_seconds = 0.0
         return twin
+
+
+#: Field names in declaration order (``as_dict`` key order).
+_SPEC_FIELDS = tuple(spec_field.name for spec_field in dataclass_fields(JobSpec))
+_OUTCOME_FIELDS = tuple(
+    outcome_field.name for outcome_field in dataclass_fields(JobOutcome)
+)
 
 
 def build_device(spec: JobSpec):

@@ -5,7 +5,7 @@ clause signatures (the cache DB's subsumption index) are persisted, so
 a change to how they are computed would silently orphan every cache
 written before it.  These values were computed by the per-``Clause``
 implementations the table code replaced; any change to the key format
-fails here.  For the benchgen families the signature column holds the
+fails here, with the formula-read library loaded and blocked.  For the benchgen families the signature column holds the
 SHA-256 of the packed blob (the blobs run to ~10 KB each); for the
 small hand-written instances it holds the blob itself, in hex.
 """
@@ -121,20 +121,22 @@ def keys(formula: CNF):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_family_keys(family):
+def test_family_keys(family, read_paths):
     generated = BENCHMARKS[family].generate(0, seed=11)
-    # Parsed, as jobs arrive, and built from Clause objects.
-    for formula in (parse_dimacs(to_dimacs(generated)), generated):
-        fp, blob = keys(formula)
-        assert (fp, hashlib.sha256(blob).hexdigest()) == FAMILIES[family]
+    for path in read_paths():
+        # Parsed, as jobs arrive, and built from Clause objects.
+        for formula in (parse_dimacs(to_dimacs(generated)), generated):
+            fp, blob = keys(formula)
+            assert (fp, hashlib.sha256(blob).hexdigest()) == FAMILIES[family], path
 
 
 @pytest.mark.parametrize("name", sorted(EDGES))
-def test_edge_case_keys(name):
+def test_edge_case_keys(name, read_paths):
     num_vars, rows = ROWS[name]
     text = f"p cnf {num_vars} {len(rows)}\n" + "".join(
         " ".join(map(str, row + [0])) + "\n" for row in rows
     )
-    for formula in (parse_dimacs(text), CNF(rows, num_vars=num_vars)):
-        fp, blob = keys(formula)
-        assert (fp, blob.hex()) == EDGES[name]
+    for path in read_paths():
+        for formula in (parse_dimacs(text), CNF(rows, num_vars=num_vars)):
+            fp, blob = keys(formula)
+            assert (fp, blob.hex()) == EDGES[name], path

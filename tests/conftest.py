@@ -102,3 +102,20 @@ def clause_tuple_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(CNF, "clauses", property(counted))
     return built
+
+
+@pytest.fixture
+def read_paths(monkeypatch):
+    """The formula read's two paths, to loop over inside one test:
+    ``for path in read_paths():`` runs the body with the formula-read
+    library (``repro/sat/table.c``) loaded, when it builds, and then
+    blocked, so DIMACS reads and row texts take their NumPy paths."""
+    from repro.cdcl import native
+
+    def paths():
+        if native.load_table_kernel() is not None:
+            yield "loaded"
+        monkeypatch.setattr(native, "load_table_kernel", lambda: None)
+        yield "blocked"
+
+    return paths

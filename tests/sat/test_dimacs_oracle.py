@@ -2,9 +2,12 @@
 
 A seeded sweep of well-formed and malformed DIMACS documents goes
 through :func:`repro.sat.dimacs.parse_dimacs` and the old parser
-(kept in ``tests/sat/clause_oracles.py``), in strict and lenient mode.
-Each document must give either equal formulas (``clauses`` and
-``num_vars``) or a :class:`DimacsError` with the same message.
+(kept in ``tests/sat/clause_oracles.py``), in strict and lenient mode,
+with the formula-read library (``repro/sat/table.c``) loaded and
+blocked.  Each document must give either equal formulas (``clauses``
+and ``num_vars``) or a :class:`DimacsError` with the same message.
+Named documents pin which input classes the library reads itself and
+which it hands back to the NumPy path.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import re
 import numpy as np
 import pytest
 
+from repro.cdcl import native
+from repro.sat import dimacs
 from repro.sat.cnf import MAX_VAR
 from repro.sat.dimacs import DimacsError, parse_dimacs
 
@@ -115,15 +120,32 @@ def random_document(rng: np.random.Generator) -> str:
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
-def test_parser_matches_the_line_parser(strict):
-    rng = np.random.default_rng(17 if strict else 18)
-    kinds = collections.Counter()
-    for _ in range(SWEEP):
-        kind, *rest = assert_same(random_document(rng), strict)
-        # Errors by message, less line numbers, counts and tokens.
-        kinds[kind if kind == "cnf" else re.sub(r"-?\d+|'.*'", "#", rest[0])] += 1
-    # The sweep reaches both outcomes and every kind of fault.
-    assert kinds["cnf"] > SWEEP // 3 and len(kinds) == (11 if strict else 8), kinds
+def test_parser_matches_the_line_parser(strict, read_paths, monkeypatch):
+    native_reads = collections.Counter()
+    read_native = dimacs._read_native
+
+    def counted(kernel, data, strict):
+        formula = read_native(kernel, data, strict)
+        native_reads[formula is not None] += 1
+        return formula
+
+    monkeypatch.setattr(dimacs, "_read_native", counted)
+    for path in read_paths():
+        native_reads.clear()
+        rng = np.random.default_rng(17 if strict else 18)
+        kinds = collections.Counter()
+        for _ in range(SWEEP):
+            kind, *rest = assert_same(random_document(rng), strict)
+            # Errors by message, less line numbers, counts and tokens.
+            kinds[kind if kind == "cnf" else re.sub(r"-?\d+|'.*'", "#", rest[0])] += 1
+        # The sweep reaches both outcomes and every kind of fault.
+        assert kinds["cnf"] > SWEEP // 3 and len(kinds) == (11 if strict else 8), kinds
+        if path == "loaded":
+            # The library read a share of the documents itself (the
+            # sweep's odd separators and spaces send most elsewhere).
+            assert native_reads[True] > SWEEP // 10, native_reads
+        else:
+            assert not native_reads, native_reads
 
 
 @pytest.mark.parametrize(
@@ -146,5 +168,65 @@ def test_parser_matches_the_line_parser(strict):
     ],
 )
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
-def test_named_documents(text, strict):
-    assert_same(text, strict)
+def test_named_documents(text, strict, read_paths):
+    for _ in read_paths():
+        assert_same(text, strict)
+
+
+def _boundary_documents():
+    """Name -> (document, whether the library reads it when the NumPy
+    path accepts it): every odd token, separator and space above, and
+    the other input classes at the edge of the plain form."""
+    documents = {}
+    for token in dict.fromkeys(ODD_TOKENS):
+        documents[f"token {token!r}"] = (
+            f"p cnf 9 2\n1 {token} 0\n2 0\n", token in ("-0", "007")
+        )
+    for separator in dict.fromkeys(SEPARATORS):
+        lines = ["c x", "p cnf 3 2", "1 -2 0", "3 0"]
+        documents[f"separator {separator!r}"] = (
+            separator.join(lines) + separator, separator in ("\n", "\r\n", "\r")
+        )
+    for space in dict.fromkeys(SPACES):
+        documents[f"space {space!r}"] = (
+            f"p cnf 3 2\n1{space}-2{space}0\n{space}3 0\n",
+            space in (" ", "  ", "\t"),
+        )
+    documents.update({
+        "crlf": ("c x\r\np cnf 3 2\r\n1 -2 0\r\n3 0\r\n", True),
+        "comment in body": ("p cnf 3 2\n1 -2 0\n  c between\n3 0\n", True),
+        "comment byte": ("c \x01\np cnf 3 1\n1 0\n", False),
+        "percent end": ("p cnf 3 2\n1 -2\n0 3 0\n%\n0\nx é\n", True),
+        "second p line": ("p cnf 3 2\n1 -2 0\np cnf 3 2\n3 0\n", False),
+        "unterminated": ("p cnf 3 2\n1 -2 0\n3\n", False),
+        "repeats": ("p cnf 3 1\n3 -1 3 1 -1 0\n", True),
+        "wide row": ("p cnf 40 2\n" + " ".join(map(str, range(40, 0, -1))) + " 0 1 0\n", True),
+        "no clauses": ("p cnf 0 0\n", True),
+        "max var - 1": (f"p cnf {MAX_VAR} 1\n{MAX_VAR - 1} 0\n", True),
+        "max var": (f"p cnf {MAX_VAR} 1\n-{MAX_VAR} 1 0\n", True),
+        "max var + 1": (f"p cnf {MAX_VAR} 1\n{MAX_VAR + 1} 0\n", False),
+    })
+    return documents
+
+
+BOUNDARY = _boundary_documents()
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_plain_form_boundary(name, strict, read_paths):
+    """Both paths agree with the line parser, and the library reads a
+    document itself exactly when it is plain and accepted."""
+    text, plain = BOUNDARY[name]
+    for path in read_paths():
+        assert_same(text, strict)
+        if path == "loaded":
+            accepted = outcome(parse_dimacs, text, strict)
+            read = dimacs._read_native(
+                native.load_table_kernel(), text.encode(), strict
+            )
+            if plain and accepted[0] == "cnf":
+                assert read is not None
+                assert ("cnf", read.clauses, read.num_vars) == accepted
+            else:
+                assert read is None

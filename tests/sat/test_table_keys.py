@@ -6,7 +6,8 @@ loops byte for byte; ``model_satisfies`` and the counts must answer as
 they did, and so must ``satisfied_by``, ``Assignment.satisfies``,
 ``clause_index`` and the clause queue's variable lists.  Each formula is checked twice: built from ``Clause``
 objects (its table derived) and parsed from DIMACS text (its clauses
-derived).
+derived); and each test runs with the formula-read library loaded and
+blocked.
 """
 
 from __future__ import annotations
@@ -87,32 +88,34 @@ def check_indexed(formula: CNF, reference: CNF) -> None:
     )
 
 
-def test_random_formulas_match_the_clause_oracles():
-    rng = np.random.default_rng(2024)
-    for _ in range(SWEEP):
-        rows, num_vars = random_rows(rng)
-        built = CNF(rows, num_vars=num_vars)
-        parsed = parse_dimacs(raw_dimacs(rows, num_vars))
-        reference = CNF(rows, num_vars=num_vars)  # never table-read
-        check(built, reference, rng)
-        check(parsed, reference, rng)
-        check_indexed(built, reference)
-        check_indexed(parsed, reference)
-        assert parsed == built
-        assert parsed.clauses == reference.clauses
+def test_random_formulas_match_the_clause_oracles(read_paths):
+    for _ in read_paths():
+        rng = np.random.default_rng(2024)
+        for _ in range(SWEEP):
+            rows, num_vars = random_rows(rng)
+            built = CNF(rows, num_vars=num_vars)
+            parsed = parse_dimacs(raw_dimacs(rows, num_vars))
+            reference = CNF(rows, num_vars=num_vars)  # never table-read
+            check(built, reference, rng)
+            check(parsed, reference, rng)
+            check_indexed(built, reference)
+            check_indexed(parsed, reference)
+            assert parsed == built
+            assert parsed.clauses == reference.clauses
 
 
 @pytest.mark.parametrize("family", sorted(BENCHMARKS))
-def test_benchgen_families_match_the_clause_oracles(family):
-    rng = np.random.default_rng(7)
-    generated = BENCHMARKS[family].generate(0, seed=3)
-    reference = CNF(generated.clauses, num_vars=generated.num_vars)
-    rows = [[lit.value for lit in clause] for clause in generated.clauses]
-    order = rng.permutation(len(rows))
-    shuffled = [list(rng.permutation(rows[k])) for k in order]
-    parsed = parse_dimacs(raw_dimacs(shuffled, generated.num_vars))
-    check(generated, reference, rng)
-    check(parsed, reference, rng)
-    check_indexed(generated, reference)
-    # Clause and literal order never reach the keys.
-    assert fingerprint(parsed) == fingerprint(generated)
+def test_benchgen_families_match_the_clause_oracles(family, read_paths):
+    for _ in read_paths():
+        rng = np.random.default_rng(7)
+        generated = BENCHMARKS[family].generate(0, seed=3)
+        reference = CNF(generated.clauses, num_vars=generated.num_vars)
+        rows = [[lit.value for lit in clause] for clause in generated.clauses]
+        order = rng.permutation(len(rows))
+        shuffled = [list(rng.permutation(rows[k])) for k in order]
+        parsed = parse_dimacs(raw_dimacs(shuffled, generated.num_vars))
+        check(generated, reference, rng)
+        check(parsed, reference, rng)
+        check_indexed(generated, reference)
+        # Clause and literal order never reach the keys.
+        assert fingerprint(parsed) == fingerprint(generated)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -149,6 +151,72 @@ class TestJobOutcome:
         assert twin.iterations == 7
         assert twin.wait_seconds == 0.5
         assert twin.run_seconds == 0.0
+
+
+#: Outcomes whose dicts must equal ``dataclasses.asdict``'s: a model and
+#: learned clauses, every optional field None, and a failed job.
+DICT_OUTCOMES = {
+    "model-learned": JobOutcome(
+        job_id="m", status="sat", model=[1, -2, 3], iterations=4,
+        conflicts=1, qa_calls=2, qpu_time_us=130.5, warm_clauses=3,
+        learned=[[1, -2], [3]], cached=False, resumed=True,
+    ),
+    "none-fields": JobOutcome(job_id="n"),
+    "failed": JobOutcome(job_id="f", state="failed", error="ValueError: x"),
+}
+
+
+class TestOutcomeDicts:
+    """The dicts are built field by field, not by ``dataclasses.asdict``:
+    equal to its dict, value types included, and never sharing a list
+    with the outcome."""
+
+    @staticmethod
+    def typed(data):
+        return [(key, type(value), value) for key, value in data.items()]
+
+    @pytest.mark.parametrize("name", sorted(DICT_OUTCOMES))
+    def test_as_dict_equals_asdict(self, name):
+        outcome = DICT_OUTCOMES[name]
+        assert self.typed(outcome.as_dict()) == self.typed(
+            dataclasses.asdict(outcome)
+        )
+
+    @pytest.mark.parametrize("name", sorted(DICT_OUTCOMES))
+    def test_to_json_equals_asdict_line(self, name):
+        outcome = DICT_OUTCOMES[name]
+        payload = {
+            key: value
+            for key, value in dataclasses.asdict(outcome).items()
+            if value is not None
+        }
+        payload["id"] = payload.pop("job_id")
+        assert outcome.to_json() == json.dumps(payload, sort_keys=True)
+
+    @pytest.mark.parametrize("name", sorted(DICT_OUTCOMES))
+    def test_as_dedup_of_equals_asdict_copy(self, name):
+        primary = DICT_OUTCOMES[name]
+        expected = JobOutcome(**dataclasses.asdict(primary))
+        expected.job_id, expected.dedup_of = "d", primary.job_id
+        expected.state = "deduped" if primary.state == "done" else primary.state
+        expected.wait_seconds, expected.run_seconds = 0.25, 0.0
+        twin = JobOutcome(job_id="d", wait_seconds=0.25).as_dedup_of(primary, "d")
+        assert self.typed(twin.as_dict()) == self.typed(dataclasses.asdict(expected))
+
+    def test_returned_lists_are_copies(self):
+        outcome = copy.deepcopy(DICT_OUTCOMES["model-learned"])
+        data = outcome.as_dict()
+        data["model"].append(9)
+        data["learned"][0].append(9)
+        data["learned"].append([9])
+        twin = JobOutcome(job_id="d").as_dedup_of(outcome, "d")
+        twin.model.append(8)
+        twin.learned[1].append(8)
+        assert outcome == DICT_OUTCOMES["model-learned"]
+
+    def test_spec_as_dict_equals_asdict(self):
+        spec = JobSpec(job_id="s", dimacs=SAT_DIMACS, seed=3, deadline_s=2.5)
+        assert self.typed(spec.as_dict()) == self.typed(dataclasses.asdict(spec))
 
 
 class TestBuildDevice:
