@@ -56,8 +56,9 @@ bench-cdcl-full:
 	$(PYTHON) -m benchmarks.bench_cdcl
 
 # Durability overhead; writes BENCH_recovery.json and fails if the
-# write-ahead journal costs more than 5% on the batch path or any
-# journaled outcome diverges from the bare run.
+# write-ahead journal costs more than 5% on the batch path, fsyncs more
+# often than its batching rule allows, or any journaled outcome
+# diverges from the bare run.
 bench-recovery:
 	$(PYTHON) -m benchmarks.bench_recovery --quick
 

@@ -29,7 +29,16 @@ residual embedded on the C16 lattice):
    (``sat/table.c``) loaded against it blocked (the NumPy paths), and
    ``JobOutcome.as_dict`` against ``dataclasses.asdict``: each must be
    identical (the table by dtype, shape and values) and not slower.
-5. **Full-solve acceptance** — a 100-variable random 3-SAT instance
+5. **Subsumption lookups** — ``PersistentResultStore.lookup`` of the
+   ``gateway-zipf`` near misses (perfbench/workloads.py, seed 32)
+   against a store holding the stream's other 33 instances, and of a
+   miss against ``_SCAN_LIMIT`` BP-size candidates: with the library
+   loaded (the inclusion test is one ``sigs_subset`` call on the packed
+   blobs) against it blocked (unpacked Python sets).  The query's
+   signatures are hashed once beforehand, so both sides time the scan
+   and the model checks.  Answers (kind, status, model) must be
+   identical, and the library not slower.
+6. **Full-solve acceptance** — a 100-variable random 3-SAT instance
    solved cache-on and cache-off must agree in status (and model
    validity), and the cached run must actually hit.
 
@@ -39,8 +48,9 @@ Run with ``make bench`` or::
 
 Writes ``BENCH_hotpath.json`` (see ``--output``) and exits non-zero if
 a library did not load, changed a result or is slower than the
-NumPy/Python read-out or the frontend's or the read's NumPy/Python
-paths, or if the acceptance checks fail.  Timings are
+NumPy/Python read-out or the frontend's, the read's or the
+subsumption lookup's NumPy/Python paths, or if the acceptance checks
+fail.  Timings are
 medians over several rounds; results and solver outcomes are fully
 deterministic for a fixed ``--seed``.
 """
@@ -50,7 +60,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+import tempfile
 import time
 from typing import Dict, List
 from unittest import mock
@@ -62,13 +74,15 @@ from repro.annealer.device import AnnealerDevice, AnnealResult
 from repro.annealer.sampler import SamplerConfig
 from repro.benchgen import BENCHMARKS
 from repro.benchgen.random_ksat import random_3sat
-from repro.cdcl import native
+from repro.cache import PersistentResultStore
+from repro.cache.persistent import _SCAN_LIMIT, _signatures_of
+from repro.cdcl import minisat_solver, native
 from repro.core.config import HyQSatConfig
 from repro.core.frontend import Frontend
 from repro.core.hyqsat import HyQSatSolver
 from repro.embedding.hyqsat_embed import HyQSatEmbedder
 from repro.sat import fingerprint, parse_dimacs, to_dimacs
-from repro.service.jobs import JobOutcome
+from repro.service.jobs import JobOutcome, JobSpec
 from repro.topology.chimera import ChimeraGraph
 
 #: Read-out shapes: the hybrid call (R = 1), then R = 8 and 16.
@@ -81,6 +95,13 @@ CHAIN_STRENGTH = 2.0
 #: The ``gateway-zipf`` families (perfbench/workloads.py) whose reads
 #: the read rows time, one instance each.
 READ_FAMILIES = ("BP", "GC1", "II", "IF2", "CRY", "CFA")
+
+#: The ``gateway-zipf`` near misses the subsumption rows look up: SAT
+#: parents less three clauses (model reads), the UNSAT CRY parent plus
+#: three (an unsat read) and a BP parent plus three (a miss).
+SUBSUMPTION_VARIANTS = (
+    "BP-drop", "GC1-drop", "II-drop", "IF2-drop", "CRY-add", "BP-add",
+)
 
 
 def _numpy_readout():
@@ -366,6 +387,101 @@ def bench_reads(rounds: int, reps: int) -> Dict[str, Dict]:
     return rows
 
 
+def _record_solved(store, name: str, dimacs: str, model=None):
+    """Record ``dimacs`` as solved: SAT with ``model`` when one is given,
+    else with the classic solve's answer.  Returns the recorded model."""
+    spec = JobSpec(job_id=name, dimacs=dimacs)
+    formula = spec.load_formula()
+    status = "sat"
+    if model is None:
+        result = minisat_solver(formula).solve()
+        status = result.status.value
+        if result.model is not None:
+            model = [lit.value for lit in result.model.as_literals()]
+    store.record(
+        spec.solve_key(fingerprint(formula)),
+        formula,
+        JobOutcome(job_id=name, state="done", status=status, model=model),
+    )
+    return model
+
+
+def _timed_lookup(store, name: str, dimacs: str, rounds: int, reps: int) -> Dict:
+    spec = JobSpec(job_id=name, dimacs=dimacs)
+    formula = spec.load_formula()
+    key = spec.solve_key(fingerprint(formula))
+    signatures = _signatures_of(formula)
+    signatures()
+
+    def answer(hit):
+        return hit and (hit.cache_kind, hit.status, hit.model)
+
+    row = bench_read_pair(
+        lambda: store.lookup(key, spec, formula, signatures=signatures),
+        answer, rounds, reps,
+    )
+    hit = answer(store.lookup(key, spec, formula, signatures=signatures))
+    return {
+        "num_clauses": formula.num_clauses,
+        "kind": hit[0] if hit else "miss",
+        "identical": row["identical"],
+        "native_us": row["native_us"],
+        "python_us": row["numpy_us"],
+        "speedup": row["speedup"],
+    }
+
+
+def bench_subsumption(rounds: int, reps: int) -> Dict[str, Dict]:
+    """Subsumption lookups with the library loaded against blocked: the
+    ``gateway-zipf`` near misses, and a miss that scans
+    ``_SCAN_LIMIT`` BP-size candidates."""
+    from perfbench.workloads import Instance, gateway_zipf
+
+    items = gateway_zipf(32, 929).items
+    variants = {
+        f"{item.parent.split('-')[0]}-{item.name.rsplit('-', 1)[1]}": item
+        for item in items.values()
+        if item.parent is not None
+    }
+    rows: Dict[str, Dict] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        with PersistentResultStore(os.path.join(tmp, "zipf.sqlite")) as store:
+            models = {
+                name: _record_solved(store, name, item.dimacs())
+                for name, item in items.items()
+                if item.parent is None
+            }
+            for name in SUBSUMPTION_VARIANTS:
+                rows[name] = _timed_lookup(
+                    store, name, variants[name].dimacs(), rounds, reps
+                )
+        # The scan cap: BP parents other than the BP-add variant's, each
+        # less three random clauses, recorded with the parent's model.
+        query = variants["BP-add"]
+        parents = [
+            item for name, item in items.items()
+            if name.startswith("BP-") and item.parent is None
+            and name != query.parent
+        ]
+        rng = np.random.default_rng(32)
+        with PersistentResultStore(os.path.join(tmp, "cap.sqlite")) as store:
+            for index in range(_SCAN_LIMIT):
+                parent = parents[index % len(parents)]
+                drop = set(rng.choice(len(parent.clauses), size=3, replace=False))
+                clauses = [
+                    c for i, c in enumerate(parent.clauses) if i not in drop
+                ]
+                candidate = Instance(f"cap{index}", parent.num_vars, clauses, "")
+                _record_solved(
+                    store, candidate.name, candidate.dimacs(), models[parent.name]
+                )
+            rows["BP-add-cap"] = _timed_lookup(
+                store, "BP-add-cap", query.dimacs(), rounds, 1
+            )
+            rows["BP-add-cap"]["candidates"] = _SCAN_LIMIT
+    return rows
+
+
 def bench_frontend_cache(formula, hardware, queue, rounds: int) -> Dict:
     miss_samples, hit_samples = [], []
     for _ in range(rounds):
@@ -496,6 +612,16 @@ def main(argv=None) -> int:
             "identical={identical}".format(**row["outcome_dict"])
         )
 
+    subsumption_rows = (
+        bench_subsumption(rounds, 5 if args.quick else 10) if table_loaded else {}
+    )
+    for name, row in subsumption_rows.items():
+        print(
+            f"{name} lookup ({row['num_clauses']} clauses, {row['kind']}): "
+            "python {python_us} us, native {native_us} us, "
+            "speedup {speedup}x, identical={identical}".format(**row)
+        )
+
     cache_row = bench_frontend_cache(formula, hardware, queue, rounds)
     print(
         "frontend cache: miss {miss_ms} ms, hit {hit_ms} ms, "
@@ -522,12 +648,17 @@ def main(argv=None) -> int:
         for row in read_rows.values()
         for name in ("parse", "fingerprint", "outcome_dict")
     )
+    subsumption_passed = table_loaded and all(
+        row["identical"] and row["speedup"] >= 1.0
+        for row in subsumption_rows.values()
+    )
     passed = (
         kernel_loaded
         and kernel_identical
         and kernel_never_slower
         and frontend_passed
         and reads_passed
+        and subsumption_passed
         and solve_row["statuses_match"]
         and solve_row["model_valid"]
         and solve_row["cache_hits"] > 0
@@ -548,6 +679,7 @@ def main(argv=None) -> int:
         "embed": embed_row,
         "compile": twin_rows.get("compile", {}),
         "reads": read_rows,
+        "subsumption": subsumption_rows,
         "frontend_cache": cache_row,
         "solve_acceptance": solve_row,
         "kernel_loaded": kernel_loaded,
@@ -558,6 +690,7 @@ def main(argv=None) -> int:
         "frontend_passed": frontend_passed,
         "table_loaded": table_loaded,
         "reads_passed": reads_passed,
+        "subsumption_passed": subsumption_passed,
         "passed": passed,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

@@ -17,10 +17,11 @@ claims and same-session duplicates).  Both solve through
 ``instances``
     One row per formula fingerprint: the best known *option-free*
     facts — SAT with a model, or UNSAT — plus the clause-signature
-    index (16-byte per-clause hashes and a 64-bit Bloom mask).  This
-    is the subsumption layer: a model is a certificate valid under
-    any solve options, and UNSAT of a clause-subset dooms every
-    superset.
+    index (16-byte per-clause hashes, sorted and packed into one blob,
+    and a 63-bit Bloom mask).  This is the subsumption layer: a model
+    is a certificate valid under any solve options, and UNSAT of a
+    clause-subset dooms every superset.  Scans test inclusion on the
+    blobs as SQLite returns them.
 
 ``clause_bank``
     One row per fingerprint: short learned clauses of the solve plus
@@ -52,13 +53,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.signature import (
+    blob_subset_test,
     clause_signatures,
     model_completed,
     model_satisfies,
     pack_signatures,
     signature_mask,
-    sigs_subset,
-    unpack_signatures,
 )
 from repro.sat.cnf import CNF
 from repro.service.jobs import JobOutcome, JobSpec
@@ -101,12 +101,12 @@ CREATE TABLE IF NOT EXISTS clause_bank (
 """
 
 
-#: A formula's clause signatures, computed on the first call.
-Signatures = Callable[[], List[bytes]]
+#: A formula's packed clause signatures, computed on the first call.
+Signatures = Callable[[], bytes]
 
 
 def _signatures_of(formula: CNF) -> Signatures:
-    return functools.cache(functools.partial(clause_signatures, formula))
+    return functools.cache(lambda: pack_signatures(clause_signatures(formula)))
 
 
 @dataclass
@@ -114,7 +114,8 @@ class WarmStart:
     """What a miss's :meth:`~PersistentResultStore.before_solve` hands
     its ``after_solve``: clause-bank donor material when a strict-subset
     donor qualifies (``clauses`` is None otherwise), and the formula's
-    clause signatures, so the record step does not hash them again."""
+    packed clause signatures, so the record step does not hash them
+    again."""
 
     clauses: Optional[List[List[int]]] = None
     donor_conflicts: int = 0
@@ -243,8 +244,8 @@ class PersistentResultStore:
         self, key: str, spec: JobSpec, formula: CNF, signatures: Signatures
     ) -> Optional[JobOutcome]:
         fp = JobSpec.fingerprint_of(key)
-        sigs = signatures()
-        mask = signature_mask(sigs)
+        blob = signatures()
+        mask = signature_mask(blob)
         # Same formula under different solve options: any cached
         # certificate transfers directly.
         row = self._db.execute(
@@ -263,6 +264,8 @@ class PersistentResultStore:
                     return self._certificate_outcome(
                         spec, "sat", model, "model"
                     )
+        view, subset = blob_subset_test()
+        sigs = view(blob)
         for cand in self._db.execute(
             "SELECT fingerprint, num_vars, mask, sigs, status, model "
             "FROM instances WHERE fingerprint != ? "
@@ -275,12 +278,12 @@ class PersistentResultStore:
             new_is_superset = (cand_mask & mask) == cand_mask
             if not (new_is_subset or new_is_superset):
                 continue
-            cand_sigs = unpack_signatures(cand_blob)
+            cand_sigs = view(cand_blob)
             if (
                 status == "sat"
                 and model_json
                 and new_is_subset
-                and sigs_subset(sigs, cand_sigs)
+                and subset(sigs, cand_sigs)
             ):
                 # Our clauses are a subset of a satisfied instance:
                 # its model satisfies us by construction — validate
@@ -292,7 +295,7 @@ class PersistentResultStore:
                     return self._certificate_outcome(
                         spec, "sat", model, "model"
                     )
-            if new_is_superset and sigs_subset(cand_sigs, sigs):
+            if new_is_superset and subset(cand_sigs, sigs):
                 if status == "unsat":
                     # Every clause of an UNSAT instance is among ours:
                     # we are UNSAT too.
@@ -326,9 +329,11 @@ class PersistentResultStore:
         filtered defensively.
         """
         signatures = signatures or _signatures_of(formula)
-        sigs = signatures()
-        mask = signature_mask(sigs)
+        blob = signatures()
+        mask = signature_mask(blob)
         fp = JobSpec.fingerprint_of(key)
+        view, subset = blob_subset_test()
+        sigs = view(blob)
         with self._lock:
             best: Optional[Tuple[int, str, str, int]] = None
             for cand in self._db.execute(
@@ -341,7 +346,7 @@ class PersistentResultStore:
                 cand_fp, cand_clauses, cand_mask, cand_blob, bank, confl = cand
                 if (int(cand_mask) & mask) != int(cand_mask):
                     continue
-                if not sigs_subset(unpack_signatures(cand_blob), sigs):
+                if not subset(view(cand_blob), sigs):
                     continue
                 if best is None or cand_clauses > best[0]:
                     best = (cand_clauses, cand_fp, bank, int(confl))
@@ -395,7 +400,7 @@ class PersistentResultStore:
                     (key, fp, json.dumps(payload), now, now),
                 )
             if outcome.status in ("sat", "unsat"):
-                sigs = (signatures or _signatures_of(formula))()
+                blob = (signatures or _signatures_of(formula))()
                 self._db.execute(
                     "INSERT OR REPLACE INTO instances "
                     "(fingerprint, num_vars, num_clauses, mask, sigs, "
@@ -405,8 +410,8 @@ class PersistentResultStore:
                         fp,
                         formula.num_vars,
                         formula.num_clauses,
-                        signature_mask(sigs),
-                        pack_signatures(sigs),
+                        signature_mask(blob),
+                        blob,
                         outcome.status,
                         json.dumps(outcome.model)
                         if outcome.model is not None

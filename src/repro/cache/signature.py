@@ -12,18 +12,21 @@ formula anyway, so only the UNSAT-propagation and clause-bank paths
 rely on the hash width.
 
 A 63-bit Bloom-style ``mask`` (one bit per clause hash) rides along
-as an SQL-side prefilter: ``A ⊆ B`` requires
-``mask(A) & mask(B) == mask(A)``, so candidate scans reject most
-non-inclusions without unpacking signature blobs.
+as a prefilter: ``A ⊆ B`` requires ``mask(A) & mask(B) == mask(A)``.
+Each clause sets one of 63 bits, so a formula of a few hundred clauses
+sets them all and the mask passes nearly every candidate; the scan pays
+for the inclusion test itself, which runs on the packed, sorted blobs
+the database returns (:func:`blob_subset_test`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.cdcl import native
 from repro.sat.cnf import CNF, ClauseTable
 
 #: Bytes kept per clause hash (128 bits: inclusion false-positives are
@@ -58,21 +61,48 @@ def unpack_signatures(blob: bytes) -> List[bytes]:
     ]
 
 
-def signature_mask(sigs: Iterable[bytes]) -> int:
-    """63-bit Bloom mask of a signature set (SQL-side prefilter).
+def signature_mask(blob: bytes) -> int:
+    """63-bit Bloom mask of a packed signature set (the prefilter): bit
+    ``first byte % 63`` of each 16-byte record, read from the blob.
 
     63 bits, not 64, so the mask always fits SQLite's signed INTEGER
     column without sign games.
     """
     mask = 0
-    for sig in sigs:
-        mask |= 1 << (sig[0] % 63)
+    for first in set(blob[::CLAUSE_SIG_BYTES]):
+        mask |= 1 << (first % 63)
     return mask
 
 
 def sigs_subset(smaller: Sequence[bytes], larger: Sequence[bytes]) -> bool:
     """True when every signature in ``smaller`` appears in ``larger``."""
     return set(smaller) <= set(larger)
+
+
+def blob_subset_test() -> Tuple[
+    Callable[[bytes], Any], Callable[[Any, Any], bool]
+]:
+    """``(view, subset)``: ``subset(view(a), view(b))`` tells whether
+    every signature of the packed blob ``a`` is in the packed blob ``b``.
+
+    With the formula-read library loaded, ``view`` keeps a blob as it is
+    and ``subset`` is one ``sigs_subset`` call into it: a merge walk over
+    the two sorted blobs, without a copy, that matches nothing when a
+    blob's length is not a multiple of 16.  Without it they are
+    :func:`unpack_signatures` and :func:`sigs_subset`.  A scan resolves
+    the pair once and views each blob once.
+    """
+    kernel = native.load_table_kernel()
+    if kernel is None:
+        return unpack_signatures, sigs_subset
+    native_subset = kernel.sigs_subset
+    return _as_is, lambda smaller, larger: bool(
+        native_subset(smaller, len(smaller), larger, len(larger))
+    )
+
+
+def _as_is(blob: bytes) -> bytes:
+    return blob
 
 
 def model_completed(

@@ -2,7 +2,8 @@
 read-out (``repro/annealer/sweep.c``), the frontend's cache miss
 (``repro/core/frontend.c``: trail conditioning, encode, coefficient
 adjustment, embed, term sum and chain compile) and the formula read
-(``repro/sat/table.c``: the DIMACS read and a clause table's row text).
+(``repro/sat/table.c``: the DIMACS read, a clause table's row text and
+the result cache's signature inclusion test).
 
 Each kernel is compiled on demand with the system C compiler into a
 shared library cached under ``build/cdcl-kernel/`` at the repository
@@ -222,11 +223,12 @@ _FRONTEND_SIGNATURES = [
 ]
 
 #: The formula-read library's exports: (name, restype, argtypes).  The
-#: document goes in as a ``bytes`` object, which ctypes passes without
-#: a copy.
+#: document and the signature blobs go in as ``bytes`` objects, which
+#: ctypes passes without a copy.
 _TABLE_SIGNATURES = [
     ("dimacs_read", _I64, [ctypes.c_char_p, _I64, _I64, _I64, _PTR, _PTR]),
     ("table_text", _I64, [_I64, _I64, _PTR, _I64, _I64, _PTR]),
+    ("sigs_subset", _I64, [ctypes.c_char_p, _I64, ctypes.c_char_p, _I64]),
 ]
 
 
@@ -365,9 +367,9 @@ def load_frontend_kernel() -> Optional[ctypes.CDLL]:
 
 
 def load_table_kernel() -> Optional[ctypes.CDLL]:
-    """The bound formula-read library (the DIMACS read and a clause
-    table's row text), building it on the first read; ``None`` means
-    both run their NumPy paths."""
+    """The bound formula-read library (the DIMACS read, a clause table's
+    row text and the signature inclusion test), building it on the first
+    read; ``None`` means each runs its NumPy or Python path."""
     return _load_once(_TABLE_SOURCE, _CFLAGS, _TABLE_SIGNATURES)
 
 

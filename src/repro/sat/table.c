@@ -1,5 +1,7 @@
 /* Native reads of a formula: the DIMACS read (parse_dimacs on the plain
- * form of a document) and a clause table's row text (ClauseTable.text).
+ * form of a document), a clause table's row text (ClauseTable.text), and
+ * the result cache's inclusion test between two packed clause-signature
+ * blobs (sigs_subset).
  *
  * dimacs_read.  Reads a document only in its plain form:
  *   - lines end at CR or LF; inside a line, space and tab separate;
@@ -319,4 +321,30 @@ i64 table_text(i64 m, i64 w, const i64 *lits, i64 sorted, i64 capacity,
 fail:
     free(buffer);
     return -1;
+}
+
+/* repro.cache.signature.CLAUSE_SIG_BYTES */
+#define SIG_BYTES 16
+
+/* Whether every 16-byte record of the blob ``a`` (``na`` bytes) is also a
+ * record of ``b`` (``nb`` bytes): set(a) <= set(b) over the records, with
+ * repeats allowed on either side.  Both blobs hold sorted records, as
+ * pack_signatures(clause_signatures(...)) writes them, and one merge walk
+ * decides.  Returns 1 or 0, and 0 when either length is not a multiple
+ * of 16.  A 1 is always a true inclusion: every record of ``a`` was
+ * found equal to one of ``b``, so unsorted input can only turn a 1 into
+ * a 0. */
+i64 sigs_subset(const uint8_t *a, i64 na, const uint8_t *b, i64 nb)
+{
+    if (na % SIG_BYTES || nb % SIG_BYTES)
+        return 0;
+    i64 j = 0;
+    for (i64 i = 0; i < na; i += SIG_BYTES) {
+        int order = 1;
+        while (j < nb && (order = memcmp(b + j, a + i, SIG_BYTES)) < 0)
+            j += SIG_BYTES;
+        if (order != 0)
+            return 0;
+    }
+    return 1;
 }

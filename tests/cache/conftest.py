@@ -72,3 +72,19 @@ def record_solve(
 def store(tmp_path):
     with PersistentResultStore(str(tmp_path / "cache.sqlite")) as s:
         yield s
+
+
+@pytest.fixture
+def stores(tmp_path, read_paths):
+    """A fresh store per read path, to loop over inside one test: ``for
+    store in stores():`` runs the body with the formula-read library
+    (``repro/sat/table.c``) loaded, when it builds, and then blocked, so
+    the subsumption scans test inclusion in C and then on unpacked
+    Python sets."""
+
+    def each():
+        for path in read_paths():
+            with PersistentResultStore(str(tmp_path / f"{path}.sqlite")) as s:
+                yield s
+
+    return each

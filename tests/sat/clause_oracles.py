@@ -98,6 +98,15 @@ def clause_signatures(formula: CNF) -> List[bytes]:
     return sigs
 
 
+def signature_mask(sigs: Sequence[bytes]) -> int:
+    """The cache's persisted Bloom mask, one bit per signature list
+    entry (before the mask was read from the packed blob)."""
+    mask = 0
+    for sig in sigs:
+        mask |= 1 << (sig[0] % 63)
+    return mask
+
+
 def model_satisfies(formula: CNF, model: Sequence[int]) -> bool:
     signs = {abs(value): value > 0 for value in model}
     for clause in formula.clauses:

@@ -1,8 +1,9 @@
 """The table-based keys and counts against their per-``Clause`` oracles.
 
-``fingerprint`` and ``clause_signatures`` are persisted (cache DB rows,
-dedup keys), so the table code must reproduce the old per-``Clause``
-loops byte for byte; ``model_satisfies`` and the counts must answer as
+``fingerprint``, ``clause_signatures`` and the signature mask are
+persisted (cache DB rows, dedup keys), so the table code must reproduce
+the old per-``Clause`` loops byte for byte; ``model_satisfies`` and the
+counts must answer as
 they did, and so must ``satisfied_by``, ``Assignment.satisfies``,
 ``clause_index`` and the clause queue's variable lists.  Each formula is checked twice: built from ``Clause``
 objects (its table derived) and parsed from DIMACS text (its clauses
@@ -20,6 +21,7 @@ from repro.cache.signature import (
     clause_signatures,
     model_satisfies,
     pack_signatures,
+    signature_mask,
 )
 from repro.core.clause_queue import ClauseQueueGenerator
 from repro.sat.assignment import Assignment
@@ -62,9 +64,10 @@ def random_models(rng: np.random.Generator, num_vars: int):
 
 def check(formula: CNF, reference: CNF, rng: np.random.Generator) -> None:
     assert fingerprint(formula) == oracle.fingerprint(reference)
-    assert pack_signatures(clause_signatures(formula)) == pack_signatures(
-        oracle.clause_signatures(reference)
-    )
+    blob = pack_signatures(clause_signatures(formula))
+    expected = oracle.clause_signatures(reference)
+    assert blob == pack_signatures(expected)
+    assert signature_mask(blob) == oracle.signature_mask(expected)
     assert (
         formula.num_clauses, formula.max_clause_size, formula.is_3sat
     ) == oracle.counts(reference)
